@@ -36,14 +36,14 @@ END_TO_END = {
 #: How many times each workload sets up in one run; ``setup_s`` is the
 #: median, so work moved into set-up shows without one slow set-up
 #: deciding the figure.
-SETUPS = 3
+SETUPS = 5
 
 #: How long one speed probe takes on a quiet reference machine.  Times
 #: are reported in seconds at that reference speed (see SpeedProbe).
 PROBE_NOMINAL_S = 0.016
 
 
-def _probe_kernel() -> int:
+def probe_kernel() -> int:
     """Fixed interpreter work: integer arithmetic, tuple keys, dict
     updates, string building and a sort, like the program's own inner
     loops but independent of its code."""
@@ -83,7 +83,7 @@ class SpeedProbe:
         try:
             for _ in range(2):
                 started = time.perf_counter()
-                _probe_kernel()
+                probe_kernel()
                 best = min(best, time.perf_counter() - started)
         finally:
             if collecting:
@@ -95,17 +95,23 @@ class SpeedProbe:
         """Reference seconds per measured second in this run."""
         return PROBE_NOMINAL_S / statistics.median(self.samples)
 
-    def timed(self, func, *args):
+    def timed(self, func, *args, keep=lambda result: result):
         """Run ``func`` and probe after it; returns ``(reference
-        seconds, result)``, scaled by the probes on either side."""
+        seconds, measured seconds, keep(result))``.  The result is
+        dropped and garbage collected before the probe, so the heap the
+        op leaves behind cannot move the divisor."""
         if not self.samples:
+            gc.collect()
             self.measure()
         before = self.samples[-1]
         started = time.perf_counter()
         result = func(*args)
         seconds = time.perf_counter() - started
+        kept = keep(result)
+        del result
+        gc.collect()
         after = self.measure()
-        return seconds * PROBE_NOMINAL_S * 2 / (before + after), result
+        return seconds * PROBE_NOMINAL_S * 2 / (before + after), seconds, kept
 
 
 def log(message: str) -> None:

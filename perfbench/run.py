@@ -3,7 +3,7 @@
 Run from the repository root::
 
     python3 perfbench/run.py --workload table1-live --seed 1 \\
-        --seconds 36 --trace 0
+        --seconds 45 --trace 0
 
 Workloads: ``table1-live`` (live capture + analysis of the Table 1 case
 studies) and ``service-open`` (open-loop request mix against ``repro

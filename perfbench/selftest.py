@@ -67,8 +67,14 @@ def test_workload_runs_tiny(workload, trace):
     assert list(result["metrics"]) == declared_names(section)
     for name, metric in result["metrics"].items():
         assert isinstance(metric["value"], (int, float)), name
-    if not trace:
-        assert all(m["value"] > 0 for m in result["metrics"].values())
+    values = {name: m["value"] for name, m in result["metrics"].items()}
+    if trace:
+        # Both workloads capture (service-open in its set-up), so both
+        # measure the tracer's slowdown and the traced run's overhead.
+        assert values["capture.slowdown"] > 1
+        assert values["trace.overhead_frac"] != 0
+    else:
+        assert all(value > 0 for value in values.values())
 
 
 def _tampered(tmp_path: Path, section: str, label: str, field: str):
@@ -101,7 +107,7 @@ def test_tampered_service_signature_fails():
     inputs = service_open.Inputs(
         url="", hit_pairs=[("a/old", "a/new")], cold_pairs=[],
         uploads=[], signatures={("a/old", "a/new"): "right"},
-        scenario_keys={})
+        scenario_keys={}, captured=[])
     request = service_open.Request("hit", ("a/old", "a/new"), due=0.0)
     request.record = {"state": "done", "result": {"signature": "right"}}
     assert service_open._check_job(request, inputs) == ""
@@ -120,7 +126,7 @@ def test_seed_changes_inputs_not_names():
     inputs = service_open.Inputs(
         url="", hit_pairs=[("h/old", "h/new")],
         cold_pairs=[("c/old", "c/new")], uploads=[("trace", "digest")],
-        signatures={}, scenario_keys={})
+        signatures={}, scenario_keys={}, captured=[])
     plan_a = service_open.schedule(1, 20, inputs)
     plan_b = service_open.schedule(2, 20, inputs)
     assert [p[0] for p in plan_a] != [p[0] for p in plan_b]

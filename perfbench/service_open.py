@@ -20,6 +20,12 @@ stamp of its job record (queries: to the response), so how often the
 client polls adds nothing.  One thread sends and one polls, so at most
 two connections are in flight.  Failed or refused requests count as
 missing the latency limit.
+
+Latencies are reported in reference milliseconds: measured, scaled by
+the run's mean round trip to :mod:`reference`, a server of fixed work
+pinned to the service's CPU and called while the service is idle.  The
+mean, not the median: the host's slow phases are short stalls, which
+the mean counts as the requests' latencies do.
 """
 
 from __future__ import annotations
@@ -29,19 +35,22 @@ import os
 import queue
 import random
 import re
+import statistics
 import subprocess
 import sys
 import threading
 import time
 from dataclasses import dataclass
+from http.client import HTTPConnection
+from urllib.parse import urlsplit
 
-from common import (ROOT, SETUPS, SRC, SpeedProbe, Tally, log,
+from common import (BENCH_DIR, ROOT, SETUPS, SRC, SpeedProbe, Tally, log,
                     make_workdir, median, percentile, remove_workdir)
 
 #: Requests per second of schedule (capacity is several times higher).
-RATE = 10.0
+RATE = 15.0
 #: Share of each request kind in the schedule.
-MIX = (("hit", 0.50), ("cold", 0.15), ("upload", 0.10), ("query", 0.25))
+MIX = (("hit", 0.50), ("cold", 0.10), ("upload", 0.10), ("query", 0.30))
 #: A request slower than this (or failed) misses; goodput counts the rest.
 LIMIT_MS = 1000.0
 #: Percentile tails are reported only from at least this many samples.
@@ -53,6 +62,14 @@ SCENARIOS = ("svc-a", "svc-b", "svc-c")
 MYFACES_MODULES = ("repro.workloads.myfaces",)
 POLL_S = 0.01
 SERVER_WORKERS = 2
+#: Round trip to the reference server on a quiet reference machine.
+REF_NOMINAL_MS = 20.0
+#: The reference is called when no job is pending and the next request
+#: is due at least REF_GAP_S later, at most every REF_EVERY_S, and
+#: REF_EDGE times before and after the window.
+REF_GAP_S = 0.08
+REF_EVERY_S = 0.1
+REF_EDGE = 5
 
 
 #: Request body length of every pair and upload.
@@ -80,6 +97,7 @@ class Inputs:
     uploads: list            # (trace, content digest)
     signatures: dict         # (left, right) -> signature text
     scenario_keys: dict      # scenario -> sorted keys
+    captured: list           # (module, request) of every capture
 
 
 def split_cpus() -> tuple[set, set]:
@@ -91,20 +109,15 @@ def split_cpus() -> tuple[set, set]:
     return {cpus[0]}, set(cpus[1:]) or {cpus[0]}
 
 
-class Server:
-    """``repro serve`` in a child process."""
+class Child:
+    """A server in a child process, pinned to ``cpus`` before it starts
+    any thread; its URL comes from the ``listening on`` line it prints
+    first."""
 
-    def __init__(self, store_dir, cpus: set):
+    def __init__(self, argv: list, cpus: set, env: dict | None = None):
         self.url = None
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (str(SRC), env.get("PYTHONPATH", "")) if p)
-        self.process = subprocess.Popen(
-            [sys.executable, "-m", "repro.analysis.cli", "serve",
-             str(store_dir), "--port", "0", "--layout", "sharded",
-             "--workers", str(SERVER_WORKERS)],
-            cwd=ROOT, env=env, stdout=subprocess.PIPE, text=True)
-        # Pinned before it starts any thread, so all of them inherit.
+        self.process = subprocess.Popen(argv, cwd=ROOT, env=env,
+                                        stdout=subprocess.PIPE, text=True)
         os.sched_setaffinity(self.process.pid, cpus)
         lines: queue.Queue = queue.Queue()
         self._reader = threading.Thread(
@@ -115,12 +128,32 @@ class Server:
             line = lines.get(timeout=60)
         except queue.Empty:
             self.stop()
-            raise RuntimeError("repro serve did not come up") from None
+            raise RuntimeError(f"{argv[1:3]} did not come up") from None
         match = re.search(r"listening on (http://\S+)", line)
         if match is None:
             self.stop()
-            raise RuntimeError(f"unexpected serve banner: {line!r}")
+            raise RuntimeError(f"unexpected banner: {line!r}")
         self.url = match.group(1)
+
+    def stop(self) -> None:
+        if self.process.poll() is None:
+            self.process.kill()
+        self.process.wait()
+        self._reader.join(timeout=10)
+        self.process.stdout.close()
+
+
+class Server(Child):
+    """``repro serve`` in a child process."""
+
+    def __init__(self, store_dir, cpus: set):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(SRC), env.get("PYTHONPATH", "")) if p)
+        super().__init__(
+            [sys.executable, "-m", "repro.analysis.cli", "serve",
+             str(store_dir), "--port", "0", "--layout", "sharded",
+             "--workers", str(SERVER_WORKERS)], cpus, env)
 
     def peak_rss_mb(self) -> float:
         """The server's peak resident set (VmHWM)."""
@@ -140,16 +173,32 @@ class Server:
         except (ServiceError, OSError, subprocess.TimeoutExpired):
             pass
         finally:
-            if self.process.poll() is None:
-                self.process.kill()
-            self.process.wait()
-            self._reader.join(timeout=10)
-            self.process.stdout.close()
+            super().stop()
+
+
+class Reference(Child):
+    """The reference server (:mod:`reference`) on the service's CPU."""
+
+    def __init__(self, cpus: set):
+        super().__init__([sys.executable, str(BENCH_DIR / "reference.py")],
+                         cpus)
+
+    def ping(self) -> float:
+        """One round trip, in milliseconds."""
+        started = time.perf_counter()
+        connection = HTTPConnection(urlsplit(self.url).netloc, timeout=30)
+        try:
+            connection.request("GET", "/probe")
+            connection.getresponse().read()
+        finally:
+            connection.close()
+        return 1000.0 * (time.perf_counter() - started)
 
 
 def set_up(store_dir, seed: int, tiny: bool,
-           server_cpus: set) -> tuple[Server, Inputs]:
-    """Prime a store, compute the oracle, boot and warm the server."""
+           server_cpus: set) -> tuple[Server, Inputs, float]:
+    """Prime a store, compute the oracle, boot and warm the server.
+    Also returns the seconds spent booting and warming the server."""
     from repro.api import Session, TraceStore
     from repro.core.diffs import result_signature
     from repro.service import ServiceClient
@@ -157,16 +206,21 @@ def set_up(store_dir, seed: int, tiny: bool,
     from repro.workloads.myfaces.scenario import run_request
 
     rng = random.Random(seed)
-    capture = Session().with_filter(include_modules=MYFACES_MODULES)
+    session = Session().with_filter(include_modules=MYFACES_MODULES)
     store = TraceStore(store_dir, layout="sharded")
     scenario_keys: dict[str, list] = {name: [] for name in SCENARIOS}
+    captured = []
+
+    def capture(module, request):
+        captured.append((module, request))
+        return session.capture(run_request, module, request).trace
 
     def stored_pair(label: str, position: int) -> tuple[str, str]:
         request = request_body(rng, BODY_LENGTH)
         keys = []
         for version, module in (("old", version_old),
                                 ("new", version_new)):
-            trace = capture.capture(run_request, module, request).trace
+            trace = capture(module, request)
             key = f"{label}/{version}"
             scenario = SCENARIOS[position % len(SCENARIOS)]
             store.save(trace, key=key, scenario=scenario)
@@ -182,7 +236,7 @@ def set_up(store_dir, seed: int, tiny: bool,
     for position in range(2 if tiny else UPLOAD_TRACES):
         module = (version_old, version_new)[position % 2]
         request = request_body(rng, BODY_LENGTH)
-        trace = capture.capture(run_request, module, request).trace
+        trace = capture(module, request)
         uploads.append((trace, trace.content_digest()))
 
     direct = Session(store=store, cache=False)
@@ -190,6 +244,7 @@ def set_up(store_dir, seed: int, tiny: bool,
                                    sort_keys=True, default=list)
                   for pair in hit_pairs + cold_pairs}
 
+    started = time.perf_counter()
     server = Server(store_dir, server_cpus)
     try:
         client = ServiceClient(server.url)
@@ -207,7 +262,20 @@ def set_up(store_dir, seed: int, tiny: bool,
     return server, Inputs(
         url=server.url, hit_pairs=hit_pairs, cold_pairs=cold_pairs,
         uploads=uploads, signatures=signatures,
-        scenario_keys={k: sorted(v) for k, v in scenario_keys.items()})
+        scenario_keys={k: sorted(v) for k, v in scenario_keys.items()},
+        captured=captured), time.perf_counter() - started
+
+
+def untraced_capture_s(captured: list) -> float:
+    """The captured callables of a set-up run without the tracer."""
+    from repro.workloads.myfaces.scenario import run_request
+    started = time.perf_counter()
+    for module, request in captured:
+        try:
+            run_request(module, request)
+        except Exception:  # noqa: BLE001 - a version may raise
+            pass
+    return time.perf_counter() - started
 
 
 def schedule(seed: int, seconds: float, inputs: Inputs) -> list[tuple]:
@@ -268,8 +336,11 @@ def _check_job(request: Request, inputs: Inputs) -> str:
     return ""
 
 
-def drive(plan: list[tuple], inputs: Inputs) -> list[Request]:
-    """Send the schedule from this thread, poll from another."""
+def drive(plan: list[tuple], inputs: Inputs,
+          reference: Reference) -> tuple[list[Request], list[float]]:
+    """Send the schedule from this thread, poll from another; call the
+    reference in the service's idle gaps.  Returns the requests and the
+    reference round trips (ms)."""
     from repro.service import ServiceClient, ServiceError
 
     sender = ServiceClient(inputs.url)
@@ -307,14 +378,26 @@ def drive(plan: list[tuple], inputs: Inputs) -> list[Request]:
                 return
             time.sleep(POLL_S)
 
+    reference_ms = [reference.ping() for _ in range(REF_EDGE)]
     poller = threading.Thread(target=poll, name="perfbench-poller")
     poller.start()
     requests: list[Request] = []
     start_mono = time.monotonic() + 0.05
     start_wall = time.time() + 0.05
+    next_ping = start_mono
     try:
         for offset, kind, target in plan:
-            delay = start_mono + offset - time.monotonic()
+            due = start_mono + offset
+            while (time.monotonic() >= next_ping
+                   and due - time.monotonic() > REF_GAP_S):
+                with lock:
+                    idle = not pending
+                if idle:
+                    reference_ms.append(reference.ping())
+                    next_ping = time.monotonic() + REF_EVERY_S
+                else:
+                    time.sleep(POLL_S)
+            delay = due - time.monotonic()
             if delay > 0:
                 time.sleep(delay)
             request = Request(kind, target, due=start_wall + offset)
@@ -351,10 +434,11 @@ def drive(plan: list[tuple], inputs: Inputs) -> list[Request]:
     finally:
         sending_done.set()
         poller.join()
+    reference_ms += [reference.ping() for _ in range(REF_EDGE)]
     for request in requests:
         if request.record is not None and not request.problem:
             request.problem = _check_job(request, inputs)
-    return requests
+    return requests, reference_ms
 
 
 def run(args, expected: dict, tally: Tally):
@@ -371,11 +455,15 @@ def run(args, expected: dict, tally: Tally):
     server_cpus, client_cpus = split_cpus()
     os.sched_setaffinity(0, client_cpus)  # threads started later inherit
     workdir = make_workdir("service")
-    server = None
+    server = reference = None
     try:
-        setups = 1 if args.tiny else SETUPS
-        setup_times = []
-        probe = SpeedProbe()  # set-up runs in this process
+        # The reference runs through set-up too: the server's boot and
+        # warm-up are scaled by it, the rest of set-up by this process's
+        # probe.  A traced run adds one set-up, traced, for the overhead.
+        reference = Reference(server_cpus)
+        setups = (1 if args.tiny else SETUPS) + bool(recorder)
+        local_times, server_times, setup_reference_ms = [], [], []
+        probe = SpeedProbe()
         probe.measure()
         for attempt in range(setups):
             if server is not None:
@@ -385,14 +473,18 @@ def run(args, expected: dict, tally: Tally):
                 # The traced run's in-process layers (capture, store,
                 # serialize, key tables, views) are this set-up's.
                 with recorder:
-                    server, inputs = set_up(workdir / f"store{attempt}",
-                                            args.seed, args.tiny,
-                                            server_cpus)
+                    server, inputs, server_s = set_up(
+                        workdir / f"store{attempt}", args.seed, args.tiny,
+                        server_cpus)
+                traced_setup_s = time.perf_counter() - started
             else:
-                server, inputs = set_up(workdir / f"store{attempt}",
-                                        args.seed, args.tiny, server_cpus)
-            setup_times.append(time.perf_counter() - started)
+                server, inputs, server_s = set_up(
+                    workdir / f"store{attempt}", args.seed, args.tiny,
+                    server_cpus)
+                local_times.append(time.perf_counter() - started - server_s)
+                server_times.append(server_s)
             probe.measure()
+            setup_reference_ms += [reference.ping() for _ in range(REF_EDGE)]
 
         plan = schedule(args.seed, args.seconds, inputs)
         if len(plan) < MIN_TAIL_SAMPLES:
@@ -405,22 +497,24 @@ def run(args, expected: dict, tally: Tally):
                 # Uploads encode on the client; time that codec call.
                 recorder.patch(client_mod, "dumps_trace_bytes",
                                "serialize.encode", after=count_bytes)
-                requests = drive(plan, inputs)
+                requests, reference_ms = drive(plan, inputs, reference)
         else:
-            requests = drive(plan, inputs)
+            requests, reference_ms = drive(plan, inputs, reference)
         stats_after = ServiceClient(inputs.url).stats()
         peak_rss_mb = server.peak_rss_mb()
     finally:
-        if server is not None:
-            server.stop()
+        for child in (reference, server):
+            if child is not None:
+                child.stop()
         remove_workdir(workdir)
 
-    # Set-up runs in this process and is reported at reference speed.
-    # Request latencies are the server's and stay as measured: no probe
-    # tried (in this process, at idle priority on the server's CPU, or
-    # on that CPU while it was idle) followed the server's speed, and
-    # scaling by them widened the spread.
-    setup_s = probe.scale() * median(setup_times)
+    # Work in this process is scaled by this process's probe, the
+    # server's by the reference on the server's CPU.
+    scale = REF_NOMINAL_MS / statistics.mean(reference_ms)
+    setup_scale = REF_NOMINAL_MS / statistics.mean(setup_reference_ms)
+    setup_times = [probe.scale() * local + setup_scale * served
+                   for local, served in zip(local_times, server_times)]
+    setup_s = median(setup_times)
     good = 0
     latencies = []
     for request in requests:
@@ -437,21 +531,33 @@ def run(args, expected: dict, tally: Tally):
     by_kind = {kind: round(median([r.latency_ms for r in requests
                                    if r.kind == kind and r.latency_ms]), 1)
                for kind, _share in MIX}
-    log(f"service-open: set-up {setup_s:.3f}s (median of {setups}); "
-        f"{len(requests)} requests, {good} within {LIMIT_MS:.0f} ms, "
-        f"wall {wall_s:.3f}s; median ms by kind {by_kind}")
+    log(f"service-open: set-up {setup_s:.3f}s (median of "
+        f"{len(setup_times)}; measured in this process "
+        f"{[round(t, 3) for t in local_times]}, by the server "
+        f"{[round(t, 3) for t in server_times]}); {len(requests)} requests, {good} within "
+        f"{LIMIT_MS:.0f} ms, wall {wall_s:.3f}s; measured p50 "
+        f"{percentile(latencies, 50):.2f} ms, p95 "
+        f"{percentile(latencies, 95):.2f} ms, median by kind {by_kind}; "
+        f"reference {statistics.mean(reference_ms):.2f} ms over "
+        f"{len(reference_ms)} calls, scale {scale:.3f}")
 
     if recorder is None:
         return {
             "setup_s": setup_s,
             "wall_s": wall_s,
-            "latency_p50_ms": percentile(latencies, 50),
-            "latency_p95_ms": percentile(latencies, 95),
+            "latency_p50_ms": scale * percentile(latencies, 50),
+            "latency_p95_ms": scale * percentile(latencies, 95),
             "goodput_rps": good / wall_s,
             "peak_rss_mb": peak_rss_mb,
         }, None
-    return None, service_layers(recorder, requests, stats_before,
-                                stats_after)
+    values = service_layers(recorder, requests, stats_before, stats_after)
+    untraced = median([untraced_capture_s(inputs.captured)
+                       for _ in range(3)])
+    values["capture.slowdown"] = recorder.busy["capture"] / untraced
+    plain_setup_s = median([local + served for local, served
+                            in zip(local_times, server_times)])
+    values["trace.overhead_frac"] = traced_setup_s / plain_setup_s - 1.0
+    return None, values
 
 
 def service_layers(recorder, requests: list[Request], before: dict,
