@@ -21,21 +21,45 @@ from __future__ import annotations
 
 import sys
 import threading
+from typing import NamedTuple
 
 from repro.capture.filters import TraceFilter
+from repro.capture.objects import GETATTR_HOOK, SETATTR_HOOK
 from repro.capture.values import LiveRegistry, live_value_rep
 from repro.core.traces import Trace, TraceBuilder
 from repro.core.values import UNIT, ValueRep
 
-#: The installed tracer, if any (module-level because the @traced class
-#: wrappers must find it without any reference plumbing).
+#: The installed tracer, if any.
 _ACTIVE: "Tracer | None" = None
 _ACTIVE_LOCK = threading.Lock()
+
+#: ``f_locals`` lookup default: a parameter not yet bound.
+_UNBOUND = object()
+#: Plans of the two ``@traced`` wrapper code objects.
+_SET_HOOK = "set-hook"
+_GET_HOOK = "get-hook"
 
 
 def current_tracer() -> "Tracer | None":
     """The currently installed tracer, or None."""
     return _ACTIVE
+
+
+class _CodePlan(NamedTuple):
+    """What recording a call of one woven code object needs, worked out
+    on its first call."""
+
+    name: str
+    #: Positional parameters other than ``self``, in order.
+    arg_names: tuple[str, ...]
+    is_init: bool
+    #: Receiver type -> qualified method name, or "" when
+    #: ``exclude_methods`` drops it (filled lazily).
+    receivers: dict
+    #: Qualified name of receiver-less calls ("" when excluded), and
+    #: the module representation that is their active object.
+    module_method: str
+    module_rep: ValueRep
 
 
 class Tracer:
@@ -44,19 +68,36 @@ class Tracer:
     ``key_table`` interns every recorded entry's ``=e`` key at capture
     time (the ingest half of the interned data layer): the finished
     trace carries its id column, so diffing it never rebuilds a key.
+
+    Cost model: ``sys.settrace`` calls :meth:`_trace` for every Python
+    frame, and Python code that runs outside a trace callback runs
+    slowly and fires callbacks of its own.  So every event is recorded
+    from inside a callback — calls and returns from the woven frames',
+    field events from those of the ``@traced`` wrappers — where CPython
+    runs the recording untraced.  :meth:`_trace` decides once per code
+    object and once per qualified method name;
+    ``str``/``int`` representations are memoised, objects already seen
+    come from the registry's identity map, and each ``=e`` key is built
+    from the representations in hand.  All of it dies with the tracer.
     """
 
     def __init__(self, name: str = "", filter: TraceFilter | None = None,
-                 record_fields: bool = True, trace_lines: bool = False,
-                 key_table=None):
+                 record_fields: bool = True, key_table=None):
         self.builder = TraceBuilder(name=name, key_table=key_table)
         self.registry = LiveRegistry()
         self.filter = filter if filter is not None else TraceFilter()
         self.record_fields = record_fields
-        self.trace_lines = trace_lines
         self._lock = threading.Lock()
-        self._guard = threading.local()
         self._tids: dict[int, int] = {}  # threading ident -> builder tid
+        #: id(code object) -> _CodePlan, a wrapper hook, or False.  Keyed
+        #: by identity because code objects compare equal by content
+        #: across modules; ``_codes`` pins them so no id is reused.
+        self._plans: dict[int, object] = (
+            {id(SETATTR_HOOK): _SET_HOOK, id(GETATTR_HOOK): _GET_HOOK}
+            if record_fields else {})
+        self._codes: list = []
+        self._methods: dict[str, bool] = {}  # qualified name -> admitted
+        self._value_reps: dict[str | int, ValueRep] = {}
         self._finished: Trace | None = None
         self._previous_trace = None
         self._original_thread_start = None
@@ -103,7 +144,20 @@ class Tracer:
     # -- value representations -------------------------------------------------
 
     def rep(self, value: object) -> ValueRep:
-        return live_value_rep(value, self.registry)
+        """``live_value_rep`` through the tracer's memos: exact ``str``
+        and ``int`` values by value (never equal to each other, and
+        ``bool``/``float`` never enter), everything else by identity."""
+        cls = type(value)
+        if cls is str or cls is int:
+            rep = self._value_reps.get(value)
+            if rep is None:
+                rep = self._value_reps[value] = live_value_rep(
+                    value, self.registry)
+            return rep
+        rep = self.registry.known.get(id(value))
+        if rep is None:
+            rep = live_value_rep(value, self.registry)
+        return rep
 
     # -- thread management -------------------------------------------------------
 
@@ -142,106 +196,155 @@ class Tracer:
 
         return start
 
-    # -- the sys.settrace callback ---------------------------------------------
+    # -- filter decisions -----------------------------------------------------
 
-    def _trace(self, frame, event, arg):
-        if event != "call":
-            return None
-        if getattr(self._guard, "active", False):
-            return None
+    def _plan(self, frame):
+        """Decide whether calls of ``frame``'s code are woven, caching
+        the answer per code object.  Code is assumed to run under one
+        module's globals, which holds for everything ``def`` creates."""
         code = frame.f_code
         module = frame.f_globals.get("__name__")
-        if not self.filter.admits_module(module):
-            return None
-        func_name = code.co_name
-        if func_name.startswith("<"):  # lambda, comprehension, module body
-            return None
-        receiver = frame.f_locals.get("self")
-        if receiver is not None:
-            qualified = f"{type(receiver).__name__}.{func_name}"
-        else:
-            short_module = module.rsplit(".", 1)[-1] if module else "?"
-            qualified = f"{short_module}.{func_name}"
-        if not self.filter.admits_method(qualified):
-            return None
-        self._record_call(frame, code, receiver, qualified)
-        tid = self._tid()
+        plan = False
+        # Lambdas, comprehensions and module bodies start with "<".
+        if self.filter.admits_module(module) \
+                and not code.co_name.startswith("<"):
+            plan = _CodePlan(
+                name=code.co_name,
+                arg_names=tuple(name for name in
+                                code.co_varnames[:code.co_argcount]
+                                if name != "self"),
+                is_init=code.co_name == "__init__",
+                receivers={},
+                module_method=self._admitted(
+                    f"{module.rsplit('.', 1)[-1]}.{code.co_name}"),
+                module_rep=ValueRep(class_name="<module>",
+                                    serialization=module))
+        self._plans[id(code)] = plan
+        self._codes.append(code)
+        return plan
 
-        def local_trace(inner_frame, inner_event, inner_arg):
-            if inner_event == "return":
-                self._record_return(tid, inner_arg)
+    def _admitted(self, qualified: str) -> str:
+        """``qualified`` if the filter admits that method, else ""."""
+        admitted = self._methods.get(qualified)
+        if admitted is None:
+            admitted = self._methods[qualified] = \
+                self.filter.admits_method(qualified)
+        return qualified if admitted else ""
+
+    # -- the sys.settrace callbacks -------------------------------------------
+
+    def _trace(self, frame, event, arg):
+        """Global trace function, called for every new Python frame:
+        code never woven costs one dict lookup.  Records the call (and
+        for a constructor the init) entry of a woven frame and a set
+        entry for a ``__setattr__`` wrapper; a ``__getattribute__``
+        wrapper gets :meth:`_get_return` to record its get."""
+        plan = self._plans.get(id(frame.f_code))
+        if not plan:
+            if plan is False:
                 return None
-            return local_trace
+            plan = self._plan(frame)
+            if not plan:
+                return None
+        if plan is _GET_HOOK:
+            if frame.f_locals["name"].startswith("_"):
+                return None
+            frame.f_trace_lines = False
+            return self._get_return
+        f_locals = frame.f_locals
+        if plan is _SET_HOOK:
+            name = f_locals["name"]
+            if not name.startswith("_"):
+                self._record_field("set", f_locals["self"], name,
+                                   f_locals["value"])
+            return None
 
-        try:
-            frame.f_trace_lines = self.trace_lines
-        except AttributeError:  # pragma: no cover - very old CPython
-            pass
-        return local_trace
-
-    def _record_call(self, frame, code, receiver, qualified: str) -> None:
-        self._guard.active = True
-        try:
-            tid = self._tid()
-            args: list[ValueRep] = []
-            names = code.co_varnames[:code.co_argcount]
-            for name in names:
-                if name == "self":
-                    continue
-                if name in frame.f_locals:
-                    args.append(self.rep(frame.f_locals[name]))
-            if receiver is not None:
-                obj_rep = self.rep(receiver)
-            else:
-                module = frame.f_globals.get("__name__") or "?"
-                obj_rep = ValueRep(class_name="<module>",
-                                   serialization=module)
-            with self._lock:
-                if code.co_name == "__init__" and receiver is not None:
-                    self.builder.record_init_event(
-                        tid, type(receiver).__name__, tuple(args), obj_rep)
-                self.builder.record_call(tid, obj_rep, qualified,
-                                         tuple(args))
-        finally:
-            self._guard.active = False
-
-    def _record_return(self, tid: int, value) -> None:
-        self._guard.active = True
-        try:
+        receiver = f_locals.get("self")
+        if receiver is None:
+            qualified = plan.module_method
+        else:
+            receiver_type = type(receiver)
+            qualified = plan.receivers.get(receiver_type)
+            if qualified is None:
+                qualified = plan.receivers[receiver_type] = self._admitted(
+                    f"{receiver_type.__name__}.{plan.name}")
+        if not qualified:
+            return None
+        args = []
+        arg_keys = []
+        for name in plan.arg_names:
+            value = f_locals.get(name, _UNBOUND)
+            if value is _UNBOUND:
+                continue
             rep = self.rep(value)
-            with self._lock:
-                if self.builder.stack_depth(tid) > 0:
-                    self.builder.record_return(tid, rep)
-        finally:
-            self._guard.active = False
+            args.append(rep)
+            arg_keys.append((rep.class_name, rep.serialization))
+        args = tuple(args)
+        args_key = tuple(arg_keys)
+        if receiver is None:
+            obj_rep = plan.module_rep
+        else:
+            obj_rep = self.rep(receiver)
+        obj_key = (obj_rep.class_name, obj_rep.serialization)
+        tid = self._tid()
+        builder = self.builder
+        with self._lock:
+            if plan.is_init and receiver is not None:
+                class_name = receiver_type.__name__
+                builder.record_init_event(
+                    tid, class_name, args, obj_rep,
+                    ("init", class_name, args_key, obj_key))
+            builder.record_call(tid, obj_rep, qualified, args,
+                                ("call", obj_key, qualified, args_key))
+        frame.f_trace_lines = False
+        return self._return
 
-    # -- field events (called by @traced wrappers) -------------------------------
+    def _return(self, frame, event, arg):
+        """Local trace function of woven frames: records the return."""
+        if event != "return":
+            return self._return
+        rep = self.rep(arg)
+        tid = self._tid()
+        builder = self.builder
+        with self._lock:
+            top = builder.top(tid)
+            if top is not None:
+                callee = top.callee
+                builder.record_return(
+                    tid, rep,
+                    ("return", (callee.class_name, callee.serialization),
+                     top.method, (rep.class_name, rep.serialization)))
+        return None
 
-    def record_field_set(self, obj: object, name: str, value) -> None:
-        if not self.record_fields or getattr(self._guard, "active", False):
-            return
-        self._guard.active = True
-        try:
-            tid = self._tid()
-            obj_rep = self.registry.rep_of(obj)
-            value_rep = self.rep(value)
-            with self._lock:
-                self.builder.record_set(tid, obj_rep, name, value_rep)
-        finally:
-            self._guard.active = False
+    def _get_return(self, frame, event, arg):
+        """Local trace function of a ``__getattribute__`` wrapper: its
+        return value is the attribute read.  A read that raises records
+        nothing (the frame stops being traced at the exception)."""
+        if event == "return":
+            if not callable(arg):
+                f_locals = frame.f_locals
+                self._record_field("get", f_locals["self"],
+                                   f_locals["name"], arg)
+        elif event == "exception":
+            frame.f_trace = None
+        return None
 
-    def record_field_get(self, obj: object, name: str, value) -> None:
-        if not self.record_fields or getattr(self._guard, "active", False):
-            return
-        self._guard.active = True
-        try:
-            tid = self._tid()
-            obj_rep = self.registry.rep_of(obj)
-            value_rep = self.rep(value)
-            with self._lock:
-                self.builder.record_get(tid, obj_rep, name, value_rep)
-        finally:
-            self._guard.active = False
+    def _record_field(self, kind: str, obj: object, name: str,
+                      value) -> None:
+        """Record a field event (``kind`` "get" or "set") of
+        ``obj.name``; ``obj`` always gets a location, even when its
+        class derives from a container or primitive type."""
+        obj_rep = self.registry.rep_of(obj)
+        rep = self.rep(value)
+        tid = self._tid()
+        key = (kind, (obj_rep.class_name, obj_rep.serialization), name,
+               (rep.class_name, rep.serialization))
+        builder = self.builder
+        with self._lock:
+            if kind == "get":
+                builder.record_get(tid, obj_rep, name, rep, key)
+            else:
+                builder.record_set(tid, obj_rep, name, rep, key)
 
 
 class CaptureResult:

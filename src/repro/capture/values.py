@@ -16,6 +16,8 @@ cannot recycle an ``id`` mid-trace.
 
 from __future__ import annotations
 
+from types import ModuleType
+
 from repro.core.values import (ObjectRegistry, REPR_TRUNCATION, UNIT,
                                ValueRep, prim, truncate_repr)
 
@@ -42,44 +44,43 @@ def safe_repr(obj: object) -> str | None:
 
 
 class LiveRegistry:
-    """Location assignment for live Python objects (one per trace)."""
+    """Location assignment for live Python objects (one per trace).
+
+    ``known`` maps ``id(value)`` to the representation of every value
+    whose representation follows from its identity alone: the
+    singletons ``None``/``True``/``False`` and every registered object
+    (pinned, so its ``id`` cannot be reused mid-trace).  The weaver
+    reads it directly as its fast path.
+    """
 
     def __init__(self):
         self._core = ObjectRegistry()
-        self._locations: dict[int, int] = {}
         self._pinned: list[object] = []
-        self._next_location = 1
+        self.known: dict[int, ValueRep] = {
+            id(None): UNIT, id(True): prim(True), id(False): prim(False)}
 
     def rep_of(self, obj: object) -> ValueRep:
         """Representation of a (non-primitive) live object, registering it
-        on first sight."""
-        key = id(obj)
-        location = self._locations.get(key)
-        if location is not None:
-            return self._core.describe(location)
-        location = self._next_location
-        self._next_location += 1
-        self._locations[key] = location
+        on first sight.
+
+        A module serialises as its ``__name__``: its ``repr`` carries
+        the file path, which would make traces of the same code differ
+        between checkouts.
+        """
+        rep = self.known.get(id(obj))
+        if rep is not None:
+            return rep
         self._pinned.append(obj)
+        location = len(self._pinned)
         serialization = None
-        if has_custom_repr(obj):
+        if isinstance(obj, ModuleType):
+            serialization = obj.__name__
+        elif has_custom_repr(obj):
             serialization = safe_repr(obj)
-        return self._core.register(location, type(obj).__name__,
-                                   serialization=serialization)
-
-    def location_of(self, obj: object) -> int | None:
-        return self._locations.get(id(obj))
-
-    def refresh(self, obj: object) -> ValueRep:
-        """Recompute a mutated object's serialisation (used after field
-        writes so later events carry a current value representation)."""
-        location = self._locations.get(id(obj))
-        if location is None:
-            return self.rep_of(obj)
-        serialization = None
-        if has_custom_repr(obj):
-            serialization = safe_repr(obj)
-        return self._core.update_serialization(location, serialization)
+        rep = self._core.register(location, type(obj).__name__,
+                                  serialization=serialization)
+        self.known[id(obj)] = rep
+        return rep
 
 
 def live_value_rep(value: object, registry: LiveRegistry) -> ValueRep:

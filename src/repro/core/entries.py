@@ -15,9 +15,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.events import Event
+from repro.core.frozen import slot_init
 from repro.core.values import ValueRep
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class TraceEntry:
     """One entry of an execution trace."""

@@ -22,9 +22,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.core.frozen import slot_init
 from repro.core.values import ValueRep
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class StackFrame:
     """One stack entry ``s(m, rho, rho')``: method ``m`` invoked on object
@@ -64,6 +66,7 @@ class Event:
         raise NotImplementedError
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class FieldGet(Event):
     """``get(rho, f, rho'')`` — read of field ``f`` on object ``obj``."""
@@ -88,6 +91,7 @@ class FieldGet(Event):
         return f"get {self.obj.brief()}.{self.field} -> {self.value.brief()}"
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class FieldSet(Event):
     """``set(rho, f, rho'')`` — write of field ``f`` on object ``obj``."""
@@ -112,6 +116,7 @@ class FieldSet(Event):
         return f"set {self.obj.brief()}.{self.field} = {self.value.brief()}"
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class Call(Event):
     """``call(rho, m, rho*)`` — invocation of ``method`` on ``obj``."""
@@ -138,6 +143,7 @@ class Call(Event):
         return f"--> {self.obj.brief()}.{self.method}({args})"
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class Return(Event):
     """``return(rho, m, rho'')`` — return from ``method`` on ``obj``."""
@@ -162,6 +168,7 @@ class Return(Event):
         return f"<-- {self.obj.brief()}.{self.method} ret={self.value.brief()}"
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class Init(Event):
     """``init(A, rho*, rho)`` — creation of ``obj`` of class ``class_name``
@@ -189,6 +196,7 @@ class Init(Event):
         return f"new {self.obj.brief()}({args})"
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class Fork(Event):
     """``fork(S*)`` — creation of a thread.
@@ -220,6 +228,7 @@ class Fork(Event):
         return f"fork thread-{self.child_tid}"
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class End(Event):
     """``end(S*)`` — completion of a thread."""

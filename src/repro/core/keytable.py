@@ -64,18 +64,26 @@ class KeyTable:
     def intern(self, key) -> int:
         """The dense id of ``key``, allocating one on first sight."""
         with self._lock:
-            kid = self._ids.get(key)
-            if kid is None:
-                kid = len(self._keys)
-                self._ids[key] = kid
-                self._keys.append(key)
-            return kid
+            return self._intern_locked(key)
 
-    def intern_entry(self, entry: "TraceEntry") -> int:
-        """Intern one entry's ``=e`` key (the ingest-time hook)."""
+    def _intern_locked(self, key) -> int:
+        kid = self._ids.get(key)
+        if kid is None:
+            kid = len(self._keys)
+            self._ids[key] = kid
+            self._keys.append(key)
+        return kid
+
+    def intern_key(self, key) -> int:
+        """Intern one freshly built entry key (the ingest-time hook):
+        counts one key construction and takes the lock once."""
         with self._lock:
             self.key_constructions += 1
-            return self.intern(entry.key())
+            return self._intern_locked(key)
+
+    def intern_entry(self, entry: "TraceEntry") -> int:
+        """Intern one entry's ``=e`` key."""
+        return self.intern_key(entry.key())
 
     def intern_entries(self, entries: Iterable["TraceEntry"]) -> array:
         """Intern a whole entry sequence into an id column."""

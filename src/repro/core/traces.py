@@ -337,32 +337,39 @@ class TraceBuilder:
     def thread_state(self, tid: int) -> _ThreadState:
         return self._threads[tid]
 
-    def current_method(self, tid: int) -> str:
-        stack = self._threads[tid].stack
-        return stack[-1].method if stack else self.ROOT_METHOD
-
-    def current_active(self, tid: int) -> ValueRep | None:
-        stack = self._threads[tid].stack
-        return stack[-1].callee if stack else None
-
     def stack_depth(self, tid: int) -> int:
         return len(self._threads[tid].stack)
 
+    def top(self, tid: int) -> StackFrame | None:
+        """The innermost open frame of thread ``tid`` (None at top
+        level)."""
+        stack = self._threads[tid].stack
+        return stack[-1] if stack else None
+
     # -- low-level entry recording -----------------------------------------
 
-    def _record(self, tid: int, event: Event) -> TraceEntry:
-        entry = TraceEntry(
-            eid=len(self._entries),
-            tid=tid,
-            method=self.current_method(tid),
-            active=self.current_active(tid),
-            event=event,
-        )
+    def _record(self, tid: int, event: Event, key: tuple | None = None
+                ) -> TraceEntry:
+        """Append one entry: the single recording path of every rule.
+
+        ``key`` is the event's ``=e`` key when the caller has already
+        built it from the representations it holds (the capture layer
+        does); it must equal ``event.key()``, which is used otherwise.
+        It is interned exactly once here and compared as an int
+        everywhere downstream.
+        """
+        stack = self._threads[tid].stack
+        if stack:
+            top = stack[-1]
+            entry = TraceEntry(len(self._entries), tid, top.method,
+                               top.callee, event)
+        else:
+            entry = TraceEntry(len(self._entries), tid, self.ROOT_METHOD,
+                               None, event)
         self._entries.append(entry)
         if self._key_ids is not None:
-            # Ingest-time interning: the ``=e`` key is built exactly
-            # once here and compared as an int everywhere downstream.
-            self._key_ids.append(self.key_table.intern_entry(entry))
+            self._key_ids.append(self.key_table.intern_key(
+                event.key() if key is None else key))
         return entry
 
     # -- object creation ----------------------------------------------------
@@ -385,44 +392,46 @@ class TraceBuilder:
 
     def record_init_event(self, tid: int, class_name: str,
                           args: tuple[ValueRep, ...],
-                          obj_rep: ValueRep) -> TraceEntry:
+                          obj_rep: ValueRep,
+                          key: tuple | None = None) -> TraceEntry:
         """CONS-E variant for capture layers that manage their own object
         registry: records the init entry for an already-built
         representation."""
-        return self._record(tid, Init(class_name=class_name, args=args,
-                                      obj=obj_rep))
+        return self._record(tid, Init(class_name, args, obj_rep), key)
 
     # -- field events ---------------------------------------------------------
 
     def record_get(self, tid: int, obj: ValueRep, field_name: str,
-                   value: ValueRep) -> TraceEntry:
-        return self._record(tid, FieldGet(obj, field_name, value))
+                   value: ValueRep, key: tuple | None = None) -> TraceEntry:
+        return self._record(tid, FieldGet(obj, field_name, value), key)
 
     def record_set(self, tid: int, obj: ValueRep, field_name: str,
-                   value: ValueRep) -> TraceEntry:
-        return self._record(tid, FieldSet(obj, field_name, value))
+                   value: ValueRep, key: tuple | None = None) -> TraceEntry:
+        return self._record(tid, FieldSet(obj, field_name, value), key)
 
     # -- method events ---------------------------------------------------------
 
     def record_call(self, tid: int, obj: ValueRep, method: str,
-                    args: tuple[ValueRep, ...]) -> TraceEntry:
+                    args: tuple[ValueRep, ...],
+                    key: tuple | None = None) -> TraceEntry:
         """METH-E: the call entry is recorded in the *caller's* context,
         then the new frame is pushed."""
-        state = self._threads[tid]
-        entry = self._record(tid, Call(obj=obj, method=method, args=args))
-        caller = state.stack[-1].callee if state.stack else None
-        state.stack.append(StackFrame(method=method, caller=caller, callee=obj))
+        entry = self._record(tid, Call(obj, method, args), key)
+        stack = self._threads[tid].stack
+        caller = stack[-1].callee if stack else None
+        stack.append(StackFrame(method, caller, obj))
         return entry
 
-    def record_return(self, tid: int, value: ValueRep = UNIT) -> TraceEntry:
+    def record_return(self, tid: int, value: ValueRep = UNIT,
+                      key: tuple | None = None) -> TraceEntry:
         """RETURN-E: pop the frame, record the return in the caller's
-        context."""
-        state = self._threads[tid]
-        if not state.stack:
+        context.  A caller passing ``key`` builds it from :meth:`top`."""
+        stack = self._threads[tid].stack
+        if not stack:
             raise RuntimeError(f"return with empty stack on thread {tid}")
-        frame = state.stack.pop()
-        return self._record(
-            tid, Return(obj=frame.callee, method=frame.method, value=value))
+        frame = stack.pop()
+        return self._record(tid, Return(frame.callee, frame.method, value),
+                            key)
 
     # -- thread events ---------------------------------------------------------
 

@@ -28,6 +28,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.core.frozen import slot_init
+
 #: Maximum length of a string-valued serialisation, matching RPRISM's
 #: truncation of ``toString`` output.
 REPR_TRUNCATION = 128
@@ -50,6 +52,7 @@ def truncate_repr(text: str, limit: int = REPR_TRUNCATION) -> str:
     return text[:limit]
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class ValueRep:
     """Extended object representation ``<l, r>`` (Fig. 8).

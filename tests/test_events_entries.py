@@ -1,5 +1,10 @@
 """Tests for trace events and entries (=e keys, eof sentinel)."""
 
+import dataclasses
+import pickle
+
+import pytest
+
 from repro.core.entries import EOF, TraceEntry, entries_equal
 from repro.core.events import (Call, End, FieldGet, FieldSet, Fork, Init,
                                Return, StackFrame)
@@ -86,3 +91,40 @@ class TestEntries:
         e = entry(FieldSet(obj=obj(), field="f", value=prim(3)))
         assert "set" in e.brief()
         assert "f" in e.brief()
+
+
+class TestConstruction:
+    """The records build through ``slot_init``: the dataclass contract
+    (signature, defaults, frozenness, equality, hashing, pickling)
+    holds unchanged."""
+
+    def test_positional_and_keyword_agree(self):
+        event = FieldGet(obj(), "f", prim(1))
+        assert event == FieldGet(obj=obj(), field="f", value=prim(1))
+        assert hash(event) == hash(FieldGet(obj(), "f", prim(1)))
+        assert entry(event) == TraceEntry(0, 0, "m", None, event)
+        assert StackFrame("m", None, obj()) == StackFrame(
+            method="m", caller=None, callee=obj())
+
+    def test_defaults_and_signature_errors(self):
+        rep = ValueRep("C")
+        assert (rep.serialization, rep.location, rep.creation_seq) \
+            == (None, None, None)
+        assert ValueRep("C", location=3).location == 3
+        with pytest.raises(TypeError):
+            FieldGet(obj(), "f")
+        with pytest.raises(TypeError):
+            ValueRep("C", nope=1)
+
+    def test_frozen(self):
+        event = Call(obj(), "m", ())
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            event.method = "other"
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            entry(event).eid = 5
+
+    def test_replace_and_pickle(self):
+        original = entry(Return(obj(), "m", prim("x")), eid=7)
+        assert dataclasses.replace(original, eid=8).eid == 8
+        assert pickle.loads(pickle.dumps(original)) == original
+        assert repr(pickle.loads(pickle.dumps(original))) == repr(original)

@@ -99,6 +99,25 @@ class TestKeyTable:
         fresh.intern(("unrelated",))
         assert list(column) == list(fresh.intern_entries(trace.entries))
 
+    def test_builder_interns_one_key_per_entry(self):
+        """Ingest-time interning counts one key construction per entry
+        and its ids stand for ``entry.key()``, whether the recorder
+        passed a prebuilt key or let the builder derive it."""
+        table = KeyTable()
+        builder = TraceBuilder(key_table=table)
+        tid = builder.main_tid
+        obj = builder.record_init(tid, "A", (prim(1),), serialization="a")
+        builder.record_get(tid, obj, "f", prim(2),
+                           ("get", obj.key(), "f", prim(2).key()))
+        builder.record_call(tid, obj, "A.m", (prim(3),))
+        builder.record_return(tid, prim(4))
+        trace = builder.build()
+        assert table.key_constructions == len(trace) == 4
+        assert [table.key_of(kid) for kid in trace.key_ids] \
+            == [entry.key() for entry in trace.entries]
+        assert table.intern_entry(trace[1]) == trace.key_ids[1]
+        assert table.key_constructions == 5
+
     def test_for_pair_prefers_common_carried_table(self):
         table = KeyTable()
         left = build_trace([("new",)], "L", key_table=table)
