@@ -20,6 +20,13 @@ entries).  ``correlate(entry_l, entry_r, vtype)`` returns the pair of view
 names, or ``None`` when the views do not correspond — mirroring the
 ``<bottom, bottom>`` case of Fig. 9.
 
+The differencing engine does not call the entry-level functions: per
+view type it asks once for :meth:`ViewCorrelator.view_map`, a column
+from left view id to correlated right view id derived from the same
+thread map, object map and method-name equality, and correlates
+entries by comparing ints.  ``correlate_keys`` / ``correlate`` remain
+the reference X_chi the view maps are tested against.
+
 The relaxed, distance-based correlation RPRISM adds on top (Sec. 5) is
 implemented in :mod:`repro.core.view_diff`, which knows the anchor points
 the relaxation is measured from.
@@ -100,6 +107,7 @@ class ViewCorrelator:
         self.key_table = key_table if key_table is not None else KeyTable()
         self._thread_map = self._correlate_threads()
         self._object_map = self._correlate_objects()
+        self._view_maps: dict[ViewType, list[int]] = {}
 
     def _key(self, value):
         """Intern a comparison key."""
@@ -186,14 +194,44 @@ class ViewCorrelator:
     def object_pairs(self) -> list[tuple[int, int]]:
         return sorted(self._object_map.items())
 
+    # -- view-id maps (the engine's X_chi) -----------------------------------
+
+    def view_map(self, vtype: ViewType) -> list[int]:
+        """X_chi over view ids: ``view_map(vtype)[v]`` is the id of the
+        right view of type ``vtype`` correlated with left view ``v``
+        (ids of :meth:`ViewWeb.columns`), or ``-1`` when there is none.
+
+        Two entries' views of this type correlate exactly when
+        ``view_map[left view id] == right view id`` — the answer
+        :meth:`correlate_keys` gives, computed once per view instead
+        of once per entry pair.
+        """
+        mapping = self._view_maps.get(vtype)
+        if mapping is None:
+            if vtype is ViewType.THREAD:
+                partner = self._thread_map.get
+            elif vtype is ViewType.METHOD:
+                partner = None
+            elif vtype in (ViewType.TARGET_OBJECT, ViewType.ACTIVE_OBJECT):
+                partner = self._object_map.get
+            else:
+                raise ValueError(f"unknown view type: {vtype}")
+            right = self.right.columns(vtype).by_key
+            keys = self.left.columns(vtype).keys
+            if partner is not None:
+                keys = map(partner, keys)
+            mapping = [right.get(key, -1) for key in keys]
+            self._view_maps[vtype] = mapping
+        return mapping
+
     # -- the generic X_chi entry point ---------------------------------------
 
     def correlate_keys(self, entry_l: TraceEntry, entry_r: TraceEntry,
                        vtype: ViewType) -> tuple | None:
         """``X_chi(tau_l, tau_r)`` over raw view keys: the correlated
         ``(kappa_l, kappa_r)`` pair of type ``vtype`` containing the two
-        entries, or ``None`` — the hot-path variant of :meth:`correlate`
-        (no ViewName objects are built)."""
+        entries, or ``None`` (no ViewName objects are built).  The
+        reference for :meth:`view_map`."""
         if vtype is ViewType.THREAD:
             if self._thread_map.get(entry_l.tid) == entry_r.tid:
                 return (entry_l.tid, entry_r.tid)

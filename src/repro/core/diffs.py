@@ -282,29 +282,16 @@ def result_signature(result: DiffResult) -> tuple:
 def build_sequences(left: Trace, right: Trace,
                     match_pairs: list[tuple[int, int]],
                     similar_left: set[int], similar_right: set[int],
-                    left_eids: list[int] | None = None,
-                    right_eids: list[int] | None = None,
                     ) -> list[DifferenceSequence]:
     """Group raw differences into difference sequences.
 
-    Walks the (monotonic) correspondence mapping; the differing entries
-    between consecutive matched pairs form one sequence.  ``left_eids`` /
-    ``right_eids`` restrict the walk to a sub-sequence of each trace (a
-    thread view), defaulting to the whole trace.
+    Walks the (monotonic) correspondence mapping over the whole traces;
+    the differing entries between consecutive matched pairs form one
+    sequence.
     """
-    if left_eids is None:
-        rows_l = left.entries
-    else:
-        by_eid = {e.eid: e for e in left.entries}
-        rows_l = [by_eid[eid] for eid in left_eids]
-    if right_eids is None:
-        rows_r = right.entries
-    else:
-        by_eid = {e.eid: e for e in right.entries}
-        rows_r = [by_eid[eid] for eid in right_eids]
-
-    sequences: list[DifferenceSequence] = []
-    # Positions of matched pairs within the (restricted) entry rows.
+    rows_l = left.entries
+    rows_r = right.entries
+    # Positions of matched pairs within the entry rows.
     pos_l = {entry.eid: i for i, entry in enumerate(rows_l)}
     pos_r = {entry.eid: i for i, entry in enumerate(rows_r)}
     boundaries = [(-1, -1)]
@@ -312,22 +299,37 @@ def build_sequences(left: Trace, right: Trace,
         if l_eid in pos_l and r_eid in pos_r:
             boundaries.append((pos_l[l_eid], pos_r[r_eid]))
     boundaries.append((len(rows_l), len(rows_r)))
+    return gap_sequences(
+        boundaries,
+        lambda lo, hi: [e for e in rows_l[lo:hi]
+                        if e.eid not in similar_left],
+        lambda lo, hi: [e for e in rows_r[lo:hi]
+                        if e.eid not in similar_right])
 
+
+def gap_sequences(boundaries: list[tuple[int, int]], left_gap, right_gap,
+                  ) -> list[DifferenceSequence]:
+    """The difference sequences between consecutive matched rows.
+
+    ``boundaries`` lists the matched (left row, right row) positions in
+    order, framed by ``(-1, -1)`` and ``(len(left rows), len(right
+    rows))``.  ``left_gap(lo, hi)`` / ``right_gap(lo, hi)`` return the
+    differing entries among rows ``lo..hi-1`` of their side.
+    """
+    sequences: list[DifferenceSequence] = []
     for (prev_l, prev_r), (next_l, next_r) in zip(boundaries, boundaries[1:]):
         if next_l - prev_l <= 1 and next_r - prev_r <= 1:
             continue  # adjacent matches: no gap on either side
-        left_gap = [e for e in rows_l[prev_l + 1:next_l]
-                    if e.eid not in similar_left]
-        right_gap = [e for e in rows_r[prev_r + 1:next_r]
-                     if e.eid not in similar_right]
-        if not left_gap and not right_gap:
+        left = left_gap(prev_l + 1, next_l)
+        right = right_gap(prev_r + 1, next_r)
+        if not left and not right:
             continue
-        if left_gap and right_gap:
+        if left and right:
             kind = "modify"
-        elif left_gap:
+        elif left:
             kind = "delete"
         else:
             kind = "insert"
         sequences.append(DifferenceSequence(
-            kind=kind, left_entries=left_gap, right_entries=right_gap))
+            kind=kind, left_entries=left, right_entries=right))
     return sequences

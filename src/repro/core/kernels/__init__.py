@@ -11,14 +11,18 @@ and vectorized compare loops want.  This package provides pluggable
   row recurrence over Python big-int bitvectors, and chunked
   list-slice equality scans (near-memcmp speed, no dependencies).
 * ``numpy`` — optional, auto-detected: vectorizes the row-batch DP
-  (via the ``maximum.accumulate`` prefix-max identity) and the full
-  DP table fill.  Falls back to ``stdlib`` loops for non-integer keys.
+  (via the ``maximum.accumulate`` prefix-max identity).  Falls back to
+  ``stdlib`` loops for non-integer keys.
+
+The full-table LCS (:func:`repro.core.lcs.lcs_dp`) is not a backend
+choice: it always fills bit rows
+(:func:`repro.core.kernels.bitvector.bit_rows`), and
+``scalar.dp_table`` survives only as its test oracle.
 
 The contract every backend obeys:
 
 * **Bit-identical results.**  A kernel computes exactly the values the
-  scalar loop would — same LCS lengths, same DP tables (hence same
-  tracebacks and matched pairs), same scan stop positions.
+  scalar loop would — same LCS lengths, same scan stop positions.
 * **Compare-count transparency.**  Kernels are *pure*: they never
   touch an :class:`~repro.core.lcs.OpCounter`.  Callers credit the
   counter in bulk with exactly the compares the scalar loop would have
@@ -57,9 +61,6 @@ class Backend:
     ``lengths_row(a, b)`` — the final LCS length-table row, i.e.
     ``row[j] == LCS(a, b[:j])`` for ``j`` in ``0..len(b)``.
 
-    ``dp_table(a, b)`` — the full ``(n+1) x (m+1)`` LCS length table,
-    indexable as ``table[i][j]``, value-identical to the scalar fill.
-
     ``common_run(a, b, i, j, limit)`` — length of the maximal equal
     run comparing ``a[i+t] == b[j+t]`` for ``t < limit``.
 
@@ -69,7 +70,6 @@ class Backend:
 
     name: str
     lengths_row: Callable
-    dp_table: Callable
     common_run: Callable
     common_run_back: Callable
 
@@ -77,7 +77,6 @@ class Backend:
 SCALAR = Backend(
     name="scalar",
     lengths_row=scalar.lengths_row,
-    dp_table=scalar.dp_table,
     common_run=scalar.common_run,
     common_run_back=scalar.common_run_back,
 )
@@ -85,9 +84,6 @@ SCALAR = Backend(
 STDLIB = Backend(
     name="stdlib",
     lengths_row=bitvector.lengths_row,
-    # No vectorized full-table fill exists in pure stdlib (the
-    # traceback needs every row), so the reference fill stands in.
-    dp_table=scalar.dp_table,
     common_run=bitvector.common_run,
     common_run_back=bitvector.common_run_back,
 )
@@ -95,7 +91,6 @@ STDLIB = Backend(
 NUMPY = None if _np_backend is None else Backend(
     name="numpy",
     lengths_row=_np_backend.lengths_row,
-    dp_table=_np_backend.dp_table,
     common_run=bitvector.common_run,
     common_run_back=bitvector.common_run_back,
 )

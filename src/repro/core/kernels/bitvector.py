@@ -17,6 +17,12 @@ produces are identical to the scalar row DP's, which is what lets the
 Hirschberg alignment run on these rows and reproduce its splits — and
 therefore its matched pairs — exactly.
 
+:func:`bit_rows` keeps every row of the same recurrence (with the
+roles of the two sides swapped): row ``i`` is the bitmask of the
+columns where ``LCS(a[:i], b[:j])`` steps up, so any table cell is a
+prefix popcount and :func:`repro.core.lcs.lcs_dp` traces back through
+the rows without a table of boxed ints.
+
 ``common_run`` / ``common_run_back`` replace per-item equality loops
 with chunked list-slice comparisons (C ``memcmp``-like speed); the
 first unequal chunk is rescanned item-wise so the returned stop
@@ -41,6 +47,23 @@ _SCAN_CUTOFF = 16
 _ROW_CUTOFF = 256
 
 
+def _states(packed: list, scanned: list):
+    """The recurrence itself: pack ``packed`` into per-symbol match
+    masks and yield ``v`` after each symbol of ``scanned``."""
+    match: dict = {}
+    bit = 1
+    for key in packed:
+        match[key] = match.get(key, 0) | bit
+        bit <<= 1
+    mask = bit - 1
+    v = mask
+    get = match.get
+    for key in scanned:
+        u = v & get(key, 0)
+        v = ((v + u) | (v - u)) & mask
+        yield v
+
+
 def lengths_row(a_keys: list, b_keys: list) -> list[int]:
     """Final LCS length-table row via the bit-parallel recurrence:
     ``row[j] == LCS(a_keys, b_keys[:j])``."""
@@ -49,20 +72,25 @@ def lengths_row(a_keys: list, b_keys: list) -> list[int]:
         return [0] * (m + 1)
     if n * m < _ROW_CUTOFF:
         return scalar.lengths_row(a_keys, b_keys)
-    match: dict = {}
-    bit = 1
-    for key in a_keys:
-        match[key] = match.get(key, 0) | bit
-        bit <<= 1
-    mask = bit - 1
-    v = mask
-    row = [0] * (m + 1)
-    get = match.get
-    for j, key in enumerate(b_keys, 1):
-        u = v & get(key, 0)
-        v = ((v + u) | (v - u)) & mask
-        row[j] = n - v.bit_count()
+    row = [0]
+    row.extend(n - v.bit_count() for v in _states(a_keys, b_keys))
     return row
+
+
+def bit_rows(a_keys: list, b_keys: list) -> list[int]:
+    """Every row of the LCS length table, one int per row.
+
+    ``rows[i]`` has bit ``j`` set exactly where
+    ``table[i][j + 1] > table[i][j]`` (``table[i][j]`` being
+    ``LCS(a_keys[:i], b_keys[:j])``), so a table cell is a prefix
+    popcount: ``table[i][j] == (rows[i] & ((1 << j) - 1)).bit_count()``.
+    The same recurrence as :func:`lengths_row` with the roles swapped:
+    ``b`` is packed and each symbol of ``a`` advances one row.
+    """
+    mask = (1 << len(b_keys)) - 1
+    rows = [0]
+    rows.extend(mask ^ v for v in _states(b_keys, a_keys))
+    return rows
 
 
 def common_run(a_keys: list, b_keys: list, i: int, j: int,

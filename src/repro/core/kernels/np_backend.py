@@ -11,10 +11,7 @@ prev[j-1] + eq[j])`` using the monotonicity of LCS rows — so one
 ``maximum.accumulate`` per row replaces the inner Python loop, and the
 produced rows are value-identical to the scalar DP's.
 
-``dp_table`` fills the full table with the same per-row recurrence
-(identical values, hence an identical traceback in ``lcs_dp``).
-
-Both kernels require integer keys (the interned id columns); tuple
+The kernel requires integer keys (the interned id columns); tuple
 keys and small inputs fall back to the pure-stdlib kernels, so
 results never depend on which path ran.
 """
@@ -23,11 +20,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.kernels import bitvector, scalar
+from repro.core.kernels import bitvector
 
 #: Below this many DP cells the conversion overhead dominates.
 _ROW_CUTOFF = 4096
-_TABLE_CUTOFF = 2048
 
 
 def _int_keys(keys: list) -> bool:
@@ -51,23 +47,3 @@ def lengths_row(a_keys: list, b_keys: list) -> list[int]:
         np.maximum.accumulate(tmp, out=tmp)
         np.maximum(prev[1:], tmp, out=prev[1:])
     return prev.tolist()
-
-
-def dp_table(a_keys: list, b_keys: list):
-    """The full LCS length table, vectorized per row; values (and the
-    resulting traceback) identical to the scalar fill."""
-    n, m = len(a_keys), len(b_keys)
-    if n * m < _TABLE_CUTOFF or not _int_keys(a_keys) \
-            or not _int_keys(b_keys):
-        return scalar.dp_table(a_keys, b_keys)
-    a_arr = np.asarray(a_keys, dtype=np.int64)
-    b_arr = np.asarray(b_keys, dtype=np.int64)
-    table = np.zeros((n + 1, m + 1), dtype=np.int32)
-    tmp = np.empty(m, dtype=np.int32)
-    for i in range(1, n + 1):
-        prev = table[i - 1]
-        np.add(prev[:-1], b_arr == a_arr[i - 1], out=tmp,
-               casting="unsafe")
-        np.maximum.accumulate(tmp, out=tmp)
-        np.maximum(prev[1:], tmp, out=table[i, 1:])
-    return table

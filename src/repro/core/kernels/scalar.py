@@ -31,7 +31,9 @@ def lengths_row(a_keys: list, b_keys: list) -> list[int]:
 
 
 def dp_table(a_keys: list, b_keys: list) -> list[list[int]]:
-    """The full ``(n+1) x (m+1)`` LCS length table."""
+    """The full ``(n+1) x (m+1)`` LCS length table: the oracle that
+    :func:`repro.core.lcs.lcs_dp`'s bit rows are tested against (no
+    backend fills full tables)."""
     n, m = len(a_keys), len(b_keys)
     table = [[0] * (m + 1) for _ in range(n + 1)]
     for i in range(1, n + 1):

@@ -6,7 +6,8 @@ sequences of trace entries compared with the event-equality predicate
 ``=e``.  This module provides:
 
 * :func:`lcs_dp` — the textbook Theta(nm) dynamic program with full
-  traceback (the paper's baseline, including its memory appetite).
+  traceback (the paper's baseline, including its memory appetite),
+  held as bit rows.
 * :func:`lcs_hirschberg` — Hirschberg's linear-space divide and conquer
   [CACM 1975], cited by the paper as "roughly twice the computation time".
 * :func:`myers_lcs_length` — Myers' O((n+m)D) greedy forward search,
@@ -46,6 +47,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from repro.core.kernels import BITVECTOR_ROWS, get_backend
+from repro.core.kernels.bitvector import bit_rows
 
 
 class LcsMemoryError(MemoryError):
@@ -161,12 +163,18 @@ def lcs_dp(a: Sequence, b: Sequence, key: Callable | None = None,
            kernel=None) -> LcsResult:
     """Exact LCS via the standard dynamic program, with full traceback.
 
-    Time and space are Theta(nm); ``budget`` can cap the table size to
-    emulate memory exhaustion on long traces.  The table fill runs
-    through the active kernel backend (value-identical, so the
-    traceback — and the matched pairs — are unchanged); the fill's
-    ``n * m`` compares are credited to the counter in bulk.
+    Time and space are Theta(nm) in the model (``budget`` can cap the
+    table size to emulate memory exhaustion on long traces, and the
+    fill's ``n * m`` compares are credited to the counter in bulk).
+    The table is held as Hyyrö bit rows
+    (:func:`~repro.core.kernels.bitvector.bit_rows`): a cell is a
+    prefix popcount of its row, and the traceback below reads cells
+    that way under the textbook tie rule (up when ``table[i-1][j] >=
+    table[i][j-1]``), so the matched pairs are those of the scalar
+    table (:func:`repro.core.kernels.scalar.dp_table`).  ``kernel`` is
+    accepted for signature uniformity: there is one fill.
     """
+    del kernel
     a_keys = _keys(a, key)
     b_keys = _keys(b, key)
     n, m = len(a_keys), len(b_keys)
@@ -176,18 +184,28 @@ def lcs_dp(a: Sequence, b: Sequence, key: Callable | None = None,
         return LcsResult()
     if counter is not None:
         counter.bump(n * m)
-    table = get_backend(kernel).dp_table(a_keys, b_keys)
+    rows = bit_rows(a_keys, b_keys)
     pairs: list[tuple[int, int]] = []
     i, j = n, m
+    row = rows[n]
+    cell = row.bit_count()  # table[i][j]
     while i > 0 and j > 0:
         if a_keys[i - 1] == b_keys[j - 1]:
             pairs.append((i - 1, j - 1))
             i -= 1
             j -= 1
-        elif table[i - 1][j] >= table[i][j - 1]:
+            row = rows[i]
+            cell -= 1
+            continue
+        up = (rows[i - 1] & ((1 << j) - 1)).bit_count()
+        left = cell - ((row >> (j - 1)) & 1)
+        if up >= left:
             i -= 1
+            row = rows[i]
+            cell = up
         else:
             j -= 1
+            cell = left
     pairs.reverse()
     return LcsResult(pairs)
 

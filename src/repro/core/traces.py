@@ -100,8 +100,9 @@ class Trace:
     """An immutable-by-convention sequence of trace entries.
 
     Immutability is what makes the derived data safe to cache: the
-    distinct-thread list and the fingerprint are computed at most once,
-    and :class:`TraceBuilder` (the only sanctioned mutator) snapshots
+    distinct-thread list, the fingerprint, the content digest and the
+    view index (:func:`repro.core.web.view_index`) are computed at most
+    once, and :class:`TraceBuilder` (the only sanctioned mutator) snapshots
     the entry list on every :meth:`TraceBuilder.build`, so a built trace
     never sees later recording.
 
@@ -114,7 +115,8 @@ class Trace:
     """
 
     __slots__ = ("name", "entries", "metadata", "_key_table", "key_ids",
-                 "_thread_ids", "_fingerprint", "_content_digest")
+                 "_thread_ids", "_fingerprint", "_content_digest",
+                 "_view_index")
 
     def __init__(self, entries: Iterable[TraceEntry] = (), name: str = "",
                  metadata: dict | None = None,
@@ -134,6 +136,9 @@ class Trace:
         self._thread_ids: list[int] | None = None
         self._fingerprint: str | None = None
         self._content_digest: str | None = None
+        # The per-trace view index (repro.core.web.view_index), built
+        # on first demand and cached like the digest and thread list.
+        self._view_index = None
 
     @property
     def key_table(self) -> "KeyTable | None":

@@ -19,6 +19,14 @@ each (view-pair, window) is explored at most once, and the
 next-correspondence search's overshoot is bounded by the distance actually
 skipped.
 
+The engine runs on integer columns.  Each trace's view index
+(:mod:`repro.core.web`, built once per trace and view type) places
+every trace position in its view of each type; the correlator turns
+X_chi into one view-id map per type; and the exploration compares
+view ids and ``=e`` key ids without touching a trace entry.  Marks are
+trace positions until the result leaves the engine, where they become
+eids (the two coincide except on sliced or projected traces).
+
 RPRISM's relaxed correlation (Sec. 5) is implemented here: when two
 entries sit at the *same distance* from the current (known-correlated)
 positions, their method/object views are treated as correlated even if
@@ -30,17 +38,19 @@ from __future__ import annotations
 
 import threading
 import time
+from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from operator import attrgetter, itemgetter
 
 from repro.core.anchors import AnchorConfig, select_anchor_runs
 from repro.core.correlation import ViewCorrelator
-from repro.core.diffs import DiffResult, DifferenceSequence, build_sequences
+from repro.core.diffs import DiffResult, DifferenceSequence, gap_sequences
 from repro.core.kernels import get_backend
 from repro.core.keytable import KeyTable
 from repro.core.lcs import OpCounter, lcs_dp
 from repro.core.traces import Trace
-from repro.core.views import KEY_MAPPINGS, View, ViewType
+from repro.core.views import ViewType
 from repro.core.web import ViewWeb
 
 
@@ -105,61 +115,79 @@ class ViewDiffConfig:
     kernel: str | None = None
 
 
-class _ThreadPairDiffer:
-    """Lock-step evaluation of one correlated thread-view pair."""
+_first = itemgetter(0)
+_second = itemgetter(1)
 
-    def __init__(self, left_view: View, right_view: View, web_l: ViewWeb,
-                 web_r: ViewWeb, correlator: ViewCorrelator,
-                 config: ViewDiffConfig, counter: OpCounter,
-                 similar_left: set[int], similar_right: set[int],
-                 anchor_pairs: list[tuple[int, int]],
-                 ids_l=None, ids_r=None,
-                 window_keys_l: dict | None = None,
-                 window_keys_r: dict | None = None):
-        self.lv = left_view
-        self.rv = right_view
-        self.web_l = web_l
-        self.web_r = web_r
-        self.correlator = correlator
-        self.config = config
+#: A stable small-int tag per view type, for exploration buckets and
+#: window-cache tokens.
+_TYPE_TAGS = {vtype: tag for tag, vtype in enumerate(ViewType)}
+
+
+@dataclass(frozen=True, slots=True)
+class _Secondary:
+    """One secondary view type, as the exploration reads it: both
+    sides' columns (:class:`~repro.core.web.TypeIndex`) and the
+    correlator's view-id map."""
+
+    tag: int
+    view_of_l: array
+    position_l: array
+    members_l: list[array]
+    view_of_r: array
+    position_r: array
+    members_r: list[array]
+    #: left view id -> correlated right view id, or -1.
+    partner: list[int]
+
+
+class _ThreadPairDiffer:
+    """Lock-step evaluation of one correlated thread-view pair.
+
+    The differ works on trace *positions* throughout: the thread views
+    are member columns of the THREAD index, and the similarity marks
+    and pairs it writes are positions, which the plan maps to eids when
+    the result leaves the engine (:meth:`ViewDiffPlan.merge`).
+    """
+
+    def __init__(self, plan: "ViewDiffPlan", ltid: int, rtid: int,
+                 counter: OpCounter, similar_left: set[int],
+                 similar_right: set[int],
+                 anchor_pairs: list[tuple[int, int]]):
+        self.plan = plan
+        self.config = config = plan.config
         self.counter = counter
         self.similar_left = similar_left
         self.similar_right = similar_right
         self.anchor_pairs = anchor_pairs
-        # Full-trace interned id columns (None on the tuple-key path).
-        self.ids_l = ids_l
-        self.ids_r = ids_r
-        # Secondary-view window key caches, shared across the pair's
-        # thread differs: (view name, lo, hi) -> key list.
-        self._window_keys_l = window_keys_l if window_keys_l is not None \
-            else {}
-        self._window_keys_r = window_keys_r if window_keys_r is not None \
-            else {}
+        threads_l = plan.web_l.columns(ViewType.THREAD)
+        threads_r = plan.web_r.columns(ViewType.THREAD)
+        self.lvid = threads_l.by_key[ltid]
+        self.rvid = threads_r.by_key[rtid]
+        # The two thread views (member positions), plus the columns
+        # that place any trace position inside its thread view.
+        self.lidx = threads_l.members[self.lvid]
+        self.ridx = threads_r.members[self.rvid]
+        self._thread_of_l = threads_l.view_of
+        self._thread_of_r = threads_r.view_of
+        self._thread_pos_l = threads_l.position
+        self._thread_pos_r = threads_r.position
         # Per-view key caches: position -> =e key (interned id or tuple).
-        if ids_l is not None:
-            self.lkeys = [ids_l[i] for i in left_view.indices]
-            self.rkeys = [ids_r[i] for i in right_view.indices]
-        else:
-            entries_l = web_l.trace.entries
-            entries_r = web_r.trace.entries
-            self.lkeys = [entries_l[i].key() for i in left_view.indices]
-            self.rkeys = [entries_r[i].key() for i in right_view.indices]
+        keys_l, keys_r = plan.keys_l, plan.keys_r
+        self.lkeys = [keys_l[p] for p in self.lidx]
+        self.rkeys = [keys_r[p] for p in self.ridx]
         # key -> sorted positions, for the next-correspondence search.
         self.rpos: dict = {}
         for pos, key in enumerate(self.rkeys):
             self.rpos.setdefault(key, []).append(pos)
-        # (left view name, right view name, window bucket) pairs already
-        # explored, so each window is LCS'd at most once.
+        # (type tag, left view id, right view id, window bucket) tuples
+        # already explored, so each window is LCS'd at most once; a
+        # bucket is ``view position // max(omega, 1)``.
         self._explored: set[tuple] = set()
+        self._bucket = max(config.window, 1)
         # Anchored positions (in the two thread views) found by secondary
         # view exploration and still ahead of the scan.
         self._pending_anchors: list[tuple[int, int]] = []
-        # eid -> position caches for the main views.
-        self._lpos_by_eid = {left_view.indices[p]: p
-                             for p in range(len(left_view.indices))}
-        self._rpos_by_eid = {right_view.indices[p]: p
-                             for p in range(len(right_view.indices))}
-        # Kernel backend for the lock-step scans and window LCS fills.
+        # Kernel backend for the lock-step scans.
         self._backend = get_backend(config.kernel)
         # Anchored evaluation: (run start left, run start right) ->
         # run length, bulk-matched compare-free when the scan lands on
@@ -173,14 +201,12 @@ class _ThreadPairDiffer:
             exclude_l = exclude_r = None
             if config.anchor_method_hints:
                 hinted = set(config.anchor_method_hints)
-                entries_l = web_l.trace.entries
-                entries_r = web_r.trace.entries
-                exclude_l = {pos for pos, eid
-                             in enumerate(left_view.indices)
-                             if entries_l[eid].method in hinted}
-                exclude_r = {pos for pos, eid
-                             in enumerate(right_view.indices)
-                             if entries_r[eid].method in hinted}
+                entries_l = plan.left.entries
+                entries_r = plan.right.entries
+                exclude_l = {pos for pos, p in enumerate(self.lidx)
+                             if entries_l[p].method in hinted}
+                exclude_r = {pos for pos, p in enumerate(self.ridx)
+                             if entries_r[p].method in hinted}
             runs = select_anchor_runs(
                 self.lkeys, self.rkeys,
                 AnchorConfig.from_view_config(config), counter=counter,
@@ -198,10 +224,9 @@ class _ThreadPairDiffer:
 
     def run(self) -> list[tuple[int, int]]:
         """Evaluate the pair, returning the monotonic match pairs
-        (left eid, right eid)."""
-        lv, rv = self.lv, self.rv
+        (left position, right position)."""
         lkeys, rkeys = self.lkeys, self.rkeys
-        indices_l, indices_r = lv.indices, rv.indices
+        indices_l, indices_r = self.lidx, self.ridx
         similar_left, similar_right = self.similar_left, self.similar_right
         n, m = len(lkeys), len(rkeys)
         match_pairs: list[tuple[int, int]] = []
@@ -218,11 +243,11 @@ class _ThreadPairDiffer:
                 # credit (zero: the run was verified at selection).
                 run_length = anchor_starts.get((i, j))
                 if run_length:
-                    left_eids = indices_l[i:i + run_length]
-                    right_eids = indices_r[j:j + run_length]
-                    similar_left.update(left_eids)
-                    similar_right.update(right_eids)
-                    match_pairs.extend(zip(left_eids, right_eids))
+                    left_run = indices_l[i:i + run_length].tolist()
+                    right_run = indices_r[j:j + run_length].tolist()
+                    similar_left.update(left_run)
+                    similar_right.update(right_run)
+                    match_pairs.extend(zip(left_run, right_run))
                     i += run_length
                     j += run_length
                     continue
@@ -247,11 +272,13 @@ class _ThreadPairDiffer:
                 run = 1 + common_run(lkeys, rkeys, i + 1, j + 1,
                                      limit - 1)
                 self.counter.bump(run - 1)
-                left_eids = indices_l[i:i + run]
-                right_eids = indices_r[j:j + run]
-                similar_left.update(left_eids)
-                similar_right.update(right_eids)
-                match_pairs.extend(zip(left_eids, right_eids))
+                # One int per matched entry, shared by the similarity
+                # set and the pair list.
+                left_run = indices_l[i:i + run].tolist()
+                right_run = indices_r[j:j + run].tolist()
+                similar_left.update(left_run)
+                similar_right.update(right_run)
+                match_pairs.extend(zip(left_run, right_run))
                 i += run
                 j += run
                 continue
@@ -275,122 +302,100 @@ class _ThreadPairDiffer:
                 width_l * width_r > cells:
             return
         lcs = lcs_dp(self.lkeys[i:ni], self.rkeys[j:nj],
-                     counter=self.counter, kernel=self._backend)
-        lv, rv = self.lv, self.rv
+                     counter=self.counter)
         for wi, wj in lcs.pairs:
-            left_eid = lv.indices[i + wi]
-            right_eid = rv.indices[j + wj]
-            self.similar_left.add(left_eid)
-            self.similar_right.add(right_eid)
-            match_pairs.append((left_eid, right_eid))
+            left = self.lidx[i + wi]
+            right = self.ridx[j + wj]
+            self.similar_left.add(left)
+            self.similar_right.add(right)
+            match_pairs.append((left, right))
 
     # -- LinkedSimilarEntries (SIMILAR-FROM-LINKED-VIEWS) ----------------------
 
     def _linked_similar_entries(self, i: int, j: int) -> None:
         """Explore secondary views linked near positions (i, j) and mark
-        windowed-LCS entries as similar."""
-        config = self.config
-        lv, rv = self.lv, self.rv
-        entries_l = self.web_l.trace.entries
-        entries_r = self.web_r.trace.entries
-        explored_now = 0
-        radius = config.radius
-        lo_l = max(0, i - radius)
-        hi_l = min(len(lv.indices), i + radius + 1)
-        lo_r = max(0, j - radius)
-        hi_r = min(len(rv.indices), j + radius + 1)
-        for pl in range(lo_l, hi_l):
-            tau5 = entries_l[lv.indices[pl]]
-            for pr in range(lo_r, hi_r):
-                if explored_now >= config.max_secondary_pairs:
-                    return
-                tau6 = entries_r[rv.indices[pr]]
-                for vtype in config.view_types:
-                    keys = self.correlator.correlate_keys(tau5, tau6, vtype)
-                    if keys is None and config.relaxed and (pl - i) == (pr - j):
-                        # Relaxed correlation: same distance from the
-                        # current (correlated) positions.
-                        keys = self._relaxed_keys(tau5, tau6, vtype)
-                    if keys is None:
-                        continue
-                    if self._explore_view_pair(vtype, keys[0], keys[1],
-                                               tau5.eid, tau6.eid):
-                        explored_now += 1
+        windowed-LCS entries as similar.
 
-    def _relaxed_keys(self, tau5, tau6, vtype: ViewType):
-        key_l = KEY_MAPPINGS[vtype](tau5)
-        key_r = KEY_MAPPINGS[vtype](tau6)
-        if key_l is None or key_r is None:
-            return None
-        return (key_l, key_r)
-
-    def _explore_view_pair(self, vtype: ViewType, key_l, key_r,
-                           center_eid_l: int, center_eid_r: int) -> bool:
-        """Windowed LCS over one correlated secondary-view pair.
-
-        Returns True if a (new) exploration was performed.
+        Entries tau_5 / tau_6 within ``radius`` of the two heads are
+        visited in order; a view pair of some secondary type is explored
+        when X_chi correlates the two entries' views (``partner[left
+        view] == right view``) or, under the relaxed rule, when both
+        entries sit at the same distance from the heads.  Each
+        (view pair, window bucket) is explored at most once per thread
+        pair; a repeat is not counted against ``max_secondary_pairs``.
         """
-        view_l = self.web_l.typed_view(vtype, key_l)
-        view_r = self.web_r.typed_view(vtype, key_r)
-        if view_l is None or view_r is None:
-            return False
-        pos_l = view_l.position_of(center_eid_l)
-        pos_r = view_r.position_of(center_eid_r)
-        if pos_l < 0 or pos_r < 0:
-            return False
-        omega = self.config.window
-        bucket = (vtype.value, key_l, key_r, pos_l // max(omega, 1),
-                  pos_r // max(omega, 1))
-        if bucket in self._explored:
-            return False
-        self._explored.add(bucket)
-        index_l, keys_l = self._window_keys(view_l, pos_l, omega,
-                                            self.ids_l, self.web_l,
-                                            self._window_keys_l)
-        index_r, keys_r = self._window_keys(view_r, pos_r, omega,
-                                            self.ids_r, self.web_r,
-                                            self._window_keys_r)
-        if not keys_l or not keys_r:
-            return True
-        lcs = lcs_dp(keys_l, keys_r, counter=self.counter,
-                     kernel=self._backend)
-        entries_l = self.web_l.trace.entries
-        entries_r = self.web_r.trace.entries
-        for wi, wj in lcs.pairs:
-            entry_l = entries_l[index_l[wi]]
-            entry_r = entries_r[index_r[wj]]
-            self.similar_left.add(entry_l.eid)
-            self.similar_right.add(entry_r.eid)
-            self.anchor_pairs.append((entry_l.eid, entry_r.eid))
-            # If both anchored entries live in the main thread views ahead
-            # of the scan, they become correspondence candidates.
-            apl = self._lpos_by_eid.get(entry_l.eid)
-            apr = self._rpos_by_eid.get(entry_r.eid)
-            if apl is not None and apr is not None:
-                self._pending_anchors.append((apl, apr))
-        return True
+        config = self.config
+        secondary = self.plan.secondary()
+        lidx, ridx = self.lidx, self.ridx
+        radius = config.radius
+        cap = config.max_secondary_pairs
+        relaxed = config.relaxed
+        width = self._bucket
+        explored = self._explored
+        explored_now = 0
+        lo_l = max(0, i - radius)
+        hi_l = min(len(lidx), i + radius + 1)
+        lo_r = max(0, j - radius)
+        hi_r = min(len(ridx), j + radius + 1)
+        # tau_6's (view id, view position) per secondary type, for every
+        # right candidate, resolved once rather than once per tau_5.
+        right = []
+        for pr in range(lo_r, hi_r):
+            p6 = ridx[pr]
+            right.append((pr - j, [(sec.view_of_r[p6], sec.position_r[p6])
+                                   for sec in secondary]))
+        for pl in range(lo_l, hi_l):
+            p5 = lidx[pl]
+            # tau_5's views, one per secondary type it belongs to.
+            views_l = []
+            for k, sec in enumerate(secondary):
+                vl = sec.view_of_l[p5]
+                if vl >= 0:
+                    views_l.append((k, sec, vl, sec.partner[vl],
+                                    sec.position_l[p5]))
+            if not views_l:
+                continue
+            for distance, views_r in right:
+                if explored_now >= cap:
+                    return
+                same_distance = relaxed and pl - i == distance
+                for k, sec, vl, partner, pos_l in views_l:
+                    vr, pos_r = views_r[k]
+                    if vr < 0 or (partner != vr and not same_distance):
+                        continue
+                    bucket = (sec.tag, vl, vr, pos_l // width,
+                              pos_r // width)
+                    if bucket in explored:
+                        continue
+                    explored.add(bucket)
+                    self._explore_view_pair(sec, vl, vr, pos_l, pos_r)
+                    explored_now += 1
 
-    def _window_keys(self, view: View, position: int, omega: int,
-                     ids, web: ViewWeb, cache: dict):
-        """The (index slice, key list) of one secondary-view window,
-        memoised per (view, lo, hi) across every thread-pair differ of
-        the trace pair."""
-        lo = max(0, position - omega)
-        hi = min(len(view.indices), position + omega + 1)
-        # Views are owned by their web for the differ's whole lifetime,
-        # so id() is a stable (and cheap) cache token here.
-        token = (id(view), lo, hi)
-        got = cache.get(token)
-        if got is None:
-            index = view.indices[lo:hi]
-            if ids is not None:
-                keys = [ids[i] for i in index]
-            else:
-                entries = web.trace.entries
-                keys = [entries[i].key() for i in index]
-            got = (index, keys)
-            cache[token] = got
-        return got
+    def _explore_view_pair(self, sec: _Secondary, vl: int, vr: int,
+                           pos_l: int, pos_r: int) -> None:
+        """Windowed LCS over one correlated secondary-view pair, centred
+        on view positions ``pos_l`` / ``pos_r``."""
+        plan = self.plan
+        index_l, keys_l = plan.window(sec.tag, vl, sec.members_l[vl],
+                                      pos_l, plan.keys_l,
+                                      plan.window_keys_l)
+        index_r, keys_r = plan.window(sec.tag, vr, sec.members_r[vr],
+                                      pos_r, plan.keys_r,
+                                      plan.window_keys_r)
+        lcs = lcs_dp(keys_l, keys_r, counter=self.counter)
+        thread_of_l, thread_of_r = self._thread_of_l, self._thread_of_r
+        lvid, rvid = self.lvid, self.rvid
+        for wi, wj in lcs.pairs:
+            left = index_l[wi]
+            right = index_r[wj]
+            self.similar_left.add(left)
+            self.similar_right.add(right)
+            self.anchor_pairs.append((left, right))
+            # If both anchored entries live in the main thread views,
+            # they become correspondence candidates.
+            if thread_of_l[left] == lvid and thread_of_r[right] == rvid:
+                self._pending_anchors.append(
+                    (self._thread_pos_l[left], self._thread_pos_r[right]))
 
     # -- next point of correspondence -----------------------------------------
 
@@ -446,6 +451,10 @@ class PairMarks:
     threads/processes) and still merge to a result bit-identical to the
     serial evaluation.  ``compares`` carries the pair's entry-compare
     count so counters aggregate order-independently.
+
+    Marks hold trace *positions*, not eids: :meth:`ViewDiffPlan.merge`
+    maps them (positions and eids coincide except on sliced or
+    projected traces).
     """
 
     ltid: int
@@ -460,8 +469,9 @@ class PairMarks:
 class ViewDiffPlan:
     """The planning phase of a views-based diff.
 
-    Construction does all the pair-independent work: build (or adopt)
-    the two view webs, intern the ``=e`` id columns, correlate the
+    Construction does all the pair-independent work: adopt the two
+    view webs (whose columns live on the traces, so they are built once
+    per trace however many diffs it takes part in), correlate the
     webs' views, and enumerate the correlated thread pairs
     (``plan.pairs``).  The execution phase is then embarrassingly
     parallel — :meth:`run_pair` per enumerated pair, in any order,
@@ -480,56 +490,100 @@ class ViewDiffPlan:
         self.config = config if config is not None else ViewDiffConfig()
         self.web_l = web_left if web_left is not None else ViewWeb(left)
         self.web_r = web_right if web_right is not None else ViewWeb(right)
-        # Interning the two id columns is deferred to the first local
+        # The two full-trace =e key columns (interned ids, or key tuples
+        # when ``config.interned`` is off) are built on the first local
         # run_pair: a parent plan whose execution phase runs entirely
         # in worker processes (which re-intern from the wire) never
         # pays the two O(n) passes.
-        self.ids_l = self.ids_r = None
+        self.keys_l = self.keys_r = None
         self._key_table = key_table
-        self._ids_built = not self.config.interned
-        self._ids_lock = threading.Lock()
+        self._secondary: list[_Secondary] | None = None
+        self._lock = threading.Lock()
         self.correlator = ViewCorrelator(self.web_l, self.web_r)
-        #: Correlated thread pairs with a materialised view on both
-        #: sides — the execution phase's work list.
+        #: Correlated thread pairs with a thread view on both sides —
+        #: the execution phase's work list.
+        threads_l = self.web_l.columns(ViewType.THREAD).by_key
+        threads_r = self.web_r.columns(ViewType.THREAD).by_key
         self.pairs: list[tuple[int, int]] = [
             (ltid, rtid)
             for ltid, rtid in self.correlator.thread_pairs()
-            if self.web_l.thread_view(ltid) is not None
-            and self.web_r.thread_view(rtid) is not None]
-        # Secondary-view window key caches, shared across this plan's
-        # pair evaluations (pure memoisation: values are deterministic,
-        # so concurrent fills are benign).
-        self._window_keys_l: dict = {}
-        self._window_keys_r: dict = {}
+            if ltid in threads_l and rtid in threads_r]
+        #: Secondary-view window caches, shared across this plan's
+        #: pair evaluations: (type tag, view id, lo, hi) -> (member
+        #: positions, keys).  Pure memoisation: values are
+        #: deterministic, so concurrent fills are benign.
+        self.window_keys_l: dict = {}
+        self.window_keys_r: dict = {}
 
-    def _ensure_ids(self) -> None:
-        """Intern both traces' ``=e`` id columns once, on first local
+    def _ensure_keys(self) -> None:
+        """Build both traces' ``=e`` key columns once, on first local
         pair evaluation (thread-safe: pairs may run concurrently)."""
-        if self._ids_built:
+        if self.keys_l is not None:
             return
-        with self._ids_lock:
-            if self._ids_built:
+        with self._lock:
+            if self.keys_l is not None:
                 return
-            table = self._key_table if self._key_table is not None \
-                else KeyTable.for_pair(self.left, self.right)
-            self.ids_l = table.ids_for(self.left)
-            self.ids_r = table.ids_for(self.right)
-            self._ids_built = True
+            if self.config.interned:
+                table = self._key_table if self._key_table is not None \
+                    else KeyTable.for_pair(self.left, self.right)
+                keys_r = table.ids_for(self.right)
+                self.keys_l = table.ids_for(self.left)
+            else:
+                keys_r = [entry.key() for entry in self.right.entries]
+                self.keys_l = [entry.key() for entry in self.left.entries]
+            self.keys_r = keys_r
+
+    def secondary(self) -> list[_Secondary]:
+        """The secondary view types' columns and view-id maps, built on
+        the first NOMATCH step (a diff of equal traces never builds
+        them)."""
+        specs = self._secondary
+        if specs is None:
+            with self._lock:
+                specs = self._secondary
+                if specs is None:
+                    specs = self._secondary = [
+                        self._secondary_type(vtype)
+                        for vtype in self.config.view_types]
+        return specs
+
+    def _secondary_type(self, vtype: ViewType) -> _Secondary:
+        left = self.web_l.columns(vtype)
+        right = self.web_r.columns(vtype)
+        return _Secondary(
+            tag=_TYPE_TAGS[vtype],
+            view_of_l=left.view_of, position_l=left.position,
+            members_l=left.members,
+            view_of_r=right.view_of, position_r=right.position,
+            members_r=right.members,
+            partner=self.correlator.view_map(vtype))
+
+    def window(self, tag: int, vid: int, members, position: int, keys,
+               cache: dict):
+        """The (member positions, key list) of one secondary-view
+        window of radius omega around view position ``position``,
+        memoised per (view, lo, hi) across every thread-pair differ of
+        the trace pair."""
+        omega = self.config.window
+        lo = max(0, position - omega)
+        hi = min(len(members), position + omega + 1)
+        token = (tag, vid, lo, hi)
+        got = cache.get(token)
+        if got is None:
+            index = members[lo:hi]
+            got = cache[token] = (index, [keys[p] for p in index])
+        return got
 
     def run_pair(self, pair: tuple[int, int]) -> PairMarks:
         """Execution phase for one correlated thread pair: the
         lock-step evaluation, into pair-private marks."""
-        self._ensure_ids()
+        self._ensure_keys()
         ltid, rtid = pair
         marks = PairMarks(ltid=ltid, rtid=rtid)
         counter = OpCounter()
         differ = _ThreadPairDiffer(
-            self.web_l.thread_view(ltid), self.web_r.thread_view(rtid),
-            self.web_l, self.web_r, self.correlator, self.config,
-            counter, marks.similar_left, marks.similar_right,
-            marks.anchor_pairs, ids_l=self.ids_l, ids_r=self.ids_r,
-            window_keys_l=self._window_keys_l,
-            window_keys_r=self._window_keys_r)
+            self, ltid, rtid, counter, marks.similar_left,
+            marks.similar_right, marks.anchor_pairs)
         marks.match_pairs = differ.run()
         marks.compares = counter.total
         return marks
@@ -541,7 +595,9 @@ class ViewDiffPlan:
 
         ``marks`` must be ordered like ``plan.pairs`` (executors
         preserve submission order); the union/concatenation below then
-        reproduces the serial evaluation exactly.
+        reproduces the serial evaluation exactly.  Sequences are cut
+        from the thread views by position; marks become eids only in
+        the returned result.
         """
         if counter is None:
             counter = OpCounter()
@@ -555,41 +611,58 @@ class ViewDiffPlan:
             anchor_pairs.extend(mark.anchor_pairs)
             all_match_pairs.extend(mark.match_pairs)
             counter.bump(mark.compares)
+        entries_l = self.left.entries
+        entries_r = self.right.entries
+        threads_l = self.web_l.columns(ViewType.THREAD)
+        threads_r = self.web_r.columns(ViewType.THREAD)
         # Sequences are segmented only after every thread pair has
         # contributed to sigma, so cross-thread anchors are honoured
         # everywhere.
         sequences: list[DifferenceSequence] = []
         for mark in marks:
-            lv = self.web_l.thread_view(mark.ltid)
-            rv = self.web_r.thread_view(mark.rtid)
-            sequences.extend(build_sequences(
-                self.left, self.right, mark.match_pairs,
-                similar_left, similar_right,
-                left_eids=list(lv.indices), right_eids=list(rv.indices)))
+            rows_l = threads_l.members[threads_l.by_key[mark.ltid]]
+            rows_r = threads_r.members[threads_r.by_key[mark.rtid]]
+            at_l, at_r = threads_l.position, threads_r.position
+            boundaries = [(-1, -1)]
+            boundaries.extend(_map_pairs(mark.match_pairs, at_l.__getitem__,
+                                         at_r.__getitem__))
+            boundaries.append((len(rows_l), len(rows_r)))
+            sequences.extend(gap_sequences(
+                boundaries, _differing(entries_l, rows_l, similar_left),
+                _differing(entries_r, rows_r, similar_right)))
 
         # Uncorrelated threads: every entry is a difference.
         matched_left_tids = {mark.ltid for mark in marks}
         matched_right_tids = {mark.rtid for mark in marks}
         for tid in self.left.thread_ids():
-            if tid in matched_left_tids:
+            vid = threads_l.by_key.get(tid)
+            if tid in matched_left_tids or vid is None:
                 continue
-            lv = self.web_l.thread_view(tid)
-            if lv is None:
-                continue
-            entries = [e for e in lv if e.eid not in similar_left]
+            rows = threads_l.members[vid]
+            entries = _differing(entries_l, rows, similar_left)(0, len(rows))
             if entries:
                 sequences.append(DifferenceSequence(
                     kind="delete", left_entries=entries, right_entries=[]))
         for tid in self.right.thread_ids():
-            if tid in matched_right_tids:
+            vid = threads_r.by_key.get(tid)
+            if tid in matched_right_tids or vid is None:
                 continue
-            rv = self.web_r.thread_view(tid)
-            if rv is None:
-                continue
-            entries = [e for e in rv if e.eid not in similar_right]
+            rows = threads_r.members[vid]
+            entries = _differing(entries_r, rows, similar_right)(0, len(rows))
             if entries:
                 sequences.append(DifferenceSequence(
                     kind="insert", left_entries=[], right_entries=entries))
+
+        # Positions -> eids.  The result shares the entries' own eid
+        # objects, so the ints the evaluation allocated die with the
+        # marks.
+        eid = attrgetter("eid")
+        to_l = list(map(eid, entries_l)).__getitem__
+        to_r = list(map(eid, entries_r)).__getitem__
+        similar_left = set(map(to_l, similar_left))
+        similar_right = set(map(to_r, similar_right))
+        all_match_pairs = _map_pairs(all_match_pairs, to_l, to_r)
+        anchor_pairs = _map_pairs(anchor_pairs, to_l, to_r)
 
         elapsed = 0.0 if started is None else time.perf_counter() - started
         return DiffResult(
@@ -604,6 +677,21 @@ class ViewDiffPlan:
             algorithm="views",
             seconds=elapsed,
         )
+
+
+def _map_pairs(pairs: list[tuple[int, int]], to_l, to_r,
+               ) -> list[tuple[int, int]]:
+    """``[(to_l(a), to_r(b)) for a, b in pairs]``, at C speed."""
+    return list(zip(map(to_l, map(_first, pairs)),
+                    map(to_r, map(_second, pairs))))
+
+
+def _differing(entries, rows, similar: set[int]):
+    """``gap_sequences`` row reader: the entries at ``rows[lo:hi]``
+    whose positions are outside ``similar``."""
+    def take(lo: int, hi: int) -> list:
+        return [entries[p] for p in rows[lo:hi] if p not in similar]
+    return take
 
 
 def plan_view_diff(left: Trace, right: Trace,

@@ -140,24 +140,26 @@ def view_names(entry: TraceEntry) -> list[ViewName]:
 
 class View:
     """One materialised view: a name plus the (sorted) original-trace
-    indices of its member entries.
+    positions of its member entries.
 
-    Because views retain original indices, ``position_of`` implements the
-    link-navigation of Sec. 2.4: given an entry's eid, find where it sits
-    inside this view.
+    Because views retain trace positions, ``position_of`` implements the
+    link-navigation of Sec. 2.4: given an entry's index in the trace,
+    find where it sits inside this view.
 
-    ``indices`` is an index *column*: any integer sequence works, and
-    the web builds ``array('I')`` columns (4 bytes per member instead of
-    a list of boxed ints).
+    A view is a window onto its type's columns in the trace's view
+    index (:class:`repro.core.web.TypeIndex`): ``indices`` is the
+    view's member column (an ``array('I')``) and ``position_of`` reads
+    the index's position column, so no per-view lookup table is built.
     """
 
-    __slots__ = ("name", "trace", "indices", "_index_positions")
+    __slots__ = ("name", "trace", "indices", "_columns", "_vid")
 
-    def __init__(self, name: ViewName, trace: Trace, indices):
+    def __init__(self, name: ViewName, trace: Trace, columns, vid: int):
         self.name = name
         self.trace = trace
-        self.indices = indices
-        self._index_positions: dict[int, int] | None = None
+        self.indices = columns.members[vid]
+        self._columns = columns
+        self._vid = vid
 
     def __len__(self) -> int:
         return len(self.indices)
@@ -174,12 +176,14 @@ class View:
         return self[position]
 
     def position_of(self, eid: int) -> int:
-        """Position of the entry with identifier ``eid`` inside this view
-        (the ``index(nu, tau)`` helper of Fig. 9), or ``-1`` if absent."""
-        if self._index_positions is None:
-            self._index_positions = {
-                eid_: pos for pos, eid_ in enumerate(self.indices)}
-        return self._index_positions.get(eid, -1)
+        """Position of the entry at trace index ``eid`` inside this view
+        (the ``index(nu, tau)`` helper of Fig. 9), or ``-1`` if absent.
+        Trace index and eid coincide for every trace a builder
+        produced."""
+        view_of = self._columns.view_of
+        if 0 <= eid < len(view_of) and view_of[eid] == self._vid:
+            return self._columns.position[eid]
+        return -1
 
     def window(self, eid: int, radius: int) -> list[TraceEntry]:
         """``win``: the entries of this view whose view-position lies within

@@ -1,13 +1,22 @@
-"""The view web: every view of a trace, linked through trace indices.
+"""The view web: every view of a trace, linked through trace positions.
 
-The web is *lazy and columnar*: views of a type are materialised only
-when something asks for that type — one O(n) pass per demanded
-:class:`~repro.core.views.ViewType`, each view storing its member
-indices as an ``array('I')`` column — and the per-object / per-thread
-correlation metadata of Sec. 3.1 is gathered in its own single pass on
-first access.  A diff that never explores, say, active-object views
-never pays for building them; ``built_view_types()`` exposes what has
-actually been materialised (the laziness contract the tests pin down).
+The web sits on a *per-trace view index* (:func:`view_index`), cached
+on the :class:`~repro.core.traces.Trace` next to its digest and thread
+list, so every web and every diff over one trace shares one index.
+The index is *lazy and columnar*: the columns of a
+:class:`~repro.core.views.ViewType` are built by one O(n) pass over
+the entries the first time something asks for that type
+(:class:`TypeIndex`), and the per-object / per-thread correlation
+metadata of Sec. 3.1 is gathered in its own single pass on first
+access.  A diff that never explores, say, active-object views never
+pays for building them; ``built_view_types()`` exposes what has
+actually been built (the laziness contract the tests pin down).
+
+The differencing engine reads the integer columns directly.
+:class:`~repro.core.views.View` objects are materialised only for the
+public accessors (``typed_view``, ``views_of_type``, ``counts``, ...).
+The index holds no reference back to its trace: a trace -> index ->
+trace cycle would keep traces alive until a full collection.
 """
 
 from __future__ import annotations
@@ -46,173 +55,211 @@ class ThreadInfo:
     fork_eid: int | None
 
 
+class TypeIndex:
+    """The views of one type over one trace, as integer columns.
+
+    Views are numbered by first appearance (the *view id*).  For trace
+    position ``p``: ``view_of[p]`` is the id of the view holding the
+    entry (``-1`` when the entry belongs to no view of this type) and
+    ``position[p]`` is its position inside that view.  ``members[v]``
+    lists the trace positions of view ``v`` in order, ``keys[v]`` is its
+    key ``kappa`` and ``by_key`` inverts ``keys``.
+    """
+
+    __slots__ = ("keys", "by_key", "view_of", "position", "members")
+
+    def __init__(self, key_column):
+        by_key: dict = {}
+        new_view = by_key.setdefault
+        view_of = [-1 if key is None else new_view(key, len(by_key))
+                   for key in key_column]
+        members: list[list[int]] = [[] for _ in by_key]
+        position = [-1] * len(view_of)
+        for pos, vid in enumerate(view_of):
+            if vid >= 0:
+                column = members[vid]
+                position[pos] = len(column)
+                column.append(pos)
+        # Ids and positions are below the trace length: 2 bytes a row
+        # cover every trace under 32k entries.
+        typecode = "h" if len(view_of) < 1 << 15 else "i"
+        self.keys = list(by_key)
+        self.by_key = by_key
+        self.view_of = array(typecode, view_of)
+        self.position = array(typecode, position)
+        self.members = [array("I", column) for column in members]
+
+
+#: Serialises index builds; builds are rare (once per type per trace),
+#: so one process-wide lock costs nothing measurable.
+_BUILD_LOCK = threading.Lock()
+
+
+class ViewIndex:
+    """Everything the views engine derives from one trace, built lazily.
+
+    Methods take the trace (or its entries) as an argument instead of
+    holding it, so the index can live on the trace without a cycle.
+    """
+
+    __slots__ = ("_types", "_objects", "_threads")
+
+    def __init__(self):
+        self._types: dict[ViewType, TypeIndex] = {}
+        self._objects: dict[int, ObjectInfo] | None = None
+        self._threads: dict[int, ThreadInfo] | None = None
+
+    def built_types(self) -> frozenset[ViewType]:
+        return frozenset(self._types)
+
+    def typed(self, vtype: ViewType, entries) -> TypeIndex:
+        """The columns of ``vtype``, built on first demand."""
+        index = self._types.get(vtype)
+        if index is None:
+            key_of = KEY_MAPPINGS.get(vtype)
+            if key_of is None:
+                raise ValueError(f"unknown view type: {vtype!r}")
+            with _BUILD_LOCK:
+                index = self._types.get(vtype)
+                if index is None:
+                    index = TypeIndex(map(key_of, entries))
+                    self._types[vtype] = index
+        return index
+
+    def metadata(self, trace: Trace) -> tuple[dict[int, ObjectInfo],
+                                              dict[int, ThreadInfo]]:
+        """The object and thread metadata of Sec. 3.1, one pass."""
+        if self._threads is None:
+            with _BUILD_LOCK:
+                if self._threads is None:
+                    self._objects, self._threads = _gather_metadata(trace)
+        return self._objects, self._threads
+
+
+def view_index(trace: Trace) -> ViewIndex:
+    """The trace's view index, created on first use and cached on the
+    trace (traces are immutable by convention)."""
+    index = trace._view_index
+    if index is None:
+        with _BUILD_LOCK:
+            index = trace._view_index
+            if index is None:
+                index = trace._view_index = ViewIndex()
+    return index
+
+
+def _gather_metadata(trace: Trace) -> tuple[dict[int, ObjectInfo],
+                                            dict[int, ThreadInfo]]:
+    objects: dict[int, ObjectInfo] = {}
+    seen_tids: dict[int, ThreadInfo] = {}
+    for entry in trace.entries:
+        _note_metadata(entry, objects, seen_tids)
+    # Threads that never appear in a fork event (e.g. the main thread)
+    # still deserve ThreadInfo records.
+    for tid in trace.thread_ids():
+        if tid not in seen_tids:
+            seen_tids[tid] = ThreadInfo(tid=tid, ancestry=(), fork_eid=None)
+    return objects, seen_tids
+
+
+def _note_metadata(entry: TraceEntry, objects: dict[int, ObjectInfo],
+                   seen_tids: dict[int, ThreadInfo]) -> None:
+    event = entry.event
+    if isinstance(event, Init):
+        obj = event.obj
+        if obj.location is not None and obj.location not in objects:
+            objects[obj.location] = ObjectInfo(
+                location=obj.location,
+                class_name=obj.class_name,
+                creation_seq=obj.creation_seq,
+                serialization=obj.serialization,
+                init_eid=entry.eid,
+            )
+    elif isinstance(event, Fork):
+        seen_tids[event.child_tid] = ThreadInfo(
+            tid=event.child_tid,
+            ancestry=event.ancestry,
+            fork_eid=entry.eid,
+        )
+    # Objects first observed outside an init (e.g. pre-existing
+    # receivers) are registered lazily from any event target.
+    target = event.target()
+    if (target is not None and target.location is not None
+            and target.location not in objects):
+        objects[target.location] = ObjectInfo(
+            location=target.location,
+            class_name=target.class_name,
+            creation_seq=target.creation_seq,
+            serialization=target.serialization,
+            init_eid=None,
+        )
+
+
 class ViewWeb:
     """All views of a single trace, plus object/thread metadata.
 
-    Views materialise per type on first demand; ``objects`` / ``threads``
-    materialise together on first access.  All public accessors behave
-    exactly as they did when construction was eager.
+    A thin handle over the trace's :class:`ViewIndex`: ``columns(vtype)``
+    hands the engine the integer columns, and the public accessors
+    materialise :class:`View` objects on demand (one per view, reused).
     """
 
     def __init__(self, trace: Trace):
         self.trace = trace
-        self._views: dict[ViewName, View] = {}
-        #: Per-type raw-key lookup tables (``kappa -> View``), one per
-        #: materialised type.  The hot paths go through these: hashing a
-        #: tid/method/location is much cheaper than hashing a ViewName.
-        self._thread_views: dict | None = None
-        self._method_views: dict | None = None
-        self._target_views: dict | None = None
-        self._active_views: dict | None = None
-        self._objects: dict[int, ObjectInfo] | None = None
-        self._threads: dict[int, ThreadInfo] | None = None
-        # Lazy builds are guarded so concurrent thread-pair evaluations
-        # (the parallel diff execution phase) materialise each view
-        # type exactly once — View identity matters downstream (the
-        # window-key caches token views by id()).
-        self._build_lock = threading.RLock()
+        self.index = view_index(trace)
+        self._views: dict[tuple[ViewType, int], View] = {}
 
-    # -- lazy construction -------------------------------------------------
+    # -- columns ----------------------------------------------------------
 
     def built_view_types(self) -> frozenset[ViewType]:
-        """The view types materialised so far (laziness introspection)."""
-        return frozenset(vtype for vtype in ViewType
-                         if self._typed(vtype) is not None)
+        """The view types built so far (laziness introspection)."""
+        return self.index.built_types()
 
-    def _typed(self, vtype: ViewType) -> dict | None:
-        if vtype is ViewType.THREAD:
-            return self._thread_views
-        if vtype is ViewType.METHOD:
-            return self._method_views
-        if vtype is ViewType.TARGET_OBJECT:
-            return self._target_views
-        if vtype is ViewType.ACTIVE_OBJECT:
-            return self._active_views
-        raise ValueError(f"unknown view type: {vtype!r}")
-
-    def _ensure_type(self, vtype: ViewType) -> dict:
-        typed = self._typed(vtype)
-        if typed is not None:
-            return typed
-        with self._build_lock:
-            return self._build_type(vtype)
-
-    def _build_type(self, vtype: ViewType) -> dict:
-        typed = self._typed(vtype)
-        if typed is not None:  # raced: another thread built it first
-            return typed
-        key_of = KEY_MAPPINGS[vtype]
-        columns: dict[object, array] = {}
-        for position, entry in enumerate(self.trace.entries):
-            key = key_of(entry)
-            if key is None:
-                continue
-            column = columns.get(key)
-            if column is None:
-                columns[key] = column = array("I")
-            column.append(position)
-        typed = {}
-        for key, column in columns.items():
-            name = ViewName(vtype, key)
-            typed[key] = self._views[name] = View(name, self.trace, column)
-        if vtype is ViewType.THREAD:
-            self._thread_views = typed
-        elif vtype is ViewType.METHOD:
-            self._method_views = typed
-        elif vtype is ViewType.TARGET_OBJECT:
-            self._target_views = typed
-        else:  # _typed() has already rejected non-members
-            self._active_views = typed
-        return typed
-
-    def _ensure_all(self) -> None:
-        for vtype in ViewType:
-            self._ensure_type(vtype)
+    def columns(self, vtype: ViewType) -> TypeIndex:
+        """The integer columns of one view type (built on demand)."""
+        return self.index.typed(vtype, self.trace.entries)
 
     @property
     def objects(self) -> dict[int, ObjectInfo]:
-        if self._objects is None:
-            self._build_metadata()
-        return self._objects
+        return self.index.metadata(self.trace)[0]
 
     @property
     def threads(self) -> dict[int, ThreadInfo]:
-        if self._threads is None:
-            self._build_metadata()
-        return self._threads
-
-    def _build_metadata(self) -> None:
-        with self._build_lock:
-            if self._objects is not None:  # raced: already built
-                return
-            self._build_metadata_locked()
-
-    def _build_metadata_locked(self) -> None:
-        objects: dict[int, ObjectInfo] = {}
-        seen_tids: dict[int, ThreadInfo] = {}
-        for entry in self.trace.entries:
-            self._note_metadata(entry, objects, seen_tids)
-        # Threads that never appear in a fork event (e.g. the main thread)
-        # still deserve ThreadInfo records.
-        for tid in self.trace.thread_ids():
-            if tid not in seen_tids:
-                seen_tids[tid] = ThreadInfo(tid=tid, ancestry=(),
-                                            fork_eid=None)
-        self._objects = objects
-        self._threads = seen_tids
-
-    def _note_metadata(self, entry: TraceEntry,
-                       objects: dict[int, ObjectInfo],
-                       seen_tids: dict[int, ThreadInfo]) -> None:
-        event = entry.event
-        if isinstance(event, Init):
-            obj = event.obj
-            if obj.location is not None and obj.location not in objects:
-                objects[obj.location] = ObjectInfo(
-                    location=obj.location,
-                    class_name=obj.class_name,
-                    creation_seq=obj.creation_seq,
-                    serialization=obj.serialization,
-                    init_eid=entry.eid,
-                )
-        elif isinstance(event, Fork):
-            seen_tids[event.child_tid] = ThreadInfo(
-                tid=event.child_tid,
-                ancestry=event.ancestry,
-                fork_eid=entry.eid,
-            )
-        # Objects first observed outside an init (e.g. pre-existing
-        # receivers) are registered lazily from any event target.
-        target = event.target()
-        if (target is not None and target.location is not None
-                and target.location not in objects):
-            objects[target.location] = ObjectInfo(
-                location=target.location,
-                class_name=target.class_name,
-                creation_seq=target.creation_seq,
-                serialization=target.serialization,
-                init_eid=None,
-            )
+        return self.index.metadata(self.trace)[1]
 
     # -- lookup -----------------------------------------------------------
 
+    def _view(self, vtype: ViewType, columns: TypeIndex, vid: int) -> View:
+        view = self._views.get((vtype, vid))
+        if view is None:
+            view = self._views.setdefault((vtype, vid), View(
+                ViewName(vtype, columns.keys[vid]), self.trace, columns,
+                vid))
+        return view
+
     def view(self, name: ViewName) -> View | None:
-        return self._ensure_type(name.vtype).get(name.key)
+        return self.typed_view(name.vtype, name.key)
 
     def typed_view(self, vtype: ViewType, key) -> View | None:
-        """Raw-key lookup (``<chi, kappa>`` without a ViewName object);
-        the differencing hot paths resolve views through this."""
-        return self._ensure_type(vtype).get(key)
+        """Raw-key lookup (``<chi, kappa>`` without a ViewName object)."""
+        columns = self.columns(vtype)
+        vid = columns.by_key.get(key)
+        if vid is None:
+            return None
+        return self._view(vtype, columns, vid)
 
     def views_of_type(self, vtype: ViewType) -> list[View]:
-        return list(self._ensure_type(vtype).values())
+        columns = self.columns(vtype)
+        return [self._view(vtype, columns, vid)
+                for vid in range(len(columns.keys))]
 
     def view_names_of_type(self, vtype: ViewType) -> list[ViewName]:
-        return [view.name for view in self._ensure_type(vtype).values()]
+        return [ViewName(vtype, key) for key in self.columns(vtype).keys]
 
     def all_views(self) -> list[View]:
-        self._ensure_all()
-        return list(self._views.values())
+        views = []
+        for vtype in ViewType:
+            views.extend(self.views_of_type(vtype))
+        return views
 
     def thread_view(self, tid: int) -> View | None:
         return self.typed_view(ViewType.THREAD, tid)
@@ -244,12 +291,10 @@ class ViewWeb:
 
     def counts(self) -> dict[str, int]:
         """View counts in the shape of the paper's Table 2."""
-        self._ensure_all()
-        by_type = {vtype: 0 for vtype in ViewType}
-        for name in self._views:
-            by_type[name.vtype] += 1
+        by_type = {vtype: len(self.columns(vtype).keys)
+                   for vtype in ViewType}
         return {
-            "total": len(self._views),
+            "total": sum(by_type.values()),
             "thread": by_type[ViewType.THREAD],
             "method": by_type[ViewType.METHOD],
             "target_object": by_type[ViewType.TARGET_OBJECT],
