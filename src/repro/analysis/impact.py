@@ -51,9 +51,8 @@ class ImpactReport:
         return "\n".join(lines)
 
 
-def _accumulate(report: ImpactReport, trace, eids, web: ViewWeb) -> None:
-    for eid in eids:
-        entry = trace.entries[eid]
+def _accumulate(report: ImpactReport, entries, web: ViewWeb) -> None:
+    for entry in entries:
         report.total_differences += 1
         report.methods[entry.method] = \
             report.methods.get(entry.method, 0) + 1
@@ -75,8 +74,8 @@ def impact_of(result: DiffResult,
     if web_right is None:
         web_right = ViewWeb(result.right)
     report = ImpactReport()
-    _accumulate(report, result.left, result.left_diff_eids(), web_left)
-    _accumulate(report, result.right, result.right_diff_eids(), web_right)
+    _accumulate(report, result.left_diff_entries(), web_left)
+    _accumulate(report, result.right_diff_entries(), web_right)
     return report
 
 

@@ -83,25 +83,29 @@ def render_diff_report(result: DiffResult, context: int = 2,
     shown = result.sequences
     if max_sequences is not None:
         shown = shown[:max_sequences]
+    left = result.left.entries
+    position_of = _position_finder(result.left) if context > 0 else None
     for number, sequence in enumerate(shown, start=1):
         lines.append(f"--- sequence {number} [{sequence.kind}] ---")
-        before: list[str] = []
         if sequence.left_entries and context > 0:
-            first = sequence.left_entries[0].eid
-            lo = max(0, first - context)
-            for entry in result.left.entries[lo:first]:
-                before.append(f"  {_entry_line(entry)[1]}")
-        lines.extend(before)
+            first = position_of(sequence.left_entries[0].eid)
+            for entry in left[max(0, first - context):first]:
+                lines.append(f"  {_entry_line(entry)[1]}")
         for entry in sequence.left_entries:
             lines.append(f"- {_entry_line(entry)[1]}")
         for entry in sequence.right_entries:
             lines.append(f"+ {_entry_line(entry)[1]}")
         if sequence.left_entries and context > 0:
-            last = sequence.left_entries[-1].eid
-            hi = min(len(result.left.entries), last + 1 + context)
-            for entry in result.left.entries[last + 1:hi]:
+            last = position_of(sequence.left_entries[-1].eid)
+            for entry in left[last + 1:last + 1 + context]:
                 lines.append(f"  {_entry_line(entry)[1]}")
     if max_sequences is not None and len(result.sequences) > max_sequences:
         lines.append(
             f"... ({len(result.sequences) - max_sequences} more sequences)")
     return "\n".join(lines)
+
+
+def _position_finder(trace: Trace):
+    """eid -> position in ``trace`` (the two differ on slices)."""
+    return {eid: position
+            for position, eid in enumerate(trace.eid_column())}.__getitem__

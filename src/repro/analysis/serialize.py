@@ -38,10 +38,13 @@ Decode is **lazy**: ``loads_trace`` returns a
 :class:`~repro.core.traces.Trace` whose entries materialise on demand
 (:class:`~repro.core.traces.LazyEntrySequence`), so diff paths that
 only touch the interned id columns never pay :func:`_untuple` — or any
-per-entry work — at all.  The header also records the trace's
-:meth:`~repro.core.traces.Trace.content_digest`, computed at encode
-time, so digest-keyed consumers (diff cache, wire memos, dedup) never
-force materialisation either.
+per-entry work — at all.  The decoder also serves the sequence's
+column hooks (eids, thread ids, view keys, object/thread metadata)
+from the int columns and pools, so a views diff of a loaded trace
+builds only the entries that differ.  The header also records the
+trace's :meth:`~repro.core.traces.Trace.content_digest`, computed at
+encode time, so digest-keyed consumers (diff cache, wire memos,
+dedup) never force materialisation either.
 
 ``version=None`` everywhere means "the wire default": format 3, unless
 the ``REPRO_WIRE_FORMAT`` environment variable (or an explicit
@@ -68,6 +71,7 @@ from repro.core.events import (Call, End, Event, FieldGet, FieldSet, Fork,
 from repro.core.keytable import KeyTable
 from repro.core.traces import LazyEntrySequence, Trace
 from repro.core.values import ValueRep
+from repro.core.views import ViewType
 
 #: The default wire/store format (binary columnar).
 FORMAT_VERSION = 3
@@ -510,6 +514,50 @@ class _V3Decoder:
             return None
         return self.rep_pool()[rep_id]
 
+    # -- column hooks (see LazyEntrySequence) ------------------------------
+
+    def _target_ids(self) -> list[int]:
+        """The target rep id of each entry: the object operand of a
+        field or method event, the created object of an init, none for
+        fork/end."""
+        ops = self.ops
+        return [obj if code < 4 else created if code == 4 else _V3_NONE
+                for code, obj, created in zip(self.kinds, ops[0::4],
+                                              ops[1::4])]
+
+    def view_keys(self, vtype: ViewType) -> list | None:
+        if vtype is ViewType.THREAD:
+            return self.tids
+        if vtype is ViewType.METHOD:
+            strs = self.strings()
+            return [strs[sid] for sid in self.meth]
+        if vtype is ViewType.ACTIVE_OBJECT:
+            column = self.actv
+        elif vtype is ViewType.TARGET_OBJECT:
+            column = self._target_ids()
+        else:
+            return None
+        locations = [rep.location for rep in self.rep_pool()]
+        return [None if rid == _V3_NONE else locations[rid]
+                for rid in column]
+
+    def metadata_rows(self, positions):
+        eids, kinds, ops = self.eids, self.kinds, self.ops
+        for position in positions:
+            code = kinds[position]
+            fork = None
+            if code < 4:
+                target = self._rep(ops[4 * position])
+            elif code == 4:
+                target = self._rep(ops[4 * position + 1])
+            else:
+                target = None
+                if code == 5:
+                    payload = self.rich_pool()[ops[4 * position]]
+                    fork = (payload["tid"],
+                            _ancestry_from_json(payload["s"]))
+            yield eids[position], code == 4, target, fork
+
     def entry(self, position: int) -> TraceEntry:
         strs = self.strings()
         code = self.kinds[position]
@@ -578,8 +626,7 @@ def _load_v3(view: memoryview, path: Path, keepalive=None) -> Trace:
         raise ValueError(
             f"corrupt trace row: kid {max(decoder.kids)} outside the "
             f"{key_count}-entry key table")
-    entries = LazyEntrySequence(decoder.entry, count,
-                                tids=decoder.tids, owner=keepalive)
+    entries = LazyEntrySequence(decoder, count, owner=keepalive)
     # The key table itself is also lazy (a thunk Trace materialises on
     # first access): a load that never consults =e keys — a capture
     # outcome cached by digest, a store listing — never parses the key

@@ -309,11 +309,11 @@ class Tracer:
         with self._lock:
             top = builder.top(tid)
             if top is not None:
-                callee = top.callee
+                method, _caller, callee = top
                 builder.record_return(
                     tid, rep,
                     ("return", (callee.class_name, callee.serialization),
-                     top.method, (rep.class_name, rep.serialization)))
+                     method, (rep.class_name, rep.serialization)))
         return None
 
     def _get_return(self, frame, event, arg):

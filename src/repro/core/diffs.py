@@ -99,12 +99,21 @@ class DiffResult:
     # -- difference accessors ------------------------------------------------
 
     def left_diff_eids(self) -> list[int]:
-        return [e.eid for e in self.left.entries
-                if e.eid not in self.similar_left]
+        similar = self.similar_left
+        return [eid for eid in self.left.eid_column() if eid not in similar]
 
     def right_diff_eids(self) -> list[int]:
-        return [e.eid for e in self.right.entries
-                if e.eid not in self.similar_right]
+        similar = self.similar_right
+        return [eid for eid in self.right.eid_column()
+                if eid not in similar]
+
+    def left_diff_entries(self) -> list[TraceEntry]:
+        """The differing left entries, in trace order; only these are
+        built on a lazy trace."""
+        return differing_entries(self.left, self.similar_left)
+
+    def right_diff_entries(self) -> list[TraceEntry]:
+        return differing_entries(self.right, self.similar_right)
 
     def num_diffs(self) -> int:
         """Total number of raw differences (both sides) — the paper's
@@ -141,6 +150,16 @@ class DiffResult:
         if len(self.sequences) > limit:
             lines.append(f"... ({len(self.sequences) - limit} more sequences)")
         return "\n".join(lines)
+
+
+def differing_entries(trace: Trace, similar: set[int]) -> list[TraceEntry]:
+    """The entries of ``trace`` whose eids are outside ``similar``, in
+    trace order.  Reads the eid column and fetches the differing
+    entries by position, so a lazy trace builds only those."""
+    entries = trace.entries
+    return [entries[position]
+            for position, eid in enumerate(trace.eid_column())
+            if eid not in similar]
 
 
 # -- wire codec (the diff cache's disk tier) --------------------------------
@@ -289,22 +308,27 @@ def build_sequences(left: Trace, right: Trace,
     the differing entries between consecutive matched pairs form one
     sequence.
     """
-    rows_l = left.entries
-    rows_r = right.entries
+    eids_l = left.eid_column()
+    eids_r = right.eid_column()
     # Positions of matched pairs within the entry rows.
-    pos_l = {entry.eid: i for i, entry in enumerate(rows_l)}
-    pos_r = {entry.eid: i for i, entry in enumerate(rows_r)}
+    pos_l = {eid: i for i, eid in enumerate(eids_l)}
+    pos_r = {eid: i for i, eid in enumerate(eids_r)}
     boundaries = [(-1, -1)]
     for l_eid, r_eid in match_pairs:
         if l_eid in pos_l and r_eid in pos_r:
             boundaries.append((pos_l[l_eid], pos_r[r_eid]))
-    boundaries.append((len(rows_l), len(rows_r)))
-    return gap_sequences(
-        boundaries,
-        lambda lo, hi: [e for e in rows_l[lo:hi]
-                        if e.eid not in similar_left],
-        lambda lo, hi: [e for e in rows_r[lo:hi]
-                        if e.eid not in similar_right])
+    boundaries.append((len(eids_l), len(eids_r)))
+    return gap_sequences(boundaries,
+                         _gap_reader(left.entries, eids_l, similar_left),
+                         _gap_reader(right.entries, eids_r, similar_right))
+
+
+def _gap_reader(entries, eids, similar: set[int]):
+    """``gap_sequences`` row reader: the entries among rows ``lo..hi-1``
+    whose eids are outside ``similar``, fetched by position."""
+    def take(lo: int, hi: int) -> list:
+        return [entries[p] for p in range(lo, hi) if eids[p] not in similar]
+    return take
 
 
 def gap_sequences(boundaries: list[tuple[int, int]], left_gap, right_gap,

@@ -113,8 +113,8 @@ def lcs_diff(left: Trace, right: Trace, algorithm: str = "optimized",
         result = lcs_fast(keys_l, keys_r, counter=counter,
                           dp_cell_limit=dp_cell_limit, kernel=kernel)
 
-    match_pairs = [(left.entries[i].eid, right.entries[j].eid)
-                   for i, j in result.pairs]
+    eids_l, eids_r = left.eid_column(), right.eid_column()
+    match_pairs = [(eids_l[i], eids_r[j]) for i, j in result.pairs]
     similar_left = {l for l, _ in match_pairs}
     similar_right = {r for _, r in match_pairs}
     sequences = build_sequences(left, right, match_pairs, similar_left,

@@ -44,10 +44,8 @@ def diff_key_pool(result: DiffResult) -> set:
 
 def side_key_pools(result: DiffResult) -> tuple[set, set]:
     """(left-side keys, right-side keys) of differing entries."""
-    left = {e.key() for e in result.left.entries
-            if e.eid not in result.similar_left}
-    right = {e.key() for e in result.right.entries
-             if e.eid not in result.similar_right}
+    left = {entry.key() for entry in result.left_diff_entries()}
+    right = {entry.key() for entry in result.right_diff_entries()}
     return left, right
 
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import hashlib
 from array import array
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 from repro.core.entries import TraceEntry
@@ -28,31 +27,44 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 class LazyEntrySequence:
     """A list-like sequence of :class:`TraceEntry` built on demand.
 
-    The serialisation-v3 decoder hands :class:`Trace` one of these
-    instead of a materialised list: ``decode(position)`` constructs the
-    entry at an absolute backing position, and every constructed entry
-    is memoised in a cache shared by all slices of the sequence, so an
-    entry is decoded at most once per loaded trace no matter how the
-    trace is sliced.  ``tids`` optionally carries the backing thread-id
-    column (any int sequence) so :meth:`Trace.thread_ids` never has to
-    materialise entries at all; ``owner`` pins whatever object keeps
-    the backing buffer alive (e.g. a mapped shared-memory segment).
+    ``source`` builds entries: ``source.entry(position)`` constructs the
+    entry at an absolute backing position.  Every constructed entry is
+    memoised in a cache shared by all slices of the sequence, so an
+    entry is built at most once per trace no matter how the trace is
+    sliced.  Two sources exist: a :class:`TraceBuilder`'s rows (a
+    captured or interpreted trace) and the serialisation-v3 decoder
+    (:mod:`repro.analysis.serialize`).  ``owner`` pins whatever object
+    keeps the backing buffer alive (e.g. a mapped shared-memory
+    segment).
 
-    The core layer defines only the container contract; decoders live
-    with their formats (:mod:`repro.analysis.serialize`).
+    A source may also offer *columns*, each covering every backing
+    position, that let consumers read a trace without building its
+    entries:
+
+    * ``source.eids`` — the eid column (``range(n)`` when eids are the
+      positions, as for every capture);
+    * ``source.tids`` — the thread-id column;
+    * ``source.view_keys(vtype)`` — the raw view key ``kappa`` of each
+      entry (``None`` where the entry is in no view of that type),
+      exactly what :data:`repro.core.views.KEY_MAPPINGS` computes;
+    * ``source.metadata_rows(positions)`` — ``(eid, is_init, target,
+      fork)`` per position, ``fork`` being ``(child_tid, ancestry)``
+      for fork entries and ``None`` otherwise (the Sec. 3.1 metadata).
+
+    The accessors below return those columns in sequence order (slices
+    included), or ``None`` when the source lacks one.
     """
 
-    __slots__ = ("_decode", "_positions", "_cache", "_tids", "owner")
+    __slots__ = ("source", "_positions", "_cache", "owner")
 
-    def __init__(self, decode, length: int | None = None, *,
-                 tids=None, owner=None, _positions: range | None = None,
+    def __init__(self, source, length: int | None = None, *, owner=None,
+                 _positions: range | None = None,
                  _cache: "list | None" = None):
-        self._decode = decode
+        self.source = source
         if _positions is None:
             _positions = range(length or 0)
         self._positions = _positions
         self._cache = [None] * len(_positions) if _cache is None else _cache
-        self._tids = tids
         self.owner = owner
 
     def __len__(self) -> int:
@@ -61,20 +73,24 @@ class LazyEntrySequence:
     def _entry_at(self, position: int) -> TraceEntry:
         entry = self._cache[position]
         if entry is None:
-            entry = self._cache[position] = self._decode(position)
+            entry = self._cache[position] = self.source.entry(position)
         return entry
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            return LazyEntrySequence(self._decode, tids=self._tids,
-                                     owner=self.owner,
+            return LazyEntrySequence(self.source, owner=self.owner,
                                      _positions=self._positions[index],
                                      _cache=self._cache)
         return self._entry_at(self._positions[index])
 
     def __iter__(self) -> Iterator[TraceEntry]:
+        cache = self._cache
+        build = self.source.entry
         for position in self._positions:
-            yield self._entry_at(position)
+            entry = cache[position]
+            if entry is None:
+                entry = cache[position] = build(position)
+            yield entry
 
     def __eq__(self, other):
         if isinstance(other, (list, tuple, LazyEntrySequence)):
@@ -84,16 +100,47 @@ class LazyEntrySequence:
 
     def __repr__(self) -> str:
         return (f"LazyEntrySequence({len(self)} entr(ies), "
-                f"{sum(1 for p in self._positions if self._cache[p] is not None)} "
-                f"materialised)")
+                f"{self.materialised()} materialised)")
+
+    def materialised(self) -> int:
+        """How many entries of this sequence have been built so far."""
+        cache = self._cache
+        return sum(1 for p in self._positions if cache[p] is not None)
+
+    # -- column hooks --------------------------------------------------------
+
+    def _in_order(self, column):
+        """A backing column restricted to this sequence, in order."""
+        positions = self._positions
+        if positions.step == 1:
+            if len(positions) == len(self._cache):
+                return column
+            return column[positions.start:positions.stop]
+        return [column[position] for position in positions]
+
+    def eid_column(self):
+        """The eids in sequence order (a ``range`` when they are the
+        positions of a capture), or ``None``."""
+        column = getattr(self.source, "eids", None)
+        return None if column is None else self._in_order(column)
 
     def iter_tids(self):
         """The thread-id column in sequence order, without building a
-        single entry — ``None`` when the decoder supplied no column."""
-        if self._tids is None:
-            return None
-        column = self._tids
-        return (column[position] for position in self._positions)
+        single entry — ``None`` when the source supplies no column."""
+        column = getattr(self.source, "tids", None)
+        return None if column is None else self._in_order(column)
+
+    def view_keys(self, vtype):
+        """The raw view keys of ``vtype`` in sequence order, or
+        ``None``."""
+        hook = getattr(self.source, "view_keys", None)
+        column = None if hook is None else hook(vtype)
+        return None if column is None else self._in_order(column)
+
+    def metadata_rows(self):
+        """``(eid, is_init, target, fork)`` per entry, or ``None``."""
+        hook = getattr(self.source, "metadata_rows", None)
+        return None if hook is None else hook(self._positions)
 
 
 class Trace:
@@ -188,6 +235,17 @@ class Trace:
                          key_table=self.key_table,
                          key_ids=column)
         return self.entries[index]
+
+    def eid_column(self):
+        """The entries' eids in trace order, read from the sequence's
+        eid column when it has one (a ``range`` for a capture and its
+        slices), so no entry is built."""
+        entries = self.entries
+        if isinstance(entries, LazyEntrySequence):
+            column = entries.eid_column()
+            if column is not None:
+                return column
+        return [entry.eid for entry in entries]
 
     def thread_ids(self) -> list[int]:
         """Distinct thread identifiers, in order of first appearance
@@ -287,18 +345,89 @@ class Trace:
         return "\n".join(lines)
 
 
-@dataclass(slots=True)
-class _ThreadState:
-    """Book-keeping for one thread while its trace is being generated."""
+#: Event codes of a builder row, in the order of the v3 wire codes.
+GET, SET, CALL, RETURN, INIT, FORK, END = range(7)
 
-    tid: int
-    stack: list[StackFrame] = field(default_factory=list)
-    #: Spawn ancestry: the call stacks at each ancestor's spawn point,
-    #: outermost ancestor first (the paper's ``fork(S*)`` payload).
-    ancestry: tuple[tuple[StackFrame, ...], ...] = ()
+#: Method of entries recorded outside every call (the main body).
+ROOT_METHOD = "<main>"
 
-    def snapshot(self) -> tuple[StackFrame, ...]:
-        return tuple(self.stack)
+
+def _init_event(obj, class_name, args) -> Init:
+    return Init(class_name, args, obj)
+
+
+def _fork_event(_target, child_tid, ancestry) -> Fork:
+    return Fork(child_tid, ancestry)
+
+
+def _end_event(_target, tid, ancestry) -> End:
+    return End(tid, ancestry)
+
+
+#: Row code -> event constructor over the row's ``(target, b, c)``.
+_ROW_EVENTS = (FieldGet, FieldSet, Call, Return, _init_event, _fork_event,
+               _end_event)
+
+
+def _row_event(row: tuple) -> Event:
+    _tid, _frame, code, target, b, c = row
+    return _ROW_EVENTS[code](target, b, c)
+
+
+class _Rows:
+    """The entry source of a built trace: the builder's rows.
+
+    A row is ``(tid, frame, code, target, b, c)``: ``frame`` is the
+    open stack frame ``(method, caller, callee)`` when the event fired
+    (``None`` at top level), ``code`` the event code, ``target`` the
+    event's target representation (``None`` for fork/end) and ``b``,
+    ``c`` the rest of the event — field and value, method and
+    arguments, method and return value, class name and arguments, or
+    thread id and ancestry.  Entries are built from rows on demand; the
+    columns below are read straight off the rows.
+    """
+
+    __slots__ = ("rows", "eids")
+
+    def __init__(self, rows: list[tuple]):
+        self.rows = rows
+        self.eids = range(len(rows))
+
+    def entry(self, position: int) -> TraceEntry:
+        row = self.rows[position]
+        frame = row[1]
+        if frame is None:
+            return TraceEntry(position, row[0], ROOT_METHOD, None,
+                              _row_event(row))
+        return TraceEntry(position, row[0], frame[0], frame[2],
+                          _row_event(row))
+
+    @property
+    def tids(self) -> list[int]:
+        return [row[0] for row in self.rows]
+
+    def view_keys(self, vtype) -> list | None:
+        from repro.core.views import ViewType  # views imports this module
+        rows = self.rows
+        if vtype is ViewType.THREAD:
+            return self.tids
+        if vtype is ViewType.METHOD:
+            return [ROOT_METHOD if row[1] is None else row[1][0]
+                    for row in rows]
+        if vtype is ViewType.TARGET_OBJECT:
+            return [None if row[3] is None else row[3].location
+                    for row in rows]
+        if vtype is ViewType.ACTIVE_OBJECT:
+            return [None if row[1] is None or row[1][2] is None
+                    else row[1][2].location for row in rows]
+        return None
+
+    def metadata_rows(self, positions):
+        rows = self.rows
+        for position in positions:
+            _tid, _frame, code, target, b, c = rows[position]
+            yield (position, code == INIT, target,
+                   (b, c) if code == FORK else None)
 
 
 class TraceBuilder:
@@ -308,28 +437,40 @@ class TraceBuilder:
     an ordered set of stacks ``S*``, one per thread — and exposes one method
     per evaluation rule that records an entry (CONS-E, FIELD-ACC-E,
     FIELD-ASS-E, METH-E, RETURN-E, FORK-E, END-E).
+
+    Each rule appends one flat row (see :class:`_Rows`) and returns the
+    new entry's eid; :meth:`build` hands the rows to a
+    :class:`LazyEntrySequence`, which builds a :class:`TraceEntry` only
+    when something reads it.  Open frames are ``(method, caller,
+    callee)`` tuples; :class:`StackFrame` objects are built only for
+    fork/end ancestry.
     """
 
-    ROOT_METHOD = "<main>"
+    ROOT_METHOD = ROOT_METHOD
 
     def __init__(self, name: str = "",
                  key_table: "KeyTable | None" = None):
         self.name = name
         self.registry = ObjectRegistry()
         self.key_table = key_table
-        self._key_ids: list[int] | None = None if key_table is None else []
-        self._entries: list[TraceEntry] = []
-        self._threads: dict[int, _ThreadState] = {}
-        self._next_tid = 0
+        self._key_ids: array | None = None if key_table is None \
+            else array("I")
+        self._rows: list[tuple] = []
+        #: tid -> open frames, innermost last.
+        self._stacks: dict[int, list[tuple]] = {}
+        #: tid -> spawn ancestry: the call stacks at each ancestor's
+        #: spawn point, outermost ancestor first (the paper's
+        #: ``fork(S*)`` payload).
+        self._ancestry: dict[int, tuple] = {}
         self._next_location = 1
         self.main_tid = self._spawn_thread(ancestry=())
 
     # -- thread management -------------------------------------------------
 
     def _spawn_thread(self, ancestry: tuple[tuple[StackFrame, ...], ...]) -> int:
-        tid = self._next_tid
-        self._next_tid += 1
-        self._threads[tid] = _ThreadState(tid=tid, ancestry=ancestry)
+        tid = len(self._stacks)
+        self._stacks[tid] = []
+        self._ancestry[tid] = ancestry
         return tid
 
     def register_thread(self,
@@ -339,43 +480,40 @@ class TraceBuilder:
         event (e.g. one that pre-existed trace capture)."""
         return self._spawn_thread(ancestry)
 
-    def thread_state(self, tid: int) -> _ThreadState:
-        return self._threads[tid]
-
     def stack_depth(self, tid: int) -> int:
-        return len(self._threads[tid].stack)
+        return len(self._stacks[tid])
 
-    def top(self, tid: int) -> StackFrame | None:
-        """The innermost open frame of thread ``tid`` (None at top
-        level)."""
-        stack = self._threads[tid].stack
+    def top(self, tid: int) -> tuple | None:
+        """The innermost open frame of thread ``tid`` as ``(method,
+        caller, callee)`` (None at top level)."""
+        stack = self._stacks[tid]
         return stack[-1] if stack else None
+
+    def _lineage(self, tid: int) -> tuple[tuple[StackFrame, ...], ...]:
+        """Thread ``tid``'s ancestry plus its current call stack."""
+        stack = tuple(StackFrame(*frame) for frame in self._stacks[tid])
+        return self._ancestry[tid] + (stack,)
 
     # -- low-level entry recording -----------------------------------------
 
-    def _record(self, tid: int, event: Event, key: tuple | None = None
-                ) -> TraceEntry:
-        """Append one entry: the single recording path of every rule.
+    def _record(self, tid: int, code: int, target: ValueRep | None, b, c,
+                key: tuple | None = None) -> int:
+        """Append one row: the single recording path of every rule.
 
         ``key`` is the event's ``=e`` key when the caller has already
         built it from the representations it holds (the capture layer
-        does); it must equal ``event.key()``, which is used otherwise.
-        It is interned exactly once here and compared as an int
-        everywhere downstream.
+        does); it must equal the event's ``key()``, which is used
+        otherwise.  It is interned exactly once here and compared as an
+        int everywhere downstream.
         """
-        stack = self._threads[tid].stack
-        if stack:
-            top = stack[-1]
-            entry = TraceEntry(len(self._entries), tid, top.method,
-                               top.callee, event)
-        else:
-            entry = TraceEntry(len(self._entries), tid, self.ROOT_METHOD,
-                               None, event)
-        self._entries.append(entry)
+        stack = self._stacks[tid]
+        row = (tid, stack[-1] if stack else None, code, target, b, c)
+        rows = self._rows
+        rows.append(row)
         if self._key_ids is not None:
             self._key_ids.append(self.key_table.intern_key(
-                event.key() if key is None else key))
-        return entry
+                _row_event(row).key() if key is None else key))
+        return len(rows) - 1
 
     # -- object creation ----------------------------------------------------
 
@@ -392,51 +530,49 @@ class TraceBuilder:
         if location is None:
             location = self.fresh_location()
         rep = self.registry.register(location, class_name, serialization)
-        self._record(tid, Init(class_name=class_name, args=args, obj=rep))
+        self._record(tid, INIT, rep, class_name, args)
         return rep
 
     def record_init_event(self, tid: int, class_name: str,
                           args: tuple[ValueRep, ...],
                           obj_rep: ValueRep,
-                          key: tuple | None = None) -> TraceEntry:
+                          key: tuple | None = None) -> int:
         """CONS-E variant for capture layers that manage their own object
         registry: records the init entry for an already-built
         representation."""
-        return self._record(tid, Init(class_name, args, obj_rep), key)
+        return self._record(tid, INIT, obj_rep, class_name, args, key)
 
     # -- field events ---------------------------------------------------------
 
     def record_get(self, tid: int, obj: ValueRep, field_name: str,
-                   value: ValueRep, key: tuple | None = None) -> TraceEntry:
-        return self._record(tid, FieldGet(obj, field_name, value), key)
+                   value: ValueRep, key: tuple | None = None) -> int:
+        return self._record(tid, GET, obj, field_name, value, key)
 
     def record_set(self, tid: int, obj: ValueRep, field_name: str,
-                   value: ValueRep, key: tuple | None = None) -> TraceEntry:
-        return self._record(tid, FieldSet(obj, field_name, value), key)
+                   value: ValueRep, key: tuple | None = None) -> int:
+        return self._record(tid, SET, obj, field_name, value, key)
 
     # -- method events ---------------------------------------------------------
 
     def record_call(self, tid: int, obj: ValueRep, method: str,
                     args: tuple[ValueRep, ...],
-                    key: tuple | None = None) -> TraceEntry:
+                    key: tuple | None = None) -> int:
         """METH-E: the call entry is recorded in the *caller's* context,
         then the new frame is pushed."""
-        entry = self._record(tid, Call(obj, method, args), key)
-        stack = self._threads[tid].stack
-        caller = stack[-1].callee if stack else None
-        stack.append(StackFrame(method, caller, obj))
-        return entry
+        eid = self._record(tid, CALL, obj, method, args, key)
+        stack = self._stacks[tid]
+        stack.append((method, stack[-1][2] if stack else None, obj))
+        return eid
 
     def record_return(self, tid: int, value: ValueRep = UNIT,
-                      key: tuple | None = None) -> TraceEntry:
+                      key: tuple | None = None) -> int:
         """RETURN-E: pop the frame, record the return in the caller's
         context.  A caller passing ``key`` builds it from :meth:`top`."""
-        stack = self._threads[tid].stack
+        stack = self._stacks[tid]
         if not stack:
             raise RuntimeError(f"return with empty stack on thread {tid}")
-        frame = stack.pop()
-        return self._record(tid, Return(frame.callee, frame.method, value),
-                            key)
+        method, _caller, callee = stack.pop()
+        return self._record(tid, RETURN, callee, method, value, key)
 
     # -- thread events ---------------------------------------------------------
 
@@ -446,26 +582,26 @@ class TraceBuilder:
         The fork event captures the spawning thread's current call stack
         appended to its own ancestry, giving the child's full parentage.
         """
-        parent = self._threads[tid]
-        ancestry = parent.ancestry + (parent.snapshot(),)
+        ancestry = self._lineage(tid)
         child_tid = self._spawn_thread(ancestry)
-        self._record(tid, Fork(child_tid=child_tid, ancestry=ancestry))
+        self._record(tid, FORK, None, child_tid, ancestry)
         return child_tid
 
-    def record_end(self, tid: int) -> TraceEntry:
+    def record_end(self, tid: int) -> int:
         """END-E: record thread completion."""
-        state = self._threads[tid]
-        ancestry = state.ancestry + (state.snapshot(),)
-        return self._record(tid, End(tid=tid, ancestry=ancestry))
+        return self._record(tid, END, None, tid, self._lineage(tid))
 
     # -- finishing -------------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._rows)
 
     def build(self, metadata: dict | None = None) -> Trace:
+        """A trace over a snapshot of the rows recorded so far."""
+        entries = LazyEntrySequence(_Rows(list(self._rows)),
+                                    len(self._rows))
         if self._key_ids is None:
-            return Trace(self._entries, name=self.name, metadata=metadata)
-        return Trace(self._entries, name=self.name, metadata=metadata,
+            return Trace(entries, name=self.name, metadata=metadata)
+        return Trace(entries, name=self.name, metadata=metadata,
                      key_table=self.key_table,
                      key_ids=array("I", self._key_ids))

@@ -41,7 +41,7 @@ import time
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 
 from repro.core.anchors import AnchorConfig, select_anchor_runs
 from repro.core.correlation import ViewCorrelator
@@ -140,6 +140,17 @@ class _Secondary:
     partner: list[int]
 
 
+def _in_methods(web: ViewWeb, rows, methods: set[str]) -> set[int]:
+    """Indices into ``rows`` (trace positions) of the entries whose
+    method is in ``methods``, read off the method-view columns."""
+    columns = web.columns(ViewType.METHOD)
+    hinted = {vid for vid, method in enumerate(columns.keys)
+              if method in methods}
+    view_of = columns.view_of
+    return {index for index, position in enumerate(rows)
+            if view_of[position] in hinted}
+
+
 class _ThreadPairDiffer:
     """Lock-step evaluation of one correlated thread-view pair.
 
@@ -201,12 +212,8 @@ class _ThreadPairDiffer:
             exclude_l = exclude_r = None
             if config.anchor_method_hints:
                 hinted = set(config.anchor_method_hints)
-                entries_l = plan.left.entries
-                entries_r = plan.right.entries
-                exclude_l = {pos for pos, p in enumerate(self.lidx)
-                             if entries_l[p].method in hinted}
-                exclude_r = {pos for pos, p in enumerate(self.ridx)
-                             if entries_r[p].method in hinted}
+                exclude_l = _in_methods(plan.web_l, self.lidx, hinted)
+                exclude_r = _in_methods(plan.web_r, self.ridx, hinted)
             runs = select_anchor_runs(
                 self.lkeys, self.rkeys,
                 AnchorConfig.from_view_config(config), counter=counter,
@@ -653,16 +660,16 @@ class ViewDiffPlan:
                 sequences.append(DifferenceSequence(
                     kind="insert", left_entries=[], right_entries=entries))
 
-        # Positions -> eids.  The result shares the entries' own eid
-        # objects, so the ints the evaluation allocated die with the
-        # marks.
-        eid = attrgetter("eid")
-        to_l = list(map(eid, entries_l)).__getitem__
-        to_r = list(map(eid, entries_r)).__getitem__
-        similar_left = set(map(to_l, similar_left))
-        similar_right = set(map(to_r, similar_right))
-        all_match_pairs = _map_pairs(all_match_pairs, to_l, to_r)
-        anchor_pairs = _map_pairs(anchor_pairs, to_l, to_r)
+        # Positions -> eids, read off the eid columns; nothing to map
+        # when both sides' eids are their positions (captures).
+        eids_l = self.left.eid_column()
+        eids_r = self.right.eid_column()
+        if eids_l != range(len(eids_l)) or eids_r != range(len(eids_r)):
+            to_l, to_r = eids_l.__getitem__, eids_r.__getitem__
+            similar_left = set(map(to_l, similar_left))
+            similar_right = set(map(to_r, similar_right))
+            all_match_pairs = _map_pairs(all_match_pairs, to_l, to_r)
+            anchor_pairs = _map_pairs(anchor_pairs, to_l, to_r)
 
         elapsed = 0.0 if started is None else time.perf_counter() - started
         return DiffResult(

@@ -4,13 +4,16 @@ The web sits on a *per-trace view index* (:func:`view_index`), cached
 on the :class:`~repro.core.traces.Trace` next to its digest and thread
 list, so every web and every diff over one trace shares one index.
 The index is *lazy and columnar*: the columns of a
-:class:`~repro.core.views.ViewType` are built by one O(n) pass over
-the entries the first time something asks for that type
-(:class:`TypeIndex`), and the per-object / per-thread correlation
-metadata of Sec. 3.1 is gathered in its own single pass on first
-access.  A diff that never explores, say, active-object views never
-pays for building them; ``built_view_types()`` exposes what has
-actually been built (the laziness contract the tests pin down).
+:class:`~repro.core.views.ViewType` are built by one O(n) pass the
+first time something asks for that type (:class:`TypeIndex`), and the
+per-object / per-thread correlation metadata of Sec. 3.1 is gathered
+in its own single pass on first access.  Both passes read the
+columns of a lazy entry sequence (a capture's rows, a v3 frame) when
+it has them, so indexing such a trace builds no entry; list-backed
+traces are read entry by entry through ``KEY_MAPPINGS``.  A diff
+that never explores, say, active-object views never pays for building
+them; ``built_view_types()`` exposes what has actually been built (the
+laziness contract the tests pin down).
 
 The differencing engine reads the integer columns directly.
 :class:`~repro.core.views.View` objects are materialised only for the
@@ -27,7 +30,7 @@ from dataclasses import dataclass
 
 from repro.core.entries import TraceEntry
 from repro.core.events import Fork, Init, StackFrame
-from repro.core.traces import Trace
+from repro.core.traces import LazyEntrySequence, Trace
 from repro.core.values import ValueRep
 from repro.core.views import (KEY_MAPPINGS, View, ViewName, ViewType,
                               view_names)
@@ -122,7 +125,11 @@ class ViewIndex:
             with _BUILD_LOCK:
                 index = self._types.get(vtype)
                 if index is None:
-                    index = TypeIndex(map(key_of, entries))
+                    keys = entries.view_keys(vtype) \
+                        if isinstance(entries, LazyEntrySequence) else None
+                    if keys is None:
+                        keys = map(key_of, entries)
+                    index = TypeIndex(keys)
                     self._types[vtype] = index
         return index
 
@@ -150,10 +157,30 @@ def view_index(trace: Trace) -> ViewIndex:
 
 def _gather_metadata(trace: Trace) -> tuple[dict[int, ObjectInfo],
                                             dict[int, ThreadInfo]]:
+    entries = trace.entries
+    rows = entries.metadata_rows() \
+        if isinstance(entries, LazyEntrySequence) else None
+    if rows is None:
+        rows = map(_metadata_row, entries)
     objects: dict[int, ObjectInfo] = {}
     seen_tids: dict[int, ThreadInfo] = {}
-    for entry in trace.entries:
-        _note_metadata(entry, objects, seen_tids)
+    for eid, is_init, target, fork in rows:
+        if fork is not None:
+            child_tid, ancestry = fork
+            seen_tids[child_tid] = ThreadInfo(
+                tid=child_tid, ancestry=ancestry, fork_eid=eid)
+        # An object is described by the first entry it is the target
+        # of: its init, or any event when it pre-existed the trace.
+        if target is not None:
+            location = target.location
+            if location is not None and location not in objects:
+                objects[location] = ObjectInfo(
+                    location=location,
+                    class_name=target.class_name,
+                    creation_seq=target.creation_seq,
+                    serialization=target.serialization,
+                    init_eid=eid if is_init else None,
+                )
     # Threads that never appear in a fork event (e.g. the main thread)
     # still deserve ThreadInfo records.
     for tid in trace.thread_ids():
@@ -162,37 +189,13 @@ def _gather_metadata(trace: Trace) -> tuple[dict[int, ObjectInfo],
     return objects, seen_tids
 
 
-def _note_metadata(entry: TraceEntry, objects: dict[int, ObjectInfo],
-                   seen_tids: dict[int, ThreadInfo]) -> None:
+def _metadata_row(entry: TraceEntry) -> tuple:
+    """``(eid, is_init, target, fork)`` of one entry (the row shape of
+    :meth:`LazyEntrySequence.metadata_rows`)."""
     event = entry.event
-    if isinstance(event, Init):
-        obj = event.obj
-        if obj.location is not None and obj.location not in objects:
-            objects[obj.location] = ObjectInfo(
-                location=obj.location,
-                class_name=obj.class_name,
-                creation_seq=obj.creation_seq,
-                serialization=obj.serialization,
-                init_eid=entry.eid,
-            )
-    elif isinstance(event, Fork):
-        seen_tids[event.child_tid] = ThreadInfo(
-            tid=event.child_tid,
-            ancestry=event.ancestry,
-            fork_eid=entry.eid,
-        )
-    # Objects first observed outside an init (e.g. pre-existing
-    # receivers) are registered lazily from any event target.
-    target = event.target()
-    if (target is not None and target.location is not None
-            and target.location not in objects):
-        objects[target.location] = ObjectInfo(
-            location=target.location,
-            class_name=target.class_name,
-            creation_seq=target.creation_seq,
-            serialization=target.serialization,
-            init_eid=None,
-        )
+    fork = (event.child_tid, event.ancestry) \
+        if isinstance(event, Fork) else None
+    return (entry.eid, isinstance(event, Init), event.target(), fork)
 
 
 class ViewWeb:

@@ -33,10 +33,11 @@ class TestTraceBuilder:
         b.record_call(tid, o, "A.outer", ())
         b.record_call(tid, o, "A.inner", ())
         inner_get = b.record_get(tid, o, "f", prim(1))
-        assert inner_get.method == "A.inner"
         b.record_return(tid)
         after_return = b.record_get(tid, o, "f", prim(1))
-        assert after_return.method == "A.outer"
+        entries = b.build().entries
+        assert entries[inner_get].method == "A.inner"
+        assert entries[after_return].method == "A.outer"
 
     def test_return_records_method_and_value(self):
         b = TraceBuilder()
@@ -234,7 +235,9 @@ class TestSliceKeyColumn:
         assert sliced.key_ids is None
 
     def test_desynchronised_column_is_rejected(self):
-        trace = _interned_trace([1, 2, 3])
+        built = _interned_trace([1, 2, 3])
+        trace = Trace(list(built.entries), key_table=built.key_table,
+                      key_ids=built.key_ids)
         trace.entries.append(trace.entries[-1])  # convention violation
         with pytest.raises(ValueError, match="mutated"):
             trace[::2]
