@@ -295,6 +295,27 @@ def _column(buf: memoryview, typecode: str):
     return column
 
 
+#: Little-endian int64 bytes of 0, 1, 2, ...: the eid section of every
+#: captured trace, so one prefix compare (a memcmp) tells a contiguous
+#: eid column.  Grown to the longest column seen.
+_IOTA = b""
+
+
+def _eid_column(buf: memoryview):
+    """The eid section as a column: ``range(n)`` when it holds the
+    positions (every capture), so readers of the eid column locate
+    entries by arithmetic; the packed ints otherwise."""
+    global _IOTA
+    column = _column(buf, "q")
+    count = len(column)
+    if not count or column[0] != 0 or column[-1] != count - 1:
+        return column
+    iota = _IOTA
+    if len(iota) < len(buf):
+        iota = _IOTA = _le_bytes(array("q", range(count)))
+    return range(count) if iota.startswith(buf) else column
+
+
 def _encode_v3(trace: Trace, metadata: dict) -> bytes:
     """The trace as one v3 frame (see the module docstring for layout)."""
     # Digest first: on a lazy v3-loaded trace this is already seeded
@@ -473,7 +494,7 @@ class _V3Decoder:
                  "_strs", "_reps", "_rich")
 
     def __init__(self, sections: dict[str, memoryview]):
-        self.eids = _column(sections["eids"], "q")
+        self.eids = _eid_column(sections["eids"])
         self.tids = _column(sections["tids"], "i")
         self.kids = _column(sections["kids"], "I")
         self.meth = _column(sections["meth"], "I")

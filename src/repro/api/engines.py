@@ -26,6 +26,7 @@ name, so swapping the analysis behind a stable driver API is one
 from __future__ import annotations
 
 import dataclasses
+import functools
 import inspect
 import threading
 from typing import Protocol, runtime_checkable
@@ -85,15 +86,29 @@ def accepts_kwarg(engine: DiffEngine, name: str) -> bool:
     with the interned data layer, ``executor`` with the execution
     layer); engines written before a parameter existed remain valid —
     drivers feed a kwarg only to engines whose signature accepts it.
+    The signature is read once per underlying ``diff`` function.
     """
+    diff = engine.diff
+    func = getattr(diff, "__func__", diff)
     try:
-        parameters = inspect.signature(engine.diff).parameters
+        keywords = _diff_keywords(func)
+    except TypeError:  # pragma: no cover - unhashable callable
+        keywords = _diff_keywords.__wrapped__(func)
+    return keywords is None or name in keywords
+
+
+@functools.lru_cache(maxsize=256)
+def _diff_keywords(func) -> "frozenset[str] | None":
+    """The parameter names of ``func``; ``None`` when it takes
+    ``**kwargs`` (any keyword)."""
+    try:
+        parameters = inspect.signature(func).parameters
     except (TypeError, ValueError):  # pragma: no cover - exotic callables
-        return False
-    if name in parameters:
-        return True
-    return any(p.kind is inspect.Parameter.VAR_KEYWORD
-               for p in parameters.values())
+        return frozenset()
+    if any(p.kind is inspect.Parameter.VAR_KEYWORD
+           for p in parameters.values()):
+        return None
+    return frozenset(parameters)
 
 
 def accepts_key_table(engine: DiffEngine) -> bool:

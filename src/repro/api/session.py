@@ -42,9 +42,8 @@ from typing import TYPE_CHECKING, Callable
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.static.validate import StaticValidation
 
-from repro.api.engines import (DiffEngine, accepts_executor,
-                               accepts_key_table, get_engine)
-from repro.api.store import TraceStore
+from repro.api.engines import DiffEngine, accepts_executor, get_engine
+from repro.api.store import TraceNotFound, TraceStore
 from repro.cache import DiffCache, cached_engine_diff
 from repro.capture.filters import TraceFilter
 from repro.capture.tracer import CaptureResult
@@ -346,9 +345,11 @@ class Session:
         store keys, then as trace file paths."""
         if isinstance(ref, Trace):
             return ref
-        if self.store is not None and isinstance(ref, str) \
-                and ref in self.store:
-            return self.store.load(ref)
+        if self.store is not None and isinstance(ref, str):
+            try:
+                return self.store.load(ref)
+            except TraceNotFound:
+                pass  # not a store key: try it as a file path
         path = Path(ref)
         if path.exists():
             from repro.analysis.serialize import load_trace
@@ -382,7 +383,8 @@ class Session:
 
         When the session carries a :class:`~repro.cache.DiffCache` and
         the backend advertises ``cacheable``, the cache is consulted
-        *before* any planning (content digests + canonical config);
+        *before* any planning (content digests + canonical config; the
+        pair's key table is built only on a miss);
         ``use_cache=False`` forces a cold computation without touching
         the cache (the CLI's ``--no-cache``).
 
@@ -394,8 +396,6 @@ class Session:
         left_trace = self.resolve_trace(left)
         right_trace = self.resolve_trace(right)
         kwargs = {}
-        if self.config.interned and accepts_key_table(backend):
-            kwargs["key_table"] = KeyTable.for_pair(left_trace, right_trace)
         if self.executor.name != "serial" and accepts_executor(backend):
             kwargs["executor"] = self.executor
         cache = self.cache if use_cache else None

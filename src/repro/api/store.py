@@ -250,6 +250,10 @@ def _stem_for(key: str) -> str:
     return "".join(out)
 
 
+class TraceNotFound(KeyError):
+    """No trace is stored under the key asked for."""
+
+
 @dataclass(frozen=True, slots=True)
 class TraceRecord:
     """One stored trace as the store lists it (header + tags)."""
@@ -615,7 +619,7 @@ class TraceStore:
     def _require(self, key: str, index: dict | None = None) -> Path:
         path = self._path_for(key, index)
         if not path.exists():
-            raise KeyError(f"no trace {key!r} in store {self.root}")
+            raise TraceNotFound(f"no trace {key!r} in store {self.root}")
         return path
 
     def load(self, key: str) -> Trace:

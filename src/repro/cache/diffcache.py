@@ -55,6 +55,7 @@ from itertools import count
 from pathlib import Path
 
 from repro.core.diffs import DiffResult, result_from_wire, result_to_wire
+from repro.core.keytable import KeyTable
 from repro.core.traces import Trace
 from repro.core.view_diff import ViewDiffConfig
 
@@ -441,10 +442,19 @@ def cached_engine_diff(cache: "DiffCache | None", engine, left: Trace,
     compute path, so a whole-result *miss* can still hit at segment
     granularity — an edited scenario re-diffs only the gaps that
     changed.
+
+    Under an interned config (the default) an engine that accepts a
+    ``key_table`` keyword and was given none is handed the pair's
+    shared ``=e`` table (:meth:`KeyTable.for_pair`).  The table is built
+    in the compute step, so a hit never parses either trace's key
+    table.
     """
     from repro.api.engines import accepts_kwarg, is_cacheable
 
     def compute() -> DiffResult:
+        if "key_table" not in kwargs and (config is None or config.interned) \
+                and accepts_kwarg(engine, "key_table"):
+            kwargs["key_table"] = KeyTable.for_pair(left, right)
         return engine.diff(left, right, config=config, counter=counter,
                            budget=budget, **kwargs)
 

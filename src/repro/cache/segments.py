@@ -96,6 +96,11 @@ def shift_result_wire(wire: dict, left_delta: int,
     return shifted
 
 
+def _first_eid(trace: Trace) -> int:
+    column = trace.eid_column()
+    return column[0] if len(column) else 0
+
+
 class SegmentCache:
     """Gap-granular memoisation over a shared :class:`DiffCache`.
 
@@ -113,8 +118,9 @@ class SegmentCache:
 
     @staticmethod
     def _bases(left: Trace, right: Trace) -> tuple[int, int]:
-        return (left.entries[0].eid if left.entries else 0,
-                right.entries[0].eid if right.entries else 0)
+        """The first eid of each gap, read off the eid columns (no
+        entry is built)."""
+        return (_first_eid(left), _first_eid(right))
 
     def get(self, key: str, left: Trace, right: Trace
             ) -> DiffResult | None:

@@ -14,10 +14,14 @@ analysis of Sec. 4.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from repro.core.entries import EOF, TraceEntry
 from repro.core.lcs import OpCounter
 from repro.core.traces import Trace
+
+_first = itemgetter(0)
+_second = itemgetter(1)
 
 
 @dataclass(slots=True)
@@ -204,6 +208,57 @@ def result_to_wire(result: DiffResult,
     }
 
 
+class _EidLookup:
+    """Finds entries of one trace by eid through its eid column.
+
+    A contiguous ``range`` column (captures, v3 loads and their step-1
+    slices) resolves an eid by arithmetic; any other column through one
+    ``{eid: position}`` dict.  Entries are fetched by position, so a
+    lazy trace builds only the ones asked for.
+    """
+
+    __slots__ = ("entries", "start", "stop", "positions")
+
+    def __init__(self, trace: Trace):
+        self.entries = trace.entries
+        column = trace.eid_column()
+        if isinstance(column, range) and column.step == 1:
+            self.start, self.stop = column.start, column.stop
+            self.positions = None
+        else:
+            self.start = self.stop = 0
+            self.positions = {eid: position
+                              for position, eid in enumerate(column)}
+
+    def holds(self, eids: list) -> bool:
+        """Whether every eid of ``eids`` names an entry of the trace: a
+        bounds check over a range column, a membership check otherwise."""
+        if self.positions is not None:
+            return all(map(self.positions.__contains__, eids))
+        return not eids or (self.start <= min(eids)
+                            and max(eids) < self.stop)
+
+    def pick(self, eids) -> list[TraceEntry]:
+        """The entries named by ``eids``, in order; the ``EOF`` sentinel
+        passes through (the differs may pad with it)."""
+        entries, positions = self.entries, self.positions
+        start, stop = self.start, self.stop
+        picked = []
+        for eid in eids:
+            if eid == EOF.eid:
+                picked.append(EOF)
+                continue
+            if positions is None:
+                position = eid - start if start <= eid < stop else None
+            else:
+                position = positions.get(eid)
+            if position is None:
+                raise ValueError(f"diff-result wire references eid "
+                                 f"{eid} absent from the trace pair")
+            picked.append(entries[position])
+        return picked
+
+
 def result_from_wire(wire: dict, left: Trace, right: Trace) -> DiffResult:
     """Inverse of :func:`result_to_wire`, rehydrated over the caller's
     ``left``/``right`` traces.
@@ -211,45 +266,46 @@ def result_from_wire(wire: dict, left: Trace, right: Trace) -> DiffResult:
     Raises ``ValueError`` on any mismatch — unknown wire version, or an
     eid the traces do not contain (a digest collision or a hand-edited
     cache file) — so cache layers can treat a bad entry as a miss
-    rather than returning a corrupt result.
+    rather than returning a corrupt result.  Eids are checked against
+    the traces' eid columns and only the entries the sequences name are
+    built, so rehydration costs about as much as the differences.
     """
     if not isinstance(wire, dict) \
             or wire.get("version") != RESULT_WIRE_VERSION:
         version = wire.get("version") if isinstance(wire, dict) else wire
         raise ValueError(
             f"unsupported diff-result wire version: {version!r}")
-
-    def entry_map(trace: Trace) -> dict[int, TraceEntry]:
-        mapping = {entry.eid: entry for entry in trace.entries}
-        mapping[EOF.eid] = EOF  # the differs may pad with the sentinel
-        return mapping
-
-    by_left = entry_map(left)
-    by_right = entry_map(right)
-
-    def pick(mapping: dict[int, TraceEntry], eids) -> list[TraceEntry]:
-        try:
-            return [mapping[eid] for eid in eids]
-        except KeyError as missing:
-            raise ValueError(f"diff-result wire references eid "
-                             f"{missing.args[0]} absent from the trace "
-                             f"pair") from None
-
+    by_left = _EidLookup(left)
+    by_right = _EidLookup(right)
     try:
         sequences = [DifferenceSequence(
             kind=seq["kind"],
-            left_entries=pick(by_left, seq["left"]),
-            right_entries=pick(by_right, seq["right"]))
+            left_entries=by_left.pick(seq["left"]),
+            right_entries=by_right.pick(seq["right"]))
             for seq in wire["sequences"]]
+        similar_left = wire["similar_left"]
+        similar_right = wire["similar_right"]
+        match_pairs = list(map(tuple, wire["match_pairs"]))
+        anchor_pairs = list(map(tuple, wire["anchor_pairs"]))
+        pairs = match_pairs + anchor_pairs
+        if set(map(len, pairs)) - {2}:
+            raise ValueError("diff-result wire holds a pair that is not "
+                             "(left eid, right eid)")
+        if not (by_left.holds(similar_left)
+                and by_right.holds(similar_right)
+                and by_left.holds(list(map(_first, pairs)))
+                and by_right.holds(list(map(_second, pairs)))):
+            raise ValueError("diff-result wire references eids absent "
+                             "from the trace pair")
         counter = OpCounter(compares=wire["counter"]["compares"],
                             charged=wire["counter"]["charged"])
         return DiffResult(
             left=left,
             right=right,
-            similar_left=set(wire["similar_left"]),
-            similar_right=set(wire["similar_right"]),
-            match_pairs=[tuple(pair) for pair in wire["match_pairs"]],
-            anchor_pairs=[tuple(pair) for pair in wire["anchor_pairs"]],
+            similar_left=set(similar_left),
+            similar_right=set(similar_right),
+            match_pairs=match_pairs,
+            anchor_pairs=anchor_pairs,
             sequences=sequences,
             counter=counter,
             algorithm=wire["algorithm"],
@@ -274,8 +330,8 @@ def result_identity(result: DiffResult) -> tuple:
     """
     return (tuple(sorted(result.similar_left)),
             tuple(sorted(result.similar_right)),
-            tuple(tuple(pair) for pair in result.match_pairs),
-            tuple(tuple(pair) for pair in result.anchor_pairs),
+            tuple(map(tuple, result.match_pairs)),
+            tuple(map(tuple, result.anchor_pairs)),
             tuple((seq.kind,
                    tuple(e.eid for e in seq.left_entries),
                    tuple(e.eid for e in seq.right_entries))
@@ -285,17 +341,19 @@ def result_identity(result: DiffResult) -> tuple:
 def result_signature(result: DiffResult) -> tuple:
     """Everything semantically observable about a result, as one
     comparable value (wall-clock excluded) — what the cache tests and
-    benchmark mean by "bit-identical"."""
-    wire = result_to_wire(result)
-    wire.pop("seconds")
-    return (tuple(sorted(wire.pop("similar_left"))),
-            tuple(sorted(wire.pop("similar_right"))),
-            tuple(tuple(p) for p in wire.pop("match_pairs")),
-            tuple(tuple(p) for p in wire.pop("anchor_pairs")),
-            tuple((s["kind"], tuple(s["left"]), tuple(s["right"]))
-                  for s in wire.pop("sequences")),
-            tuple(sorted(wire.pop("counter").items())),
-            tuple(sorted(wire.items())))
+    benchmark mean by "bit-identical".
+
+    It is :func:`result_identity` plus the members of the
+    :func:`result_to_wire` form that identity leaves out (counter,
+    algorithm, peak cells, wire version) as sorted ``(name, value)``
+    pairs, built straight from the result.
+    """
+    counter = result.counter
+    return result_identity(result) + (
+        (("charged", counter.charged), ("compares", counter.compares)),
+        (("algorithm", result.algorithm),
+         ("peak_cells", result.peak_cells),
+         ("version", RESULT_WIRE_VERSION)))
 
 
 def build_sequences(left: Trace, right: Trace,

@@ -16,6 +16,7 @@ from repro.cache import (DiffCache, cache_key, cached_engine_diff,
 from repro.core.diffs import (result_from_wire, result_signature,
                               result_to_wire)
 from repro.core.lcs import OpCounter
+from repro.core.traces import Trace
 from repro.core.view_diff import ViewDiffConfig
 
 from helpers import myfaces_trace, simple_trace, two_thread_trace
@@ -163,6 +164,42 @@ class TestDiskTier:
         cache, key, entry_path = self._one_entry(pair, tmp_path)
         tiny = simple_trace([1])
         assert DiffCache(tmp_path / "cache").get(key, tiny, tiny) is None
+
+    @pytest.mark.parametrize("list_backed", [False, True])
+    def test_similarity_eids_outside_the_traces_are_a_miss(
+            self, tmp_path, list_backed):
+        # Sequences name only real eids here; the similarity sets and
+        # match pairs carry eids neither trace has.  Accepting them
+        # would make num_diffs() negative.
+        left, right = simple_trace([1, 2, 3]), simple_trace([1, 9, 3])
+        if list_backed:  # eid columns that are lists, not ranges
+            left, right = Trace(list(left)), Trace(list(right))
+        engine = get_engine("views")
+        cold_result = cached_engine_diff(DiffCache(tmp_path / "cache"),
+                                         engine, left, right)
+        assert cold_result.num_diffs() == 2
+        (entry_path,) = DiffCache(tmp_path / "cache")._disk_entries()
+        wire = json.loads(entry_path.read_text())
+        wire["result"]["similar_left"] += [10**6, 10**6 + 1, 10**6 + 2]
+        wire["result"]["match_pairs"].append([10**6, 10**6])
+        with pytest.raises(ValueError, match="absent"):
+            result_from_wire(wire["result"], left, right)
+        entry_path.write_text(json.dumps(wire))
+
+        fresh = DiffCache(tmp_path / "cache")
+        again = cached_engine_diff(fresh, engine, left, right)
+        assert fresh.stats().misses == 1 and fresh.stats().hits == 0
+        assert again.num_diffs() == 2
+        assert result_signature(again) == result_signature(cold_result)
+
+    @pytest.mark.parametrize("field", ["similar_right", "anchor_pairs"])
+    def test_every_eid_list_is_checked(self, pair, field):
+        left, right = pair
+        wire = result_to_wire(cold("views", left, right))
+        wire[field].append([0, 10**6] if field == "anchor_pairs"
+                           else 10**6)
+        with pytest.raises(ValueError, match="absent"):
+            result_from_wire(wire, left, right)
 
     def test_prune_keeps_newest(self, pair, tmp_path):
         left, right = pair
