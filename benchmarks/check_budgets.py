@@ -142,9 +142,9 @@ def check(names, baseline: str, tolerance: float) -> int:
         fresh_ratios = extract(json.loads(
             fresh_path.read_text(encoding="utf-8")))
         base_ratios = extract(base)
-        # Only ratios present on both sides are comparable (a CI leg
-        # without numpy has no numpy row; a shrunk smoke run may drop
-        # rows entirely).
+        # Only ratios present on both sides are comparable (a bench may
+        # stop producing a ratio its committed baseline still holds; a
+        # shrunk smoke run may drop rows entirely).
         for key in sorted(set(fresh_ratios) & set(base_ratios)):
             fresh, committed = fresh_ratios[key], base_ratios[key]
             floor = committed * (1.0 - tolerance)

@@ -81,16 +81,6 @@ _CONFIG_FIELDS = {f.name: f for f in dataclasses.fields(ViewDiffConfig)}
 
 
 def _coerce_config_value(key: str, raw: str):
-    if key == "kernel":
-        if raw.lower() in ("none", "null", "auto"):
-            return None
-        from repro.core.kernels import get_backend
-
-        try:
-            get_backend(raw)
-        except ValueError as exc:
-            raise SystemExit(str(exc))
-        return raw
     if key == "anchor_method_hints":
         return tuple(sorted({part.strip() for part in raw.split(",")
                              if part.strip()}))
@@ -226,14 +216,10 @@ def cmd_views(args) -> int:
 
 
 def cmd_engines(args) -> int:
-    """List registered diff engines with their capability flags and
-    kernel backends (previously only discoverable from Python)."""
-    from repro.core.kernels import available_backends, default_backend_name
-
+    """List registered diff engines with their capability flags
+    (previously only discoverable from Python)."""
     names = available_engines()
     width = max(len(name) for name in names)
-    backends = available_backends()
-    default = default_backend_name()
     print(f"{len(names)} registered engine(s):")
     for name in names:
         engine = get_engine(name)
@@ -244,10 +230,6 @@ def cmd_engines(args) -> int:
             ("accepts_cache", accepts_cache(engine)),
         ) if on) or "-"
         print(f"  {name:{width}}  {flags}")
-    marks = ", ".join(f"{name}*" if name == default else name
-                      for name in backends)
-    print(f"kernel backends (built-in engines; * = active default, "
-          f"select with --config kernel=NAME): {marks}")
     return 0
 
 

@@ -193,14 +193,13 @@ class LcsEngine:
              budget: MemoryBudget | None = None,
              key_table: KeyTable | None = None) -> DiffResult:
         interned = config.interned if config is not None else True
-        kernel = config.kernel if config is not None else None
         anchors = None
         if config is not None and config.anchored:
             anchors = AnchorConfig.from_view_config(config)
         return lcs_diff(left, right, algorithm=self.algorithm,
                         counter=counter, budget=budget,
                         interned=interned, key_table=key_table,
-                        anchors=anchors, kernel=kernel)
+                        anchors=anchors)
 
 
 class AnchoredEngine:

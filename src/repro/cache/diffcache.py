@@ -80,16 +80,11 @@ def canonical_config(config: ViewDiffConfig | None) -> str:
     config canonicalise identically; every semantic field participates
     — the cache never guesses which knobs an engine actually reads, so
     a changed knob is a changed key (a conservative miss, never a
-    wrong hit).  The one exception is ``kernel``: backends are
-    bit-identical and compare-count-transparent by contract
-    (:mod:`repro.core.kernels`), so the kernel choice must *not*
-    fragment keys — a result computed under one backend is a valid
-    hit under any other.
+    wrong hit).
     """
     if config is None:
         config = ViewDiffConfig()
     plain = dataclasses.asdict(config)
-    plain.pop("kernel", None)
     plain["view_types"] = [vt.name for vt in config.view_types]
     return json.dumps(plain, sort_keys=True, separators=(",", ":"))
 

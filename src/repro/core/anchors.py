@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from repro.core.diffs import DiffResult, build_sequences
-from repro.core.kernels import get_backend
+from repro.core.kernels import bitvector
 from repro.core.keytable import KeyTable
 from repro.core.lcs import OpCounter
 from repro.core.traces import Trace
@@ -245,16 +245,15 @@ def _coalesce(chain: list[tuple[int, int]]) -> list[AnchorRun]:
 
 
 def _extend(runs: list[AnchorRun], keys_l: Sequence, keys_r: Sequence,
-            counter: OpCounter | None, kernel=None) -> list[AnchorRun]:
+            counter: OpCounter | None) -> list[AnchorRun]:
     """Greedily extend each run outward while neighbours stay equal
     (real ``=e`` compares — charged), merging runs that meet.
 
-    The probe scans run through the kernel backend
+    The probe scans run through the bitvector kernel
     (:mod:`repro.core.kernels`); the counter is credited with exactly
     the scalar loops' compares — one per extension step, plus the
     probe that stopped a scan short of its bound.
     """
-    backend = get_backend(kernel)
     extended: list[AnchorRun] = []
     for position, run in enumerate(runs):
         left, right, length = run.left, run.right, run.length
@@ -265,7 +264,7 @@ def _extend(runs: list[AnchorRun], keys_l: Sequence, keys_r: Sequence,
         else:
             floor_l = floor_r = 0
         limit = min(left - floor_l, right - floor_r)
-        back = backend.common_run_back(keys_l, keys_r, left, right, limit)
+        back = bitvector.common_run_back(keys_l, keys_r, left, right, limit)
         if counter is not None:
             counter.bump(back + (1 if back < limit else 0))
         left -= back
@@ -278,8 +277,8 @@ def _extend(runs: list[AnchorRun], keys_l: Sequence, keys_r: Sequence,
             ceil_l = len(keys_l)
             ceil_r = len(keys_r)
         limit = min(ceil_l - left, ceil_r - right) - length
-        ahead = backend.common_run(keys_l, keys_r, left + length,
-                                   right + length, limit)
+        ahead = bitvector.common_run(keys_l, keys_r, left + length,
+                                     right + length, limit)
         if counter is not None:
             counter.bump(ahead + (1 if ahead < limit else 0))
         length += ahead
@@ -297,7 +296,6 @@ def _extend(runs: list[AnchorRun], keys_l: Sequence, keys_r: Sequence,
 def _select(keys_l: Sequence, keys_r: Sequence,
             config: AnchorConfig | None,
             counter: OpCounter | None,
-            kernel=None,
             exclude_left: "set[int] | None" = None,
             exclude_right: "set[int] | None" = None
             ) -> tuple[list[AnchorRun], int, int]:
@@ -318,7 +316,7 @@ def _select(keys_l: Sequence, keys_r: Sequence,
                  and right not in exclude_right]
     chain = _increasing_chain(pairs)
     runs = [run for run in _extend(_coalesce(chain), keys_l, keys_r,
-                                   counter, kernel=kernel)
+                                   counter)
             if run.length >= config.min_run]
     return runs, len(pairs), len(chain)
 
@@ -326,15 +324,13 @@ def _select(keys_l: Sequence, keys_r: Sequence,
 def select_anchor_runs(keys_l: Sequence, keys_r: Sequence,
                        config: AnchorConfig | None = None,
                        counter: OpCounter | None = None,
-                       kernel=None,
                        exclude_left: "set[int] | None" = None,
                        exclude_right: "set[int] | None" = None
                        ) -> list[AnchorRun]:
     """The full selection pipeline (see module docstring); ``keys``
     may be interned id columns or raw ``=e`` key tuples — anything
-    hashable and comparable.  ``kernel`` selects the compare-scan
-    backend (:mod:`repro.core.kernels`); counts are unchanged."""
-    return _select(keys_l, keys_r, config, counter, kernel=kernel,
+    hashable and comparable."""
+    return _select(keys_l, keys_r, config, counter,
                    exclude_left=exclude_left,
                    exclude_right=exclude_right)[0]
 
@@ -342,13 +338,11 @@ def select_anchor_runs(keys_l: Sequence, keys_r: Sequence,
 def segment_sequences(keys_l: Sequence, keys_r: Sequence,
                       config: AnchorConfig | None = None,
                       counter: OpCounter | None = None,
-                      kernel=None,
                       exclude_left: "set[int] | None" = None,
                       exclude_right: "set[int] | None" = None
                       ) -> Segmentation:
     """Segment two key sequences along their selected anchor runs."""
     runs, candidates, chained = _select(keys_l, keys_r, config, counter,
-                                        kernel=kernel,
                                         exclude_left=exclude_left,
                                         exclude_right=exclude_right)
     gaps: list[Gap] = []
@@ -369,8 +363,7 @@ def segment_pair(left: Trace, right: Trace,
                  config: AnchorConfig | None = None,
                  interned: bool = True,
                  key_table: KeyTable | None = None,
-                 counter: OpCounter | None = None,
-                 kernel=None) -> Segmentation:
+                 counter: OpCounter | None = None) -> Segmentation:
     """Segment a trace pair on its ``=e`` keys.
 
     With ``interned`` (the default) both traces are expressed as dense
@@ -394,7 +387,7 @@ def segment_pair(left: Trace, right: Trace,
         exclude_r = {pos for pos, entry in enumerate(right.entries)
                      if entry.method in hinted}
     return segment_sequences(keys_l, keys_r, config=config,
-                             counter=counter, kernel=kernel,
+                             counter=counter,
                              exclude_left=exclude_l,
                              exclude_right=exclude_r)
 

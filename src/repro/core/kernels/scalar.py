@@ -1,11 +1,9 @@
 """The reference per-cell kernels: the original pure-Python loops.
 
-These are the loops every accelerated backend must reproduce
-bit-for-bit — they exist as a backend of their own (``scalar``) so
-the agreement suite can run any workload through both and assert
-identical values, and so ``REPRO_KERNEL=scalar`` can restore the
-original behaviour for debugging.  All functions are pure: counting
-is the caller's job (see the package docstring).
+These are the loops the bitvector kernel must reproduce bit-for-bit.
+Apart from ``bitvector``'s fallback on inputs below its size cutoffs,
+only the test suite calls them, as the oracle.  All functions are
+pure: counting is the caller's job (see the package docstring).
 """
 
 from __future__ import annotations
@@ -32,8 +30,7 @@ def lengths_row(a_keys: list, b_keys: list) -> list[int]:
 
 def dp_table(a_keys: list, b_keys: list) -> list[list[int]]:
     """The full ``(n+1) x (m+1)`` LCS length table: the oracle that
-    :func:`repro.core.lcs.lcs_dp`'s bit rows are tested against (no
-    backend fills full tables)."""
+    :func:`repro.core.lcs.lcs_dp`'s bit rows are tested against."""
     n, m = len(a_keys), len(b_keys)
     table = [[0] * (m + 1) for _ in range(n + 1)]
     for i in range(1, n + 1):

@@ -21,17 +21,14 @@ sequences of trace entries compared with the event-equality predicate
   trim + DP, with a cell *budget* reproducing the paper's out-of-memory
   failure and DP-equivalent compare *charging* when the fast path stands
   in for the quadratic core.
-* :func:`lcs_bitparallel` — Hirschberg's alignment driven by the
-  bit-parallel LCS row kernel (:mod:`repro.core.kernels.bitvector`):
-  matched pairs and compare counts identical to :func:`lcs_hirschberg`,
-  with the row DP running ~a word's worth of cells per operation.
+* :func:`lcs_bitparallel` — the name the ``"bitparallel"`` algorithm
+  exports; it is :func:`lcs_hirschberg` itself.
 
-The inner loops are kernelized (:mod:`repro.core.kernels`): every
-function takes an optional ``kernel`` selecting a backend (``scalar`` /
-``stdlib`` / ``numpy``; ``None`` auto-detects, ``REPRO_KERNEL``
-overrides).  Backends are bit-identical and compare-count-transparent —
-counters are credited in bulk with exactly what the scalar loops would
-have counted.
+The inner loops run on the bit-parallel kernel
+(:mod:`repro.core.kernels.bitvector`): Hirschberg's length rows advance
+~a word's worth of DP cells per operation, and the prefix/suffix scans
+compare list slices.  Kernels are pure — counters are credited in bulk
+with exactly what the scalar loops would have counted.
 
 All functions operate on arbitrary sequences plus a ``key`` function; trace
 entries pass ``TraceEntry.key`` so that equality is ``=e``.
@@ -46,8 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-from repro.core.kernels import BITVECTOR_ROWS, get_backend
-from repro.core.kernels.bitvector import bit_rows
+from repro.core.kernels import bitvector
 
 
 class LcsMemoryError(MemoryError):
@@ -131,8 +127,7 @@ def _keys(seq: Sequence, key: Callable | None) -> list:
 
 
 def trim_common(a_keys: list, b_keys: list,
-                counter: OpCounter | None = None,
-                kernel=None) -> tuple[int, int, int]:
+                counter: OpCounter | None = None) -> tuple[int, int, int]:
     """Common-prefix/suffix optimisation.
 
     Returns ``(prefix, a_mid, b_mid)`` where ``prefix`` is the common
@@ -140,18 +135,17 @@ def trim_common(a_keys: list, b_keys: list,
     (untrimmed) regions; the common suffix length is then
     ``len(a) - prefix - a_mid``.
 
-    The scans run through the active kernel backend; the counter is
+    The scans run through the bitvector kernel; the counter is
     credited with exactly the scalar loop's compares (one per matched
     item, plus the mismatch probe when the scan stops short).
     """
-    backend = get_backend(kernel)
     n, m = len(a_keys), len(b_keys)
     limit = min(n, m)
-    prefix = backend.common_run(a_keys, b_keys, 0, 0, limit)
+    prefix = bitvector.common_run(a_keys, b_keys, 0, 0, limit)
     if counter is not None:
         counter.bump(prefix + (1 if prefix < limit else 0))
     limit = min(n, m) - prefix
-    suffix = backend.common_run_back(a_keys, b_keys, n, m, limit)
+    suffix = bitvector.common_run_back(a_keys, b_keys, n, m, limit)
     if counter is not None:
         counter.bump(suffix + (1 if suffix < limit else 0))
     return prefix, n - prefix - suffix, m - prefix - suffix
@@ -159,8 +153,7 @@ def trim_common(a_keys: list, b_keys: list,
 
 def lcs_dp(a: Sequence, b: Sequence, key: Callable | None = None,
            counter: OpCounter | None = None,
-           budget: MemoryBudget | None = None,
-           kernel=None) -> LcsResult:
+           budget: MemoryBudget | None = None) -> LcsResult:
     """Exact LCS via the standard dynamic program, with full traceback.
 
     Time and space are Theta(nm) in the model (``budget`` can cap the
@@ -171,10 +164,8 @@ def lcs_dp(a: Sequence, b: Sequence, key: Callable | None = None,
     prefix popcount of its row, and the traceback below reads cells
     that way under the textbook tie rule (up when ``table[i-1][j] >=
     table[i][j-1]``), so the matched pairs are those of the scalar
-    table (:func:`repro.core.kernels.scalar.dp_table`).  ``kernel`` is
-    accepted for signature uniformity: there is one fill.
+    table (:func:`repro.core.kernels.scalar.dp_table`).
     """
-    del kernel
     a_keys = _keys(a, key)
     b_keys = _keys(b, key)
     n, m = len(a_keys), len(b_keys)
@@ -184,7 +175,7 @@ def lcs_dp(a: Sequence, b: Sequence, key: Callable | None = None,
         return LcsResult()
     if counter is not None:
         counter.bump(n * m)
-    rows = bit_rows(a_keys, b_keys)
+    rows = bitvector.bit_rows(a_keys, b_keys)
     pairs: list[tuple[int, int]] = []
     i, j = n, m
     row = rows[n]
@@ -211,66 +202,49 @@ def lcs_dp(a: Sequence, b: Sequence, key: Callable | None = None,
 
 
 def _lcs_lengths_row(a_keys: list, b_keys: list,
-                     counter: OpCounter | None,
-                     backend=None) -> list[int]:
-    """Final row of the LCS length table (linear space), through the
-    given kernel backend (the active default when ``None``); the row
-    loop's ``n * m`` compares are credited in bulk (see lcs_dp)."""
+                     counter: OpCounter | None) -> list[int]:
+    """Final row of the LCS length table (linear space), from the
+    bit-parallel kernel; the row loop's ``n * m`` compares are
+    credited in bulk (see lcs_dp)."""
     if counter is not None:
         counter.bump(len(a_keys) * len(b_keys))
-    if backend is None:
-        backend = get_backend(None)
-    return backend.lengths_row(a_keys, b_keys)
+    return bitvector.lengths_row(a_keys, b_keys)
 
 
 def lcs_length(a: Sequence, b: Sequence, key: Callable | None = None,
-               counter: OpCounter | None = None,
-               kernel=None) -> int:
+               counter: OpCounter | None = None) -> int:
     """LCS length only, in O(min(n, m)) space and Theta(nm) time."""
     a_keys = _keys(a, key)
     b_keys = _keys(b, key)
     if len(b_keys) > len(a_keys):
         a_keys, b_keys = b_keys, a_keys
-    return _lcs_lengths_row(a_keys, b_keys, counter,
-                            get_backend(kernel))[-1]
+    return _lcs_lengths_row(a_keys, b_keys, counter)[-1]
 
 
 def lcs_hirschberg(a: Sequence, b: Sequence, key: Callable | None = None,
-                   counter: OpCounter | None = None,
-                   kernel=None) -> LcsResult:
-    """Exact LCS in linear space (Hirschberg 1975)."""
-    a_keys = _keys(a, key)
-    b_keys = _keys(b, key)
-    pairs: list[tuple[int, int]] = []
-    _hirschberg(a_keys, b_keys, 0, 0, counter, pairs,
-                get_backend(kernel))
-    return LcsResult(pairs)
-
-
-def lcs_bitparallel(a: Sequence, b: Sequence, key: Callable | None = None,
-                    counter: OpCounter | None = None,
-                    kernel=None) -> LcsResult:
-    """Exact LCS via Hirschberg's alignment over bit-parallel rows.
+                   counter: OpCounter | None = None) -> LcsResult:
+    """Exact LCS in linear space (Hirschberg 1975).
 
     The length rows come from the Hyyrö bit-vector recurrence
-    (:mod:`repro.core.kernels.bitvector`) regardless of the active
-    backend — the algorithm *is* the kernel — so the split points, the
-    matched pairs, and the bulk-credited compare counts are all
-    identical to :func:`lcs_hirschberg`; only the wall clock drops.
-    ``kernel`` is accepted for signature uniformity.
+    (:mod:`repro.core.kernels.bitvector`); they equal the scalar row
+    DP's, so the split points and matched pairs are the textbook
+    algorithm's, and each row fill credits its ``n * m`` compares.
     """
-    del kernel
     a_keys = _keys(a, key)
     b_keys = _keys(b, key)
     pairs: list[tuple[int, int]] = []
-    _hirschberg(a_keys, b_keys, 0, 0, counter, pairs, BITVECTOR_ROWS)
+    _hirschberg(a_keys, b_keys, 0, 0, counter, pairs)
     return LcsResult(pairs)
+
+
+#: The ``"bitparallel"`` algorithm: Hirschberg over the bit-parallel
+#: rows, which is what :func:`lcs_hirschberg` is.
+lcs_bitparallel = lcs_hirschberg
 
 
 def _hirschberg(a_keys: list, b_keys: list, a_off: int, b_off: int,
                 counter: OpCounter | None,
-                out: list[tuple[int, int]],
-                backend=None) -> None:
+                out: list[tuple[int, int]]) -> None:
     n, m = len(a_keys), len(b_keys)
     if n == 0 or m == 0:
         return
@@ -283,18 +257,16 @@ def _hirschberg(a_keys: list, b_keys: list, a_off: int, b_off: int,
                 return
         return
     mid = n // 2
-    upper = _lcs_lengths_row(a_keys[:mid], b_keys, counter, backend)
-    lower = _lcs_lengths_row(a_keys[mid:][::-1], b_keys[::-1], counter,
-                             backend)
+    upper = _lcs_lengths_row(a_keys[:mid], b_keys, counter)
+    lower = _lcs_lengths_row(a_keys[mid:][::-1], b_keys[::-1], counter)
     best_j, best = 0, -1
     for j in range(m + 1):
         score = upper[j] + lower[m - j]
         if score > best:
             best, best_j = score, j
-    _hirschberg(a_keys[:mid], b_keys[:best_j], a_off, b_off, counter, out,
-                backend)
+    _hirschberg(a_keys[:mid], b_keys[:best_j], a_off, b_off, counter, out)
     _hirschberg(a_keys[mid:], b_keys[best_j:], a_off + mid, b_off + best_j,
-                counter, out, backend)
+                counter, out)
 
 
 class LcsBudgetExceeded(RuntimeError):
@@ -373,8 +345,7 @@ def _unique_anchor(a_keys: list, b_keys: list) -> tuple[int, int] | None:
 
 def lcs_fast(a: Sequence, b: Sequence, key: Callable | None = None,
              counter: OpCounter | None = None,
-             dp_cell_limit: int = 1_000_000,
-             kernel=None) -> LcsResult:
+             dp_cell_limit: int = 1_000_000) -> LcsResult:
     """Anchored recursive common-subsequence computation.
 
     Strategy: strip common prefix/suffix; if the remaining core fits in
@@ -388,16 +359,14 @@ def lcs_fast(a: Sequence, b: Sequence, key: Callable | None = None,
     a_keys = _keys(a, key)
     b_keys = _keys(b, key)
     pairs: list[tuple[int, int]] = []
-    _lcs_fast(a_keys, b_keys, 0, 0, counter, dp_cell_limit, pairs,
-              get_backend(kernel))
+    _lcs_fast(a_keys, b_keys, 0, 0, counter, dp_cell_limit, pairs)
     return LcsResult(pairs)
 
 
 def _lcs_fast(a_keys: list, b_keys: list, a_off: int, b_off: int,
               counter: OpCounter | None, cell_limit: int,
-              out: list[tuple[int, int]], backend=None) -> None:
-    prefix, a_mid, b_mid = trim_common(a_keys, b_keys, counter,
-                                       kernel=backend)
+              out: list[tuple[int, int]]) -> None:
+    prefix, a_mid, b_mid = trim_common(a_keys, b_keys, counter)
     for i in range(prefix):
         out.append((a_off + i, b_off + i))
     suffix = len(a_keys) - prefix - a_mid
@@ -405,7 +374,7 @@ def _lcs_fast(a_keys: list, b_keys: list, a_off: int, b_off: int,
     core_b = b_keys[prefix:prefix + b_mid]
     if core_a and core_b:
         if a_mid * b_mid <= cell_limit:
-            core = lcs_dp(core_a, core_b, counter=counter, kernel=backend)
+            core = lcs_dp(core_a, core_b, counter=counter)
             for i, j in core.pairs:
                 out.append((a_off + prefix + i, b_off + prefix + j))
         else:
@@ -418,24 +387,24 @@ def _lcs_fast(a_keys: list, b_keys: list, a_off: int, b_off: int,
                 if j is None:
                     j = b_mid // 2
                     _lcs_fast(core_a[:i], core_b[:j], a_off + prefix,
-                              b_off + prefix, counter, cell_limit, out, backend)
+                              b_off + prefix, counter, cell_limit, out)
                     _lcs_fast(core_a[i:], core_b[j:], a_off + prefix + i,
-                              b_off + prefix + j, counter, cell_limit, out, backend)
+                              b_off + prefix + j, counter, cell_limit, out)
                 else:
                     _lcs_fast(core_a[:i], core_b[:j], a_off + prefix,
-                              b_off + prefix, counter, cell_limit, out, backend)
+                              b_off + prefix, counter, cell_limit, out)
                     out.append((a_off + prefix + i, b_off + prefix + j))
                     _lcs_fast(core_a[i + 1:], core_b[j + 1:],
                               a_off + prefix + i + 1, b_off + prefix + j + 1,
-                              counter, cell_limit, out, backend)
+                              counter, cell_limit, out)
             else:
                 i, j = anchor
                 _lcs_fast(core_a[:i], core_b[:j], a_off + prefix,
-                          b_off + prefix, counter, cell_limit, out, backend)
+                          b_off + prefix, counter, cell_limit, out)
                 out.append((a_off + prefix + i, b_off + prefix + j))
                 _lcs_fast(core_a[i + 1:], core_b[j + 1:],
                           a_off + prefix + i + 1, b_off + prefix + j + 1,
-                          counter, cell_limit, out, backend)
+                          counter, cell_limit, out)
     for i in range(suffix):
         out.append((a_off + len(a_keys) - suffix + i,
                     b_off + len(b_keys) - suffix + i))
@@ -458,8 +427,7 @@ def _nearest_match(target_key, b_keys: list, around: int,
 def lcs_optimized(a: Sequence, b: Sequence, key: Callable | None = None,
                   counter: OpCounter | None = None,
                   budget: MemoryBudget | None = None,
-                  dp_cell_limit: int = 4_000_000,
-                  kernel=None) -> LcsResult:
+                  dp_cell_limit: int = 4_000_000) -> LcsResult:
     """The paper's baseline: exact LCS with common-prefix/suffix trimming.
 
     The middle region runs through the quadratic DP when it fits in
@@ -470,20 +438,18 @@ def lcs_optimized(a: Sequence, b: Sequence, key: Callable | None = None,
     region as if the DP table were allocated, reproducing the paper's
     memory-exhaustion failure mode on very long traces.
     """
-    backend = get_backend(kernel)
     a_keys = _keys(a, key)
     b_keys = _keys(b, key)
-    prefix, a_mid, b_mid = trim_common(a_keys, b_keys, counter,
-                                       kernel=backend)
+    prefix, a_mid, b_mid = trim_common(a_keys, b_keys, counter)
     if budget is not None:
         budget.request((a_mid + 1) * (b_mid + 1))
     core_a = a_keys[prefix:prefix + a_mid]
     core_b = b_keys[prefix:prefix + b_mid]
     if a_mid * b_mid <= dp_cell_limit:
-        core = lcs_dp(core_a, core_b, counter=counter, kernel=backend)
+        core = lcs_dp(core_a, core_b, counter=counter)
     else:
         core = lcs_fast(core_a, core_b, counter=None,
-                        dp_cell_limit=dp_cell_limit, kernel=backend)
+                        dp_cell_limit=dp_cell_limit)
         if counter is not None:
             counter.charge(a_mid * b_mid)
     pairs = [(i, i) for i in range(prefix)]

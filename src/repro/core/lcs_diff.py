@@ -27,8 +27,8 @@ from repro.core.anchors import (AnchorConfig, merge_segment_results,
 from repro.core.diffs import DiffResult, build_sequences
 from repro.core.keytable import KeyTable
 from repro.core.lcs import (LcsResult, MemoryBudget, OpCounter,
-                            lcs_bitparallel, lcs_dp, lcs_fast,
-                            lcs_hirschberg, lcs_optimized)
+                            lcs_dp, lcs_fast, lcs_hirschberg,
+                            lcs_optimized)
 from repro.core.traces import Trace
 
 #: Selectable baseline algorithms.
@@ -41,23 +41,16 @@ def lcs_diff(left: Trace, right: Trace, algorithm: str = "optimized",
              dp_cell_limit: int = 4_000_000,
              interned: bool = True,
              key_table: KeyTable | None = None,
-             anchors: AnchorConfig | None = None,
-             kernel: str | None = None) -> DiffResult:
+             anchors: AnchorConfig | None = None) -> DiffResult:
     """Difference two traces with the LCS-based semantics of Fig. 11.
 
     ``algorithm`` selects the LCS implementation: ``"optimized"`` is the
     paper's baseline (common-prefix/suffix trimming + quadratic core);
     ``"dp"`` the untrimmed dynamic program; ``"hirschberg"`` the
     linear-space variant; ``"fast"`` the anchored recursive differ;
-    ``"bitparallel"`` Hirschberg's alignment over the bit-parallel
-    Myers/Hyyrö row kernel (pairs and compare counts identical to
-    ``"hirschberg"``).
-
-    ``kernel`` selects the compute backend for the inner loops
-    (:mod:`repro.core.kernels`: ``scalar`` / ``stdlib`` / ``numpy``;
-    ``None`` auto-detects).  Backends are bit-identical and
-    compare-count-transparent, so ``sigma``, the sequences and the
-    counter totals do not depend on the choice.
+    ``"bitparallel"`` names the same Hirschberg alignment over the
+    bit-parallel Myers/Hyyrö row kernel (:mod:`repro.core.kernels`)
+    under its own result label.
 
     ``budget`` (DP cell cap) models the memory-exhaustion failures the
     paper reports on traces beyond ~100K entries: exceeding it raises
@@ -83,8 +76,7 @@ def lcs_diff(left: Trace, right: Trace, algorithm: str = "optimized",
         return _anchored_lcs_diff(left, right, algorithm, anchors,
                                   counter=counter, budget=budget,
                                   dp_cell_limit=dp_cell_limit,
-                                  interned=interned, key_table=key_table,
-                                  kernel=kernel)
+                                  interned=interned, key_table=key_table)
     started = time.perf_counter()
     if interned:
         table = key_table if key_table is not None \
@@ -98,20 +90,14 @@ def lcs_diff(left: Trace, right: Trace, algorithm: str = "optimized",
     if algorithm == "optimized":
         result: LcsResult = lcs_optimized(keys_l, keys_r, counter=counter,
                                           budget=budget,
-                                          dp_cell_limit=dp_cell_limit,
-                                          kernel=kernel)
+                                          dp_cell_limit=dp_cell_limit)
     elif algorithm == "dp":
-        result = lcs_dp(keys_l, keys_r, counter=counter, budget=budget,
-                        kernel=kernel)
-    elif algorithm == "hirschberg":
-        result = lcs_hirschberg(keys_l, keys_r, counter=counter,
-                                kernel=kernel)
-    elif algorithm == "bitparallel":
-        result = lcs_bitparallel(keys_l, keys_r, counter=counter,
-                                 kernel=kernel)
+        result = lcs_dp(keys_l, keys_r, counter=counter, budget=budget)
+    elif algorithm in ("hirschberg", "bitparallel"):
+        result = lcs_hirschberg(keys_l, keys_r, counter=counter)
     else:
         result = lcs_fast(keys_l, keys_r, counter=counter,
-                          dp_cell_limit=dp_cell_limit, kernel=kernel)
+                          dp_cell_limit=dp_cell_limit)
 
     eids_l, eids_r = left.eid_column(), right.eid_column()
     match_pairs = [(eids_l[i], eids_r[j]) for i, j in result.pairs]
@@ -140,8 +126,7 @@ def _anchored_lcs_diff(left: Trace, right: Trace, algorithm: str,
                        budget: MemoryBudget | None,
                        dp_cell_limit: int,
                        interned: bool,
-                       key_table: KeyTable | None,
-                       kernel: str | None = None) -> DiffResult:
+                       key_table: KeyTable | None) -> DiffResult:
     """The anchored segmental path of :func:`lcs_diff` (serial; the
     executor-parallel and segment-cached variant is
     :func:`repro.exec.diffing.anchored_segment_diff`)."""
@@ -152,7 +137,7 @@ def _anchored_lcs_diff(left: Trace, right: Trace, algorithm: str,
             else KeyTable.for_pair(left, right)
     segmentation = segment_pair(left, right, config=anchors,
                                 interned=interned, key_table=table,
-                                counter=counter, kernel=kernel)
+                                counter=counter)
     gap_results: list[DiffResult | None] = []
     for gap in segmentation.gaps:
         if gap.left_len == 0 or gap.right_len == 0:
@@ -164,7 +149,7 @@ def _anchored_lcs_diff(left: Trace, right: Trace, algorithm: str,
             right[gap.right_lo:gap.right_hi],
             algorithm=algorithm, counter=counter, budget=budget,
             dp_cell_limit=dp_cell_limit, interned=interned,
-            key_table=table, kernel=kernel))
+            key_table=table))
     return merge_segment_results(
         left, right, segmentation, gap_results, counter=counter,
         algorithm=f"anchored-lcs-{algorithm}",

@@ -46,7 +46,7 @@ from operator import itemgetter
 from repro.core.anchors import AnchorConfig, select_anchor_runs
 from repro.core.correlation import ViewCorrelator
 from repro.core.diffs import DiffResult, DifferenceSequence, gap_sequences
-from repro.core.kernels import get_backend
+from repro.core.kernels import bitvector
 from repro.core.keytable import KeyTable
 from repro.core.lcs import OpCounter, lcs_dp
 from repro.core.traces import Trace
@@ -106,13 +106,6 @@ class ViewDiffConfig:
     #: (anchored evaluation is trajectory-preserving); only anchor
     #: placement and compare counts shift.
     anchor_method_hints: tuple[str, ...] = ()
-    #: Kernel backend for the inner compare loops
-    #: (:mod:`repro.core.kernels`): ``"scalar"``, ``"stdlib"``,
-    #: ``"numpy"``, or ``None``/``"auto"`` to auto-detect (the
-    #: ``REPRO_KERNEL`` environment variable overrides auto).  A pure
-    #: performance knob: results and compare counts are bit-identical
-    #: across backends, so it does not participate in cache keys.
-    kernel: str | None = None
 
 
 _first = itemgetter(0)
@@ -198,8 +191,6 @@ class _ThreadPairDiffer:
         # Anchored positions (in the two thread views) found by secondary
         # view exploration and still ahead of the scan.
         self._pending_anchors: list[tuple[int, int]] = []
-        # Kernel backend for the lock-step scans.
-        self._backend = get_backend(config.kernel)
         # Anchored evaluation: (run start left, run start right) ->
         # run length, bulk-matched compare-free when the scan lands on
         # a start exactly aligned (see ViewDiffConfig.anchored).
@@ -217,7 +208,7 @@ class _ThreadPairDiffer:
             runs = select_anchor_runs(
                 self.lkeys, self.rkeys,
                 AnchorConfig.from_view_config(config), counter=counter,
-                kernel=self._backend, exclude_left=exclude_l,
+                exclude_left=exclude_l,
                 exclude_right=exclude_r)
             self._anchor_starts = {(run.left, run.right): run.length
                                    for run in runs}
@@ -239,7 +230,7 @@ class _ThreadPairDiffer:
         match_pairs: list[tuple[int, int]] = []
         anchor_starts = self._anchor_starts
         diag_starts = self._diag_starts
-        common_run = self._backend.common_run
+        common_run = bitvector.common_run
         i = j = 0
         while i < n and j < m:
             if anchor_starts:

@@ -295,8 +295,7 @@ def anchored_segment_diff(left: Trace, right: Trace, inner=None, *,
             else KeyTable.for_pair(left, right)
     segmentation = segment_pair(
         left, right, config=AnchorConfig.from_view_config(config),
-        interned=config.interned, key_table=table, counter=counter,
-        kernel=config.kernel)
+        interned=config.interned, key_table=table, counter=counter)
 
     # Slice lazily: one-sided gaps (pure insertions/deletions) never
     # need their sub-traces materialised.

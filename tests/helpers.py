@@ -3,8 +3,34 @@ mirroring the paper's motivating example (Figs. 1, 2, 13)."""
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from unittest import mock
+
+from repro.core.kernels import bitvector, scalar
 from repro.core.traces import Trace, TraceBuilder
 from repro.core.values import prim
+
+
+@contextmanager
+def scalar_kernels():
+    """Swap the bitvector kernel's ``lengths_row``, ``common_run`` and
+    ``common_run_back`` for the scalar oracle loops, everywhere the
+    library calls them.  Yields a dict of call counts per function, so
+    a test can check the oracle really ran."""
+    calls = {name: 0 for name in ("lengths_row", "common_run",
+                                  "common_run_back")}
+
+    def counted(name):
+        oracle = getattr(scalar, name)
+
+        def run(*args):
+            calls[name] += 1
+            return oracle(*args)
+        return run
+
+    with mock.patch.multiple(bitvector, **{name: counted(name)
+                                           for name in calls}):
+        yield calls
 
 
 def myfaces_trace(min_range: int = 32, max_range: int = 127,

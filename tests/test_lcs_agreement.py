@@ -9,24 +9,24 @@ sequences are small dense ints — exactly what the interned data layer
 feeds the hot loops — and the edge cases cover trimming overlap and the
 budget/cap failure modes.
 
-Since the kernels subsystem, the suite is also the bit-identity oracle
-for the accelerated backends: every registered ``lcs_diff`` algorithm
-(including ``bitparallel``) must return the same pairs and charge the
-same compare counts under every kernel backend (``scalar``, the
-bit-vector ``stdlib`` backend, and ``numpy`` when importable) — speed
-must never change the paper's reported metrics.
+The suite is also the bit-identity oracle for the bitvector kernel:
+every registered ``lcs_diff`` algorithm must return the same pairs and
+charge the same compare counts when the scalar loops stand in for the
+kernel (:func:`helpers.scalar_kernels`) — speed must never change the
+paper's reported metrics.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.kernels import available_backends
 from repro.core.lcs import (LcsBudgetExceeded, LcsMemoryError, MemoryBudget,
                             OpCounter, lcs_bitparallel, lcs_dp, lcs_fast,
                             lcs_hirschberg, lcs_length, lcs_optimized,
                             myers_lcs_length, trim_common)
 from repro.core.lcs_diff import ALGORITHMS
+
+from helpers import scalar_kernels
 
 #: Every registered ``lcs_diff`` algorithm as a key-sequence function.
 ALGO_FUNCS = {
@@ -36,10 +36,6 @@ ALGO_FUNCS = {
     "optimized": lcs_optimized,
     "bitparallel": lcs_bitparallel,
 }
-
-#: Both kernel backends (plus the scalar reference); ``numpy`` only
-#: appears when importable — absent numpy must not fail the suite.
-BACKENDS = available_backends()
 
 # Interned-id sequences: small alphabets force repeats (the interesting
 # LCS structure), larger ones exercise the unique-anchor path.
@@ -108,14 +104,29 @@ class TestAlgorithmAgreement:
         assert len(lcs_bitparallel(a, b).pairs) == reference
 
 
-class TestKernelBackendAgreement:
-    """Bit-identity of the accelerated kernels (the ISSUE's oracle).
+def _with_and_without_oracle(run):
+    """``(run(counter), compares, charged)`` on the bitvector kernel,
+    then with the scalar loops standing in for it."""
+    snapshots = []
+    for oracle in (False, True):
+        counter = OpCounter()
+        if oracle:
+            with scalar_kernels():
+                value = run(counter)
+        else:
+            value = run(counter)
+        snapshots.append((value, counter.compares, counter.charged))
+    return snapshots
 
-    For every registered algorithm and every available backend: the
-    *same* pairs (not just the same length) and the *same* compare
-    accounting as the scalar reference loops — batched kernels credit
-    the :class:`OpCounter` in bulk with exactly the counts the
-    per-cell loops would have recorded.
+
+class TestKernelBackendAgreement:
+    """Bit-identity of the bitvector kernel against the scalar loops.
+
+    For every registered algorithm: the *same* pairs (not just the
+    same length) and the *same* compare accounting whether the kernel
+    or the scalar reference loops fill the rows and run the scans —
+    the kernel's callers credit the :class:`OpCounter` in bulk with
+    exactly the counts the per-cell loops would have recorded.
     """
 
     def test_every_registered_algorithm_is_covered(self):
@@ -126,15 +137,9 @@ class TestKernelBackendAgreement:
     @settings(max_examples=40, deadline=None)
     def test_backends_agree_on_pairs_and_counts(self, algorithm, a, b):
         func = ALGO_FUNCS[algorithm]
-        reference = None
-        for backend in BACKENDS:
-            counter = OpCounter()
-            result = func(a, b, counter=counter, kernel=backend)
-            snapshot = (result.pairs, counter.compares, counter.charged)
-            if reference is None:
-                reference = snapshot
-            else:
-                assert snapshot == reference, backend
+        kernel, oracle = _with_and_without_oracle(
+            lambda counter: func(a, b, counter=counter).pairs)
+        assert kernel == oracle
 
     @pytest.mark.parametrize("algorithm", sorted(ALGO_FUNCS))
     @given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 2)),
@@ -144,21 +149,16 @@ class TestKernelBackendAgreement:
     @settings(max_examples=25, deadline=None)
     def test_backends_agree_on_tuple_keys(self, algorithm, a, b):
         # ``interned=False`` feeds raw ``=e`` key tuples instead of
-        # dense ids; the numpy backend must fall back bit-identically.
+        # dense ids; the kernel must handle them bit-identically.
         func = ALGO_FUNCS[algorithm]
-        reference = None
-        for backend in BACKENDS:
-            counter = OpCounter()
-            result = func(a, b, counter=counter, kernel=backend)
-            snapshot = (result.pairs, counter.compares, counter.charged)
-            if reference is None:
-                reference = snapshot
-            else:
-                assert snapshot == reference, backend
+        kernel, oracle = _with_and_without_oracle(
+            lambda counter: func(a, b, counter=counter).pairs)
+        assert kernel == oracle
 
     @given(ids, ids)
     @settings(max_examples=40, deadline=None)
     def test_bitparallel_is_exactly_hirschberg(self, a, b):
+        assert lcs_bitparallel is lcs_hirschberg
         c_bp, c_hi = OpCounter(), OpCounter()
         bp = lcs_bitparallel(a, b, counter=c_bp)
         hi = lcs_hirschberg(a, b, counter=c_hi)
@@ -169,15 +169,9 @@ class TestKernelBackendAgreement:
     @given(ids, ids)
     @settings(max_examples=40, deadline=None)
     def test_trim_common_counts_identical_across_backends(self, a, b):
-        reference = None
-        for backend in BACKENDS:
-            counter = OpCounter()
-            trimmed = trim_common(a, b, counter=counter, kernel=backend)
-            snapshot = (trimmed, counter.compares, counter.charged)
-            if reference is None:
-                reference = snapshot
-            else:
-                assert snapshot == reference, backend
+        kernel, oracle = _with_and_without_oracle(
+            lambda counter: trim_common(a, b, counter=counter))
+        assert kernel == oracle
 
 
 class TestEdgeCases:
