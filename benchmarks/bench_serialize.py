@@ -1,11 +1,14 @@
-"""Wire-format throughput: binary v3 lazy decode vs the text formats.
+"""Wire-format throughput: binary v3 lazy decode vs the v2 text baseline.
 
 The serialisation layer is the boundary-crossing cost every executor,
-service upload, and store read pays.  This bench times all three wire
-formats over the same traces:
+service upload, and store read pays.  This bench times the one format
+the library writes against the legacy text format it replaced, over
+the same traces:
 
-* **v1** — legacy table-less JSON lines;
-* **v2** — JSON lines with an interned ``=e`` key table prologue;
+* **v2** — JSON lines with an interned ``=e`` key table prologue.  The
+  library only *reads* it now; :func:`v2_text_baseline` below is the
+  text encoder kept here as the labelled measurement baseline, and the
+  library's legacy reader decodes its output;
 * **v3** — the binary columnar frame: packed key table, fixed-layout
   entry rows, side JSON only for rare rich payloads.  Decode is
   **lazy**: ``loads_trace`` returns in O(header + key table) and
@@ -17,12 +20,12 @@ Two decode modes are timed for v3:
   makes before building entry objects (length, thread ids).  This is
   the cost a worker pays to adopt a shipped trace.
 * ``eager`` — the same, then a full walk materialising every entry:
-  the worst case, comparable to what v1/v2 always pay.
+  the worst case, comparable to what v2 always pays.
 
 Traces: a synthetic multi-thread trace (``BENCH_SERIALIZE_ENTRIES``
 entries, default 10000) plus real captured pairs from the minijs and
 minidb workloads.  Identity is asserted everywhere — equal entries,
-equal content digests across all three formats, and equal diff result
+equal content digests across both formats, and equal diff result
 signatures whichever format the pair travelled through.
 
 One JSON document lands in ``results/serialize.json`` (uploaded as a
@@ -39,7 +42,9 @@ import time
 
 from conftest import write_result
 
-from repro.analysis.serialize import dumps_trace_bytes, loads_trace
+from repro.analysis.serialize import (_ancestry_to_json, _local_key_column,
+                                      _plain, _rep_to_json,
+                                      dumps_trace_bytes, loads_trace)
 from repro.core.lcs import OpCounter
 from repro.core.traces import TraceBuilder
 from repro.core.values import prim
@@ -120,36 +125,72 @@ def _diff_signature(result) -> tuple:
             result.match_pairs, result.counter.compares)
 
 
+def _event_row(event) -> dict:
+    """One event as a v2 row's ``e`` object."""
+    kind = event.kind
+    if kind in ("get", "set"):
+        return {"k": kind, "o": _rep_to_json(event.obj), "f": event.field,
+                "v": _rep_to_json(event.value)}
+    if kind == "call":
+        return {"k": kind, "o": _rep_to_json(event.obj), "m": event.method,
+                "a": [_rep_to_json(a) for a in event.args]}
+    if kind == "return":
+        return {"k": kind, "o": _rep_to_json(event.obj),
+                "m": event.method, "v": _rep_to_json(event.value)}
+    if kind == "init":
+        return {"k": kind, "c": event.class_name,
+                "a": [_rep_to_json(a) for a in event.args],
+                "o": _rep_to_json(event.obj)}
+    tid = event.child_tid if kind == "fork" else event.tid
+    return {"k": kind, "tid": tid, "s": _ancestry_to_json(event.ancestry)}
+
+
+def v2_text_baseline(trace) -> bytes:
+    """The trace as legacy v2 text (header line, one line per key-table
+    key, one row per entry) — the baseline the v3 ratios are measured
+    against, byte-for-byte what the library's v2 writer emitted."""
+    local_keys, column = _local_key_column(trace)
+    header = {"format": 2, "name": trace.name, "entries": len(trace),
+              "keys": len(local_keys), "metadata": dict(trace.metadata)}
+    lines = [json.dumps(header)]
+    lines.extend(json.dumps({"key": _plain(key)}) for key in local_keys)
+    lines.extend(
+        json.dumps({"eid": entry.eid, "tid": entry.tid, "m": entry.method,
+                    "rho": _rep_to_json(entry.active),
+                    "e": _event_row(entry.event), "kid": kid})
+        for entry, kid in zip(trace.entries, column))
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
 def _measure(trace) -> dict:
-    """Dumps/loads timings and wire bytes for one trace, all formats."""
-    blobs = {v: dumps_trace_bytes(trace, version=v) for v in (1, 2, 3)}
-    formats = {}
-    for version in (1, 2):
-        formats[str(version)] = {
-            "bytes": len(blobs[version]),
+    """Dumps/loads timings and wire bytes for one trace, both formats."""
+    blobs = {2: v2_text_baseline(trace), 3: dumps_trace_bytes(trace)}
+    formats = {
+        "2": {
+            "bytes": len(blobs[2]),
             "dumps_seconds": round(_timed(
-                lambda v=version: dumps_trace_bytes(trace, version=v)), 5),
+                lambda: v2_text_baseline(trace)), 5),
             "loads_seconds": round(_timed(
-                lambda v=version: _decode_eager(blobs[v])), 5),
-        }
-    formats["3"] = {
-        "bytes": len(blobs[3]),
-        "dumps_seconds": round(_timed(
-            lambda: dumps_trace_bytes(trace, version=3)), 5),
-        "loads_lazy_seconds": round(_timed(
-            lambda: _decode_lazy(blobs[3])), 5),
-        "loads_eager_seconds": round(_timed(
-            lambda: _decode_eager(blobs[3])), 5),
+                lambda: _decode_eager(blobs[2])), 5),
+        },
+        "3": {
+            "bytes": len(blobs[3]),
+            "dumps_seconds": round(_timed(
+                lambda: dumps_trace_bytes(trace)), 5),
+            "loads_lazy_seconds": round(_timed(
+                lambda: _decode_lazy(blobs[3])), 5),
+            "loads_eager_seconds": round(_timed(
+                lambda: _decode_eager(blobs[3])), 5),
+        },
     }
 
-    # Bit-identity: the same trace must come back from every format —
+    # Bit-identity: the same trace must come back from both formats —
     # equal entries and one content digest, lazy or eager.
     reference = loads_trace(blobs[2])
     lazy = loads_trace(blobs[3])
-    assert list(loads_trace(blobs[1]).entries) == list(reference.entries)
+    assert list(reference.entries) == list(trace.entries)
     assert list(lazy.entries) == list(reference.entries)
-    assert (loads_trace(blobs[1]).content_digest()
-            == reference.content_digest()
+    assert (reference.content_digest()
             == lazy.content_digest()
             == trace.content_digest())
 
@@ -170,10 +211,8 @@ def _measure(trace) -> dict:
 
 def _assert_pair_identity(left, right) -> None:
     """A diff over a v3-shipped pair must equal the v2-shipped diff."""
-    via_v2 = tuple(loads_trace(dumps_trace_bytes(t, version=2))
-                   for t in (left, right))
-    via_v3 = tuple(loads_trace(dumps_trace_bytes(t, version=3))
-                   for t in (left, right))
+    via_v2 = tuple(loads_trace(v2_text_baseline(t)) for t in (left, right))
+    via_v3 = tuple(loads_trace(dumps_trace_bytes(t)) for t in (left, right))
     reference = view_diff(left, right, counter=OpCounter())
     for pair in (via_v2, via_v3):
         result = view_diff(*pair, counter=OpCounter())

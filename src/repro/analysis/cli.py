@@ -29,8 +29,9 @@ while the program runs, then analysed later.  This CLI covers that side::
 (:mod:`repro.index`, maintained automatically on save/tag/delete;
 ``index build`` backfills it for legacy stores), ``serve`` boots the
 long-running JSON-over-HTTP service (:mod:`repro.service`), and
-``store migrate`` converts a flat store to the sharded layout in
-place.
+``store migrate`` brings a store to its current form in place: a flat
+store moves to the sharded layout, and legacy text (v1/v2) trace files
+are rewritten as binary v3.  Both steps are idempotent.
 
 Stored-trace differencing (``store diff``, ``batch``) memoises results
 in a ``diffcache`` directory beside the store (``--no-cache`` bypasses,
@@ -53,7 +54,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -67,8 +67,7 @@ from repro.api.store import INDEX_NAME, LAYOUTS, TraceStore
 from repro.cache import DiffCache, cached_engine_diff
 from repro.exec.executors import available_executors, get_executor
 from repro.analysis.report import render_diff_report, render_trace_tree
-from repro.analysis.serialize import (SUPPORTED_VERSIONS, WIRE_FORMAT_ENV,
-                                      load_trace)
+from repro.analysis.serialize import load_trace
 from repro.core.regression import (MODE_INTERSECT, MODE_SUBTRACT,
                                    analyze_regression)
 from repro.core.view_diff import ViewDiffConfig
@@ -139,24 +138,6 @@ def _add_engine_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", action="append", metavar="KEY=VALUE",
                         help="view-diff knob, e.g. --config window=8 "
                              "--config relaxed=false (repeatable)")
-
-
-def _add_format_option(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--format", type=int, dest="format",
-                        choices=SUPPORTED_VERSIONS, default=None,
-                        metavar="N",
-                        help="wire format version for traces this "
-                             "command writes or ships (default: "
-                             f"${WIRE_FORMAT_ENV} or binary v3)")
-
-
-def _apply_format(args) -> None:
-    """Publish ``--format`` as :data:`WIRE_FORMAT_ENV` so every write
-    path — this process *and* spawned workers, which inherit the
-    environment — uses the requested version."""
-    version = getattr(args, "format", None)
-    if version is not None:
-        os.environ[WIRE_FORMAT_ENV] = str(version)
 
 
 def _add_cache_options(parser: argparse.ArgumentParser) -> None:
@@ -234,7 +215,6 @@ def cmd_engines(args) -> int:
 
 
 def cmd_diff(args) -> int:
-    _apply_format(args)
     left = load_trace(args.left)
     right = load_trace(args.right)
     config = parse_config_flags(args.config)
@@ -274,7 +254,6 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_store_add(args) -> int:
-    _apply_format(args)
     store = TraceStore(args.store)
     record = store.ingest_file(args.trace, key=args.key,
                                tags=tuple(args.tag or ()),
@@ -392,22 +371,19 @@ def cmd_store_rm(args) -> int:
 
 def cmd_store_migrate(args) -> int:
     store = _open_store(args.store)
-    if args.to_format is not None:
-        summary = store.migrate_format(args.to_format)
-        print(f"format v{summary['version']}: "
-              f"{summary['migrated']} rewritten, "
-              f"{summary['skipped']} already current, "
-              f"{summary['failed']} failed in {store.root}")
-        return 0 if summary["failed"] == 0 else 1
-    if store.sharded:
-        moved = store.migrate_to_sharded()  # idempotent remnant sweep
+    was_sharded = store.sharded
+    moved = store.migrate_to_sharded()  # idempotent: sweeps remnants
+    if was_sharded:
         print(f"{store.root} already sharded "
               f"({moved} remnant(s) adopted)")
-        return 0
-    moved = store.migrate_to_sharded()
-    print(f"migrated {store.root} to the sharded layout "
-          f"({moved} trace(s) moved)")
-    return 0
+    else:
+        print(f"migrated {store.root} to the sharded layout "
+              f"({moved} trace(s) moved)")
+    summary = store.migrate_format()
+    print(f"format v3: {summary['migrated']} rewritten, "
+          f"{summary['skipped']} already current, "
+          f"{summary['failed']} failed")
+    return 0 if summary["failed"] == 0 else 1
 
 
 def cmd_store_stats(args) -> int:
@@ -580,7 +556,6 @@ def _jobs_from_spec(spec: dict) -> list[StoredScenarioJob]:
 
 
 def cmd_batch(args) -> int:
-    _apply_format(args)  # before get_executor: workers inherit the env
     try:
         with open(args.spec, encoding="utf-8") as handle:
             spec = json.load(handle)
@@ -643,7 +618,6 @@ def build_parser() -> argparse.ArgumentParser:
     diff.add_argument("right")
     _add_engine_options(diff)
     _add_cache_options(diff)
-    _add_format_option(diff)
     diff.add_argument("--anchor-stats", action="store_true",
                       help="print the pair's =e anchor segmentation "
                            "(runs, gaps, candidate counts)")
@@ -682,7 +656,6 @@ def build_parser() -> argparse.ArgumentParser:
     store_add.add_argument("--scenario",
                            help="scenario metadata recorded in the "
                                 "catalog (repro query --scenario)")
-    _add_format_option(store_add)
     store_add.set_defaults(func=cmd_store_add)
 
     store_list = store_cmds.add_parser("list", help="list stored traces")
@@ -726,17 +699,12 @@ def build_parser() -> argparse.ArgumentParser:
     store_diff.set_defaults(func=cmd_store_diff)
 
     store_migrate = store_cmds.add_parser(
-        "migrate", help="convert a flat store to the sharded layout "
-                        "in place (shards.d/<hh>/, per-shard indexes), "
-                        "or rewrite trace files with --to-format")
+        "migrate", help="bring a store to its current form in place: "
+                        "the sharded layout (shards.d/<hh>/, per-shard "
+                        "indexes) and binary v3 trace files (legacy "
+                        "text files rewritten; keys, tags and digests "
+                        "kept)")
     store_migrate.add_argument("store")
-    store_migrate.add_argument("--to-format", type=int, dest="to_format",
-                               choices=SUPPORTED_VERSIONS, default=None,
-                               metavar="N",
-                               help="rewrite every stored trace in wire "
-                                    "format N (keys, tags and digests "
-                                    "are preserved) instead of changing "
-                                    "the directory layout")
     store_migrate.set_defaults(func=cmd_store_migrate)
 
     store_stats = store_cmds.add_parser(
@@ -860,7 +828,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "default: serial)")
     _add_engine_options(batch)
     _add_cache_options(batch)
-    _add_format_option(batch)
     batch.set_defaults(func=cmd_batch)
 
     from repro.static.cli import register as register_static

@@ -1,27 +1,11 @@
-"""Trace serialisation: JSON-lines (v1/v2) and binary columnar (v3).
+"""Trace serialisation: one binary writer (v3), three readable formats.
 
 RPRISM offloads trace segments to disk while the program runs and
 analyses them offline; this module provides the on-disk and on-wire
-formats.
-
-Format **v2** is streaming, text, and key-table aware::
-
-    {"format": 2, "name": ..., "entries": n, "keys": k, "metadata": {...}}
-    {"key": <plain =e key>}          # k lines, id = line order
-    {"eid": ..., ..., "kid": <id>}   # n entry rows
-
-The key table between the header and the rows lets readers recover the
-interned ``=e`` representation without recomputing a single
-``entry.key()`` (:func:`load_trace` attaches it to the trace), and lets
-:func:`read_key_table` stream just the table — the
-:class:`~repro.api.store.TraceStore` lists and keys traces without ever
-materialising full entries.  Format **v1** (header + rows, no table)
-remains fully readable; :func:`save_trace` can still emit it via
-``version=1``.  Unknown format versions raise a clear ``ValueError``
-instead of silently mis-parsing.
-
-Format **v3** (the default) is a length-prefixed binary framing built
-for cheap decode::
+format.  Every write — :func:`save_trace` for files,
+:func:`dumps_trace_bytes` for shared-memory segments and service
+uploads — emits **format v3**, a length-prefixed binary columnar
+framing built for cheap decode::
 
     b"RPV3" | u32 header length | header JSON | sections...
 
@@ -46,24 +30,32 @@ trace's :meth:`~repro.core.traces.Trace.content_digest`, computed at
 encode time, so digest-keyed consumers (diff cache, wire memos,
 dedup) never force materialisation either.
 
-``version=None`` everywhere means "the wire default": format 3, unless
-the ``REPRO_WIRE_FORMAT`` environment variable (or an explicit
-``version=``) overrides it.
+The legacy **text** formats stay readable, so old stores, segment
+files and clients keep working; nothing writes them any more
+(``repro store migrate`` rewrites a store's text files as v3)::
+
+    {"format": 2, "name": ..., "entries": n, "keys": k, "metadata": {...}}
+    {"key": <plain =e key>}          # k lines, id = line order
+    {"eid": ..., ..., "kid": <id>}   # n entry rows
+
+v2 carries the key table between header and rows, so a load attaches
+it without recomputing a single ``entry.key()``; v1 is the same
+without the table (and without ``kid``).  Unknown format versions
+raise a clear ``ValueError`` instead of silently mis-parsing.
 
 JSON has no tuples, so serialisations (which are nested tuples in memory,
-for hashability) are converted to lists on write and recursively back to
-tuples on read — round-tripping preserves ``=e`` keys exactly.
+for hashability) are tagged lists on disk and recursively turned back
+into tuples on read — round-tripping preserves ``=e`` keys exactly.
 """
 
 from __future__ import annotations
 
 import io
 import json
-import os
 import sys
 from array import array
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from repro.core.entries import TraceEntry
 from repro.core.events import (Call, End, Event, FieldGet, FieldSet, Fork,
@@ -73,39 +65,10 @@ from repro.core.traces import LazyEntrySequence, Trace
 from repro.core.values import ValueRep
 from repro.core.views import ViewType
 
-#: The default wire/store format (binary columnar).
+#: The format every write emits (binary columnar).
 FORMAT_VERSION = 3
-#: The newest *text* format (``dumps_trace`` returns a str and cannot
-#: carry the binary framing).
-TEXT_FORMAT_VERSION = 2
+#: Every format the readers accept: the legacy text v1/v2 and v3.
 SUPPORTED_VERSIONS = (1, 2, 3)
-TEXT_VERSIONS = (1, 2)
-
-#: Environment override for the default wire format (``1``/``2``/``3``)
-#: — inherited by worker processes, so one setting governs a whole
-#: executor tree.
-WIRE_FORMAT_ENV = "REPRO_WIRE_FORMAT"
-
-
-def wire_format(explicit: "int | None" = None) -> int:
-    """The serialisation version writes should use: ``explicit`` when
-    given, else :data:`WIRE_FORMAT_ENV`, else :data:`FORMAT_VERSION`.
-    Unknown versions raise ``ValueError`` either way."""
-    if explicit is None:
-        raw = os.environ.get(WIRE_FORMAT_ENV)
-        if raw is None:
-            return FORMAT_VERSION
-        try:
-            explicit = int(raw)
-        except ValueError:
-            raise ValueError(
-                f"invalid {WIRE_FORMAT_ENV}={raw!r} (expected one of: "
-                f"{', '.join(str(v) for v in SUPPORTED_VERSIONS)})"
-            ) from None
-    if explicit not in SUPPORTED_VERSIONS:
-        raise ValueError(f"cannot write trace format version {explicit!r} "
-                         f"(supported: {SUPPORTED_VERSIONS})")
-    return explicit
 
 
 def _rep_to_json(rep: ValueRep | None):
@@ -154,32 +117,6 @@ def _ancestry_from_json(data):
                  for stack in data)
 
 
-def _event_to_json(event: Event) -> dict:
-    if isinstance(event, FieldGet):
-        return {"k": "get", "o": _rep_to_json(event.obj), "f": event.field,
-                "v": _rep_to_json(event.value)}
-    if isinstance(event, FieldSet):
-        return {"k": "set", "o": _rep_to_json(event.obj), "f": event.field,
-                "v": _rep_to_json(event.value)}
-    if isinstance(event, Call):
-        return {"k": "call", "o": _rep_to_json(event.obj), "m": event.method,
-                "a": [_rep_to_json(a) for a in event.args]}
-    if isinstance(event, Return):
-        return {"k": "return", "o": _rep_to_json(event.obj),
-                "m": event.method, "v": _rep_to_json(event.value)}
-    if isinstance(event, Init):
-        return {"k": "init", "c": event.class_name,
-                "a": [_rep_to_json(a) for a in event.args],
-                "o": _rep_to_json(event.obj)}
-    if isinstance(event, Fork):
-        return {"k": "fork", "tid": event.child_tid,
-                "s": _ancestry_to_json(event.ancestry)}
-    if isinstance(event, End):
-        return {"k": "end", "tid": event.tid,
-                "s": _ancestry_to_json(event.ancestry)}
-    raise TypeError(f"unserialisable event: {event!r}")
-
-
 def _event_from_json(data: dict) -> Event:
     kind = data["k"]
     if kind == "get":
@@ -204,13 +141,6 @@ def _event_from_json(data: dict) -> Event:
     if kind == "end":
         return End(tid=data["tid"], ancestry=_ancestry_from_json(data["s"]))
     raise ValueError(f"unknown event kind: {kind!r}")
-
-
-def entry_to_json(entry: TraceEntry) -> dict:
-    """One trace entry as a JSON-encodable dict."""
-    return {"eid": entry.eid, "tid": entry.tid, "m": entry.method,
-            "rho": _rep_to_json(entry.active),
-            "e": _event_to_json(entry.event)}
 
 
 def entry_from_json(data: dict) -> TraceEntry:
@@ -316,8 +246,16 @@ def _eid_column(buf: memoryview):
     return range(count) if iota.startswith(buf) else column
 
 
-def _encode_v3(trace: Trace, metadata: dict) -> bytes:
-    """The trace as one v3 frame (see the module docstring for layout)."""
+def dumps_trace_bytes(trace: Trace,
+                      extra_metadata: dict | None = None) -> bytes:
+    """The trace as one v3 frame (see the module docstring for layout)
+    — *the* encoder: :func:`save_trace` writes its bytes to files, and
+    shipping (shared-memory segments, service uploads) sends them as
+    they are; :func:`loads_trace` accepts them back directly.
+    ``extra_metadata`` is merged over the trace's own in the header."""
+    metadata = dict(trace.metadata)
+    if extra_metadata:
+        metadata.update(extra_metadata)
     # Digest first: on a lazy v3-loaded trace this is already seeded
     # from its header, and on a captured trace it is usually cached —
     # either way the header carries it so *readers* never materialise
@@ -674,98 +612,22 @@ def _load_v3(view: memoryview, path: Path, keepalive=None) -> Trace:
 
 
 def save_trace(trace: Trace, path: str | Path,
-               extra_metadata: dict | None = None,
-               version: int | None = None) -> None:
-    """Write a trace file: binary v3 (the default), or text v1/v2.
+               extra_metadata: dict | None = None) -> None:
+    """Write a trace file (binary v3).
 
     ``extra_metadata`` is merged over the trace's own metadata in the
     header (the :class:`repro.api.store.TraceStore` records provenance
-    this way without mutating the in-memory trace).  ``version=None``
-    defers to :func:`wire_format`; ``version=1`` emits the legacy
-    table-less text format.
+    this way without mutating the in-memory trace).  The frame is
+    encoded before the file is opened, so a failing encode never
+    truncates an existing file.
     """
-    # Validate before open() truncates an existing file.
-    version = wire_format(version)
-    path = Path(path)
-    if version == 3:
-        metadata = dict(trace.metadata)
-        if extra_metadata:
-            metadata.update(extra_metadata)
-        with path.open("wb") as handle:
-            handle.write(_encode_v3(trace, metadata))
-        return
-    with path.open("w", encoding="utf-8") as handle:
-        write_trace(handle, trace, extra_metadata=extra_metadata,
-                    version=version)
-
-
-def write_trace(handle, trace: Trace,
-                extra_metadata: dict | None = None,
-                version: int = TEXT_FORMAT_VERSION) -> None:
-    """Write a trace to an open *text* handle (the body of
-    :func:`save_trace` for v1/v2; v3 is binary — see
-    :func:`dumps_trace_bytes`)."""
-    if version not in TEXT_VERSIONS:
-        raise ValueError(
-            f"cannot write trace format version {version!r} to a text "
-            f"handle (text formats: {TEXT_VERSIONS}; format 3 is binary "
-            f"— use dumps_trace_bytes/save_trace)")
-    metadata = dict(trace.metadata)
-    if extra_metadata:
-        metadata.update(extra_metadata)
-    if version == 1:
-        header = {"format": 1, "name": trace.name,
-                  "entries": len(trace), "metadata": metadata}
-        handle.write(json.dumps(header) + "\n")
-        for entry in trace.entries:
-            handle.write(json.dumps(entry_to_json(entry)) + "\n")
-        return
-    local_keys, column = _local_key_column(trace)
-    header = {"format": 2, "name": trace.name, "entries": len(trace),
-              "keys": len(local_keys), "metadata": metadata}
-    handle.write(json.dumps(header) + "\n")
-    for key in local_keys:
-        handle.write(json.dumps({"key": _plain(key)}) + "\n")
-    for entry, kid in zip(trace.entries, column):
-        row = entry_to_json(entry)
-        row["kid"] = kid
-        handle.write(json.dumps(row) + "\n")
-
-
-def dumps_trace(trace: Trace, extra_metadata: dict | None = None,
-                version: int = TEXT_FORMAT_VERSION) -> str:
-    """The trace as serialisation *text* (v2 by default, v1 on
-    request).  The binary v3 wire has no text form — use
-    :func:`dumps_trace_bytes` for "whatever the session's wire format
-    is"."""
-    buffer = io.StringIO()
-    write_trace(buffer, trace, extra_metadata=extra_metadata,
-                version=version)
-    return buffer.getvalue()
-
-
-def dumps_trace_bytes(trace: Trace,
-                      extra_metadata: dict | None = None,
-                      version: int | None = None) -> bytes:
-    """The trace as wire bytes — *the* encode entry point for shipping
-    (shared-memory segments, service uploads): binary v3 by default
-    (see :func:`wire_format`), UTF-8 v1/v2 text on request.  Bytes are
-    produced exactly once; :func:`loads_trace` accepts them back
-    directly."""
-    version = wire_format(version)
-    if version == 3:
-        metadata = dict(trace.metadata)
-        if extra_metadata:
-            metadata.update(extra_metadata)
-        return _encode_v3(trace, metadata)
-    return dumps_trace(trace, extra_metadata=extra_metadata,
-                       version=version).encode("utf-8")
+    Path(path).write_bytes(dumps_trace_bytes(trace, extra_metadata))
 
 
 def loads_trace(data: "str | bytes | bytearray | memoryview",
                 keepalive=None) -> Trace:
-    """Inverse of :func:`dumps_trace_bytes` (and of
-    :func:`dumps_trace` for text).
+    """Inverse of :func:`dumps_trace_bytes`; legacy v1/v2 text is
+    accepted too, as ``str`` or UTF-8 bytes.
 
     Binary v3 payloads decode **lazily and zero-copy**: the returned
     trace's columns are ``memoryview`` casts over ``data`` itself (no
@@ -783,6 +645,21 @@ def loads_trace(data: "str | bytes | bytearray | memoryview",
                        Path("<wire>"))
 
 
+def _read_v3_header(handle, path: Path) -> dict:
+    """The header of a v3 file whose magic ``handle`` has just read."""
+    raw = handle.read(4)
+    if len(raw) < 4:
+        raise ValueError(f"truncated v3 trace: {path} "
+                         f"(no header length)")
+    header_len = int.from_bytes(raw, "little")
+    blob = handle.read(header_len)
+    if len(blob) < header_len:
+        raise ValueError(
+            f"truncated v3 trace: {path} (header wants "
+            f"{header_len} byte(s), {len(blob)} available)")
+    return _parse_v3_header(blob, path)
+
+
 def read_header(path: str | Path) -> dict:
     """Read just the header of a trace file (cheap listing) — the
     first line of a text file, the O(1) frame prelude of a v3 file."""
@@ -790,17 +667,7 @@ def read_header(path: str | Path) -> dict:
     with path.open("rb") as handle:
         magic = handle.read(4)
         if magic == _V3_MAGIC:
-            raw = handle.read(4)
-            if len(raw) < 4:
-                raise ValueError(f"truncated v3 trace: {path} "
-                                 f"(no header length)")
-            header_len = int.from_bytes(raw, "little")
-            blob = handle.read(header_len)
-            if len(blob) < header_len:
-                raise ValueError(
-                    f"truncated v3 trace: {path} (header wants "
-                    f"{header_len} byte(s), {len(blob)} available)")
-            return _parse_v3_header(blob, path)
+            return _read_v3_header(handle, path)
         line = magic + handle.readline()
     try:
         text = line.decode("utf-8")
@@ -824,7 +691,7 @@ def _parse_header(header_line: str, path: Path) -> dict:
             f"unsupported trace format version {version!r} in {path} "
             f"(this reader supports: "
             f"{', '.join(str(v) for v in SUPPORTED_VERSIONS)})")
-    if version not in TEXT_VERSIONS:
+    if version == FORMAT_VERSION:
         # A JSON line claiming format 3 is not a v3 file — the real
         # thing starts with the binary magic, not a text header.
         raise ValueError(
@@ -863,17 +730,7 @@ def read_key_table(path: str | Path) -> tuple[dict, KeyTable]:
     with path.open("rb") as probe:
         magic = probe.read(4)
         if magic == _V3_MAGIC:
-            raw = probe.read(4)
-            if len(raw) < 4:
-                raise ValueError(f"truncated v3 trace: {path} "
-                                 f"(no header length)")
-            header_len = int.from_bytes(raw, "little")
-            blob = probe.read(header_len)
-            if len(blob) < header_len:
-                raise ValueError(
-                    f"truncated v3 trace: {path} (header wants "
-                    f"{header_len} byte(s), {len(blob)} available)")
-            header = _parse_v3_header(blob, path)
+            header = _read_v3_header(probe, path)
             keys_len = None
             for name, size in header["sections"]:
                 if name == "keys":
@@ -901,7 +758,7 @@ def read_key_table(path: str | Path) -> tuple[dict, KeyTable]:
 
 
 def load_trace(path: str | Path) -> Trace:
-    """Read a trace written by :func:`save_trace` (any format).
+    """Read a trace file: v3, or legacy v1/v2 text.
 
     v2/v3 traces come back carrying their key table and id column, so
     a later interned diff never recomputes an ``=e`` key; v3 traces
@@ -972,30 +829,3 @@ def iter_entries(path: str | Path) -> Iterator[TraceEntry]:
         for line in handle:
             if line.strip():
                 yield entry_from_json(json.loads(line))
-
-
-def save_entries(entries: Iterable[TraceEntry], path: str | Path,
-                 name: str = "", metadata: dict | None = None) -> int:
-    """Write bare entries (used by trace segmentation); returns count.
-
-    Emits v2 in two passes — intern the key table, then encode rows
-    straight to disk — so peak memory stays at the caller's entry
-    buffer (segment flushes exist to bound tracing memory) plus the
-    table, never a second full JSON copy of the segment.
-    """
-    path = Path(path)
-    if not isinstance(entries, (list, tuple)):
-        entries = list(entries)
-    table = KeyTable()
-    column = table.intern_entries(entries)
-    with path.open("w", encoding="utf-8") as handle:
-        header = {"format": 2, "name": name, "entries": -1,
-                  "keys": len(table), "metadata": metadata or {}}
-        handle.write(json.dumps(header) + "\n")
-        for key in table.keys():
-            handle.write(json.dumps({"key": _plain(key)}) + "\n")
-        for entry, kid in zip(entries, column):
-            row = entry_to_json(entry)
-            row["kid"] = kid
-            handle.write(json.dumps(row) + "\n")
-    return len(entries)

@@ -176,10 +176,7 @@ class Session:
             return cache
         if cache is True:
             if self.store is not None:
-                # A sharded store gets a sharded cache directory too —
-                # the same millions-of-entries directory pressure.
-                return DiffCache(self.store.root / "diffcache",
-                                 sharded=self.store.sharded or None)
+                return DiffCache(self.store.root / "diffcache")
             return DiffCache()
         return DiffCache(cache)
 

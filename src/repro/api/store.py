@@ -2,9 +2,9 @@
 
 RPRISM's workflow is offline — traces are captured (and segmented) to
 disk while the program runs and analysed afterwards.  A
-:class:`TraceStore` is a directory of JSONL trace files (the
-:mod:`repro.analysis.serialize` format) addressed by key, with a small
-sidecar index for tags::
+:class:`TraceStore` is a directory of trace files (binary v3, see
+:mod:`repro.analysis.serialize`; legacy v1/v2 text files still read)
+addressed by key, with a small sidecar index for tags::
 
     store = TraceStore("traces/")
     store.save(trace, key="old/regressing", tags=("myfaces", "bad"))
@@ -63,9 +63,9 @@ try:
 except ImportError:  # pragma: no cover - non-POSIX platforms
     fcntl = None
 
-from repro.analysis.serialize import (load_trace, read_header,
-                                      read_key_table, save_trace,
-                                      wire_format)
+from repro.analysis.serialize import (FORMAT_VERSION, load_trace,
+                                      read_header, read_key_table,
+                                      save_trace)
 from repro.core.keytable import KeyTable
 from repro.core.traces import Trace
 
@@ -264,8 +264,8 @@ class TraceRecord:
     entries: int
     tags: tuple[str, ...] = ()
     metadata: dict = field(default_factory=dict)
-    #: Serialisation format version of the file on disk (1/2 text,
-    #: 3 binary; 0 when the header predates format stamping).
+    #: Serialisation format version of the file on disk (3 binary, or
+    #: legacy 1/2 text; 0 when the header predates format stamping).
     format: int = 0
 
     def brief(self) -> str:
@@ -792,18 +792,17 @@ class TraceStore:
 
     # -- format migration ----------------------------------------------------
 
-    def migrate_format(self, version: int | None = None) -> dict:
-        """Rewrite every stored trace in serialisation ``version``
-        (default: the session wire format — binary v3 unless
-        overridden).  Keys, tags, paths and content digests are all
-        preserved; only the file bytes change.  Files already in the
-        target format are left untouched.  Returns a summary dict:
-        ``{"version", "migrated", "skipped", "failed"}``.
+    def migrate_format(self) -> dict:
+        """Rewrite every legacy text (v1/v2) trace file as binary v3.
+
+        Keys, tags, paths and content digests are all preserved; only
+        the file bytes change.  Files already in v3 are left untouched,
+        so a second run skips them all.  Returns a summary dict:
+        ``{"migrated", "skipped", "failed"}``.
         """
-        version = wire_format(version)
         migrated, skipped, failed = 0, 0, 0
         for record in self.records():
-            if record.format == version:
+            if record.format == FORMAT_VERSION:
                 skipped += 1
                 continue
             shard = self._shard_for(record.key)
@@ -814,7 +813,7 @@ class TraceStore:
                     # Header metadata (store key, digest, provenance)
                     # rides on trace.metadata, so a bare re-save keeps
                     # it verbatim.
-                    save_trace(trace, tmp, version=version)
+                    save_trace(trace, tmp)
                     with self._locked(shard):
                         os.replace(tmp, record.path)
                 finally:
@@ -824,8 +823,8 @@ class TraceStore:
                 failed += 1  # unreadable file: left as-is, reported
                 continue
             migrated += 1
-        return {"version": version, "migrated": migrated,
-                "skipped": skipped, "failed": failed}
+        return {"migrated": migrated, "skipped": skipped,
+                "failed": failed}
 
     def format_stats(self) -> dict:
         """Per-format census of the store: trace counts and on-disk

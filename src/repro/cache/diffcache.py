@@ -15,10 +15,14 @@ with two tiers:
   always rehydrated against the *caller's* traces, so a cached result
   never pins old trace objects and its sequences reference the very
   entries the caller holds), and
-* an optional **persistent disk tier**: one JSON file per entry in a
-  directory, conventionally ``<trace store>/diffcache`` (atomic
-  write-to-temp + ``os.replace``; prune/clear serialise through the
-  store layer's :func:`~repro.api.store.locked_file` discipline).
+* an optional **persistent disk tier**: one JSON file per entry at
+  ``<path>/<hh>/<key>.json`` (``hh`` = the key's first two hex chars,
+  so a million-entry cache never piles up one directory), the path
+  conventionally ``<trace store>/diffcache`` (atomic write-to-temp +
+  ``os.replace``; prune/clear serialise through the store layer's
+  :func:`~repro.api.store.locked_file` discipline).  Entries at the
+  flat root, written by older caches, stay readable and are counted
+  by ``stats``/``prune``/``clear``.
   A truncated or hand-edited entry reads as a *miss*, never an error.
 
 Correctness rests on two contracts, both documented at their homes:
@@ -141,20 +145,8 @@ class DiffCache:
     """
 
     def __init__(self, path: "str | Path | None" = None, *,
-                 max_memory_entries: int = DEFAULT_MEMORY_ENTRIES,
-                 sharded: "bool | None" = None):
+                 max_memory_entries: int = DEFAULT_MEMORY_ENTRIES):
         self.path = None if path is None else Path(path)
-        # Sharded disk tier: entries live under <path>/<hh>/ (the first
-        # two hex chars of the entry key), matching the sharded trace
-        # store so a million-entry cache never piles one directory
-        # full.  ``None`` auto-detects from the directory on disk;
-        # flat entries remain readable either way (a sharded cache
-        # falls back to the flat path on a miss, so turning sharding on
-        # never invalidates what's already cached).
-        if sharded is None:
-            sharded = self.path is not None and any(
-                self._is_shard_dir(p) for p in self._subdirs())
-        self.sharded = bool(sharded) and self.path is not None
         self.max_memory_entries = max(1, max_memory_entries)
         self._memory: "OrderedDict[str, dict]" = OrderedDict()
         self._lock = threading.Lock()
@@ -264,21 +256,8 @@ class DiffCache:
 
     # -- disk tier -----------------------------------------------------------
 
-    @staticmethod
-    def _is_shard_dir(path: Path) -> bool:
-        name = path.name
-        return (len(name) == 2 and path.is_dir()
-                and all(c in "0123456789abcdef" for c in name))
-
-    def _subdirs(self) -> list[Path]:
-        if self.path is None or not self.path.is_dir():
-            return []
-        return [p for p in self.path.iterdir() if p.is_dir()]
-
     def _entry_path(self, key: str) -> Path:
-        if self.sharded:
-            return self.path / key[:2] / (key + ENTRY_SUFFIX)
-        return self.path / (key + ENTRY_SUFFIX)
+        return self.path / key[:2] / (key + ENTRY_SUFFIX)
 
     def _read_wire(self, path: Path, key: str) -> dict | None:
         try:
@@ -293,9 +272,9 @@ class DiffCache:
         if self.path is None:
             return None
         wire = self._read_wire(self._entry_path(key), key)
-        if wire is None and self.sharded:
-            # Entries written before this cache went sharded sit at the
-            # flat root; they stay readable rather than recomputed.
+        if wire is None:
+            # Entries from caches that wrote flat sit at the root; they
+            # stay readable rather than recomputed.
             wire = self._read_wire(self.path / (key + ENTRY_SUFFIX), key)
         return wire
 
@@ -321,15 +300,14 @@ class DiffCache:
             pass
 
     def _disk_entries(self) -> list[Path]:
+        """Every entry file: the ``<hh>/`` shards plus any flat-root
+        entries left by caches that wrote flat."""
         if self.path is None or not self.path.is_dir():
             return []
-        entries = [p for p in self.path.glob("*" + ENTRY_SUFFIX)
-                   if not p.name.startswith(".")]
-        for shard in self._subdirs():
-            if self._is_shard_dir(shard):
-                entries.extend(p for p in shard.glob("*" + ENTRY_SUFFIX)
-                               if not p.name.startswith("."))
-        return sorted(entries)
+        return sorted(
+            p for pattern in ("*", "[0-9a-f][0-9a-f]/*")
+            for p in self.path.glob(pattern + ENTRY_SUFFIX)
+            if not p.name.startswith("."))
 
     # -- maintenance ---------------------------------------------------------
 

@@ -4,16 +4,17 @@ RPRISM records relatively short regions of execution as individual trace
 *segments*; once a segment finishes, its data is offloaded to disk and the
 tracing memory reclaimed, letting long-running programs be traced within
 bounded memory.  ``SegmentedTraceWriter`` reproduces that scheme on top of
-the JSON-lines serialisation: entries are flushed to per-segment files
-whenever the in-memory buffer reaches the segment size, and
-:func:`load_segments` reassembles the full trace offline.
+the binary v3 trace format (:mod:`repro.analysis.serialize`): entries
+are flushed to per-segment trace files whenever the in-memory buffer
+reaches the segment size, and :func:`load_segments` reassembles the
+full trace offline (legacy text segments read back too).
 """
 
 from __future__ import annotations
 
 from pathlib import Path
 
-from repro.analysis.serialize import iter_entries, save_entries
+from repro.analysis.serialize import iter_entries, save_trace
 from repro.core.entries import TraceEntry
 from repro.core.traces import Trace
 
@@ -52,8 +53,8 @@ class SegmentedTraceWriter:
             return None
         index = len(self._segment_paths)
         path = self.directory / f"{self.name}.seg{index:05d}.jsonl"
-        save_entries(self._buffer, path, name=self.name,
-                     metadata={"segment": index})
+        save_trace(Trace(self._buffer, name=self.name,
+                         metadata={"segment": index}), path)
         self._segment_paths.append(path)
         self._buffer = []  # reclaim tracing memory
         return path
@@ -77,10 +78,11 @@ class SegmentedTraceWriter:
 def load_segments(paths, name: str = "") -> Trace:
     """Reassemble a trace from segment files written by
     :class:`SegmentedTraceWriter` (offline analysis side)."""
+    paths = list(paths)  # counted after the walk: a generator would be spent
     entries: list[TraceEntry] = []
     for path in paths:
         entries.extend(iter_entries(path))
-    return Trace(entries, name=name, metadata={"segments": len(list(paths))})
+    return Trace(entries, name=name, metadata={"segments": len(paths)})
 
 
 def segment_trace(trace: Trace, directory: str | Path,

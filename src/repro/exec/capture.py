@@ -14,7 +14,7 @@ declaratively (callable + arguments + pointcut filter), and
 * **process executors** dispatch tasks to worker processes.  Each
   worker owns its own weaver (no lock needed: pool workers evaluate one
   task at a time), captures locally, and ships the finished trace back
-  as wire bytes (binary v3 by default) — key table included — so the
+  as binary v3 wire bytes — key table included — so the
   parent decodes interned traces lazily, without recomputing a single
   ``=e`` key or materialising an entry it never looks at.  The
   parent then re-homes each carried key column into the session's

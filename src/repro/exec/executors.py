@@ -12,7 +12,7 @@ decides how a batch is evaluated:
 * ``processes`` — a prewarmed ``ProcessPoolExecutor``.  Each worker
   process owns its *own* ``sys.settrace`` weaver, so captures proceed
   truly concurrently; task functions and arguments must be picklable,
-  and results come back over the serialization-v2 wire format (see
+  and results come back as binary v3 wire bytes (see
   :mod:`repro.exec.capture`).
 
 Executors are deliberately tiny: ``map(fn, items)`` with ordered

@@ -1,10 +1,10 @@
 """Zero-copy trace shipping over ``multiprocessing.shared_memory``.
 
-Process executors used to ship every trace as serialisation-v2 *text
-pickled through the task queue*: the text was copied into the pickle
-stream, through the pipe, and out again on the far side — three copies
-of half a megabyte per trace, per round trip.  This module ships the
-same v2 wire bytes through named shared-memory segments instead: the
+Process executors used to ship every trace as wire text *pickled
+through the task queue*: the text was copied into the pickle stream,
+through the pipe, and out again on the far side — three copies of
+half a megabyte per trace, per round trip.  This module ships the
+binary v3 wire bytes through named shared-memory segments instead: the
 producer writes the bytes once, the consumer maps the segment and
 decodes straight from a :class:`memoryview` slice, and only a tiny
 *handle* (segment name, offset, length, content digest) rides the
@@ -14,8 +14,8 @@ Three guarantees shape the design:
 
 * **Transparent fallback** — when ``multiprocessing.shared_memory`` is
   unavailable (platform, permissions, an exhausted ``/dev/shm``), every
-  ship call degrades to an ``inline`` handle carrying the wire text
-  itself.  Consumers never know the difference; results are identical.
+  ship call degrades to an ``inline`` handle carrying the wire bytes
+  themselves.  Consumers never know the difference; results are identical.
 * **Guaranteed unlink** — every segment this process creates is named
   with a per-process prefix and tracked by a :class:`SegmentRegistry`.
   Segments are unlinked on normal release, on pool close, at

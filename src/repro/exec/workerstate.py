@@ -34,11 +34,10 @@ import os
 from collections import OrderedDict
 
 from repro.core.keytable import KeyTable
-from repro.exec.shm import (TraceShippingError, adopt_segment_bytes,
-                            adopt_segment_view)
+from repro.exec.shm import TraceShippingError, adopt_segment_view
 
 __all__ = ["WorkerState", "resolve_trace_handle", "resolve_wire_payload",
-           "resolve_wire_text", "worker_state"]
+           "worker_state"]
 
 #: Decoded traces kept per worker (digests evict LRU past this).
 TRACE_CACHE_CAPACITY = 16
@@ -147,25 +146,6 @@ def resolve_wire_payload(handle: dict, state: "WorkerState | None" = None
     if state is not None:
         state.shm_bytes_in += len(view)
     return view, keepalive
-
-
-def resolve_wire_text(handle: dict, state: "WorkerState | None" = None
-                      ) -> str:
-    """A ship handle -> wire *text* (v1/v2 payloads only; the binary v3
-    wire has no text form — use :func:`resolve_wire_payload`)."""
-    kind = handle.get("kind", "inline")
-    if kind == "inline":
-        payload = _inline_payload(handle)
-        if isinstance(payload, str):
-            return payload
-        return bytes(payload).decode("utf-8")
-    if kind != "shm":
-        raise TraceShippingError(f"unknown ship handle kind {kind!r}")
-    payload = adopt_segment_bytes(handle["name"], handle["len"],
-                                  unlink=False)
-    if state is not None:
-        state.shm_bytes_in += len(payload)
-    return payload.decode("utf-8")
 
 
 def resolve_trace_handle(handle: dict):

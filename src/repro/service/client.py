@@ -82,10 +82,10 @@ class ServiceClient:
         a trace (object or already-serialised text), ``workload`` names
         a server-registered callable.
 
-        Trace objects ship as ``trace_b64``: the session wire bytes
-        (binary v3 by default) base64-wrapped for the JSON body —
-        roughly half the upload of v2 text even after the base64 tax.
-        Pre-serialised text still rides the legacy ``trace`` key.
+        Trace objects ship as ``trace_b64``: binary v3 wire bytes
+        base64-wrapped for the JSON body — roughly half the upload of
+        the legacy v2 text even after the base64 tax.  Pre-serialised
+        legacy text still rides the ``trace`` key.
         """
         payload: dict = {"key": key, "tags": list(tags),
                          "dedup": dedup, "scenario": scenario}

@@ -215,7 +215,7 @@ class ReproService:
         scenario = params.get("scenario") or None
         if params.get("trace_b64") is not None:
             # Binary-wire upload: base64-wrapped dumps_trace_bytes
-            # output (v3 by default; any supported format decodes).
+            # output (v3; a legacy text payload decodes too).
             trace = loads_trace(base64.b64decode(params["trace_b64"]))
         elif params.get("trace") is not None:
             trace = loads_trace(params["trace"])

@@ -4,6 +4,7 @@ mirroring the paper's motivating example (Figs. 1, 2, 13)."""
 from __future__ import annotations
 
 from contextlib import contextmanager
+from pathlib import Path
 from unittest import mock
 
 from repro.core.kernels import bitvector, scalar
@@ -101,3 +102,34 @@ def two_thread_trace(main_values, worker_values, name: str = "") -> Trace:
         b.record_set(worker, obj, "w", prim(value))
     b.record_end(worker)
     return b.build()
+
+
+def forked_trace(name: str = "forked") -> Trace:
+    """Two threads covering every event kind: a Fork and two Ends whose
+    ancestry carries a stack frame, field reads and writes, calls with
+    arguments, and nested-tuple serialisations — each payload shape a
+    trace file has to round-trip."""
+    b = TraceBuilder(name=name)
+    tid = b.main_tid
+    pair = b.record_init(tid, "Pair", (prim(1), prim("x")),
+                         serialization=("Pair", (1, ("x", 2.5))))
+    b.record_call(tid, pair, "Pair.start", (prim("go"),))
+    worker = b.record_fork(tid)
+    b.record_set(tid, pair, "left", prim(3))
+    b.record_return(tid)
+    b.record_get(worker, pair, "left", prim(3))
+    b.record_call(worker, pair, "Pair.swap", (pair, prim(None)))
+    b.record_return(worker, pair)
+    b.record_end(worker)
+    b.record_end(tid)
+    return b.build()
+
+
+#: ``forked_trace(name="legacy")`` as the removed v1 and v2 text
+#: writers wrote it (header metadata ``{"origin": "legacy fixture"}``):
+#: read-only input for the legacy-format tests.
+LEGACY_FIXTURES = {version: Path(__file__).parent / "data" /
+                   f"legacy_v{version}.jsonl" for version in (1, 2)}
+#: ``forked_trace().content_digest()``, pinned when the fixtures were
+#: written.
+LEGACY_DIGEST = "5e1b2d1785c7c7b899106b035a3cbe33"

@@ -6,13 +6,15 @@ import pytest
 from repro.analysis import (load_trace, render_diff_report,
                             render_trace_tree, save_trace)
 from repro.analysis.rprism import RPrism
-from repro.analysis.serialize import entry_from_json, entry_to_json
+from repro.analysis.serialize import (dumps_trace_bytes, loads_trace,
+                                      read_header)
 from repro.capture import TraceFilter, traced
 from repro.capture.segments import (SegmentedTraceWriter, load_segments,
                                     segment_trace)
 from repro.core.view_diff import view_diff
 
-from helpers import myfaces_trace, simple_trace, two_thread_trace
+from helpers import (forked_trace, myfaces_trace, simple_trace,
+                     two_thread_trace)
 
 MODULE_FILTER = TraceFilter(include_modules=(__name__,))
 
@@ -20,8 +22,8 @@ MODULE_FILTER = TraceFilter(include_modules=(__name__,))
 class TestSerialization:
     def test_entry_round_trip_preserves_keys(self):
         trace = myfaces_trace()
-        for entry in trace:
-            reborn = entry_from_json(entry_to_json(entry))
+        loaded = loads_trace(dumps_trace_bytes(trace))
+        for entry, reborn in zip(trace, loaded.entries, strict=True):
             assert reborn.key() == entry.key()
             assert reborn.eid == entry.eid
             assert reborn.tid == entry.tid
@@ -75,6 +77,36 @@ class TestSegmentation:
         loaded = load_segments(paths, name="seg")
         assert [e.eid for e in loaded] == [e.eid for e in trace]
         assert [e.key() for e in loaded] == [e.key() for e in trace]
+
+    def test_segment_headers_count_their_entries(self, tmp_path):
+        trace = simple_trace(range(25), name="seg")
+        paths = segment_trace(trace, tmp_path, segment_size=10)
+        sizes = [read_header(path)["entries"] for path in paths]
+        assert sizes == [10, 10, 7]
+        for index, path in enumerate(paths):
+            header = read_header(path)
+            assert header["format"] == 3
+            assert header["metadata"] == {"segment": index}
+            assert header["entries"] == len(load_trace(path))
+
+    def test_two_thread_round_trip(self, tmp_path):
+        # Fork/End ancestry and nested-tuple serialisations, split so
+        # a segment boundary falls between the fork and the ends.
+        trace = forked_trace()
+        paths = segment_trace(trace, tmp_path, segment_size=4)
+        assert len(paths) == 3
+        loaded = load_segments(paths, name="forked")
+        assert list(loaded.entries) == list(trace.entries)
+        assert loaded.content_digest() == trace.content_digest()
+        assert loaded.thread_ids() == trace.thread_ids() == [0, 1]
+
+    def test_segment_count_from_a_generator(self, tmp_path):
+        trace = simple_trace(range(25), name="seg")
+        paths = segment_trace(trace, tmp_path, segment_size=10)
+        assert load_segments(paths).metadata["segments"] == 3
+        loaded = load_segments(path for path in paths)
+        assert loaded.metadata["segments"] == 3
+        assert len(loaded) == len(trace)
 
     def test_closed_writer_rejects_append(self, tmp_path):
         writer = SegmentedTraceWriter(tmp_path, segment_size=5)

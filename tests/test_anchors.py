@@ -589,7 +589,7 @@ class TestSegmentCache:
         cache = DiffCache(tmp_path / "cache")
         inner = get_engine("optimized")
         cold = anchored_segment_diff(left, right, inner, cache=cache)
-        for entry in (tmp_path / "cache").glob("*.json"):
+        for entry in (tmp_path / "cache").glob("*/*.json"):
             entry.write_text(entry.read_text()[:40])
         workers: list[str] = []
         recovered = anchored_segment_diff(left, right, inner,

@@ -428,13 +428,13 @@ class TestCacheCli:
                                                 capsys):
         main(["store", "diff", str(populated_store), "ob", "nb"])
         cache_dir = populated_store / "diffcache"
-        assert len(list(cache_dir.glob("*.json"))) == 1
+        assert len(list(cache_dir.glob("*/*.json"))) == 1
         # Warm re-run: same report, still exactly one entry.
         capsys.readouterr()
         status = main(["store", "diff", str(populated_store), "ob", "nb"])
         assert status == 1
         assert "_minCharRange" in capsys.readouterr().out
-        assert len(list(cache_dir.glob("*.json"))) == 1
+        assert len(list(cache_dir.glob("*/*.json"))) == 1
 
     def test_no_cache_flag_skips_the_sidecar(self, populated_store):
         main(["store", "diff", str(populated_store), "ob", "nb",
@@ -447,7 +447,7 @@ class TestCacheCli:
         main(["diff", old_path, new_path])
         cache_dir = tmp_path / "cli-cache"
         main(["diff", old_path, new_path, "--cache", str(cache_dir)])
-        assert len(list(cache_dir.glob("*.json"))) == 1
+        assert len(list(cache_dir.glob("*/*.json"))) == 1
 
     def test_batch_reports_cache_hits(self, populated_store, tmp_path,
                                       capsys):
@@ -487,7 +487,7 @@ class TestCacheCli:
                                                      populated_store,
                                                      capsys):
         main(["store", "diff", str(populated_store), "ob", "nb"])
-        (entry,) = (populated_store / "diffcache").glob("*.json")
+        (entry,) = (populated_store / "diffcache").glob("*/*.json")
         entry.write_text(entry.read_text()[:40])  # truncate on disk
         capsys.readouterr()
         status = main(["store", "diff", str(populated_store), "ob", "nb"])

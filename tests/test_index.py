@@ -370,39 +370,47 @@ class TestShardedLayout:
         assert set(store.get("a").tags) >= {"y"}
 
     def test_session_cache_shards_with_the_store(self, tmp_path):
-        store = TraceStore(tmp_path / "store", layout="sharded")
-        session = Session(store=store, cache=True)
-        assert session.cache.sharded
+        for layout in ("sharded", "flat"):
+            store = TraceStore(tmp_path / layout, layout=layout)
+            session = Session(store=store, cache=True)
+            session.cache.put_wire("abcdef", {})
+            assert (store.root / "diffcache" / "ab"
+                    / "abcdef.json").exists()
+
+
+def write_flat_entry(cache_dir, key, result):
+    """An entry as caches that wrote flat left it: at the root."""
+    cache_dir.mkdir(parents=True, exist_ok=True)
+    (cache_dir / f"{key}.json").write_text(
+        json.dumps({"key": key, "engine": "", "created": 0.0,
+                    "result": result}), encoding="utf-8")
 
 
 class TestShardedDiffCache:
     def test_sharded_entries_live_under_prefix_dirs(self, tmp_path):
-        cache = DiffCache(tmp_path / "cache", sharded=True)
+        cache = DiffCache(tmp_path / "cache")
         cache.put_wire("abcdef", {"w": 1})
         assert (tmp_path / "cache" / "ab" / "abcdef.json").exists()
+        assert not (tmp_path / "cache" / "abcdef.json").exists()
         wire = cache._disk_read("abcdef")
         assert wire["key"] == "abcdef" and wire["result"] == {"w": 1}
 
     def test_flat_entries_stay_readable_after_sharding(self, tmp_path):
-        flat = DiffCache(tmp_path / "cache")
-        flat.put_wire("deadbeef", {"x": 2})
-        sharded = DiffCache(tmp_path / "cache", sharded=True)
-        wire = sharded._disk_read("deadbeef")
+        write_flat_entry(tmp_path / "cache", "deadbeef", {"x": 2})
+        wire = DiffCache(tmp_path / "cache")._disk_read("deadbeef")
         assert wire["key"] == "deadbeef"
         assert wire["result"] == {"x": 2}
 
-    def test_auto_detection(self, tmp_path):
-        DiffCache(tmp_path / "cache", sharded=True).put_wire("ff00", {})
-        assert DiffCache(tmp_path / "cache").sharded
-        assert not DiffCache(tmp_path / "other").sharded
-
     def test_stats_and_clear_cover_both_layouts(self, tmp_path):
-        flat = DiffCache(tmp_path / "cache")
-        flat.put_wire("11aa", {})
-        sharded = DiffCache(tmp_path / "cache", sharded=True)
-        sharded.put_wire("22bb", {})
-        assert sharded.stats().disk_entries == 2
-        assert sharded.clear() == 2
+        write_flat_entry(tmp_path / "cache", "11aa", {})
+        write_flat_entry(tmp_path / "cache", "33cc", {})
+        cache = DiffCache(tmp_path / "cache")
+        cache.put_wire("22bb", {})
+        assert cache.stats().disk_entries == 3
+        assert cache.prune(max_entries=2) == 1
+        assert cache.stats().disk_entries == 2
+        assert cache.clear() == 2
+        assert cache.stats().disk_entries == 0
 
 
 class TestIndexOnlyQueries:

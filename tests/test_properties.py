@@ -8,7 +8,7 @@ regression set algebra that every concrete test elsewhere relies on.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.serialize import entry_from_json, entry_to_json
+from repro.analysis.serialize import dumps_trace_bytes, loads_trace
 from repro.core.lcs_diff import lcs_diff
 from repro.core.regression import analyze_regression
 from repro.core.traces import TraceBuilder
@@ -145,8 +145,8 @@ class TestSerializationProperties:
     @settings(max_examples=60, deadline=None)
     def test_entry_round_trip(self, program):
         trace = build_trace(program)
-        for entry in trace:
-            reborn = entry_from_json(entry_to_json(entry))
+        loaded = loads_trace(dumps_trace_bytes(trace))
+        for entry, reborn in zip(trace, loaded.entries, strict=True):
             assert reborn.key() == entry.key()
             assert reborn.method == entry.method
             assert reborn.tid == entry.tid

@@ -3,27 +3,29 @@
 Hypothesis drives the same trace "programs" as ``test_properties``
 through the v3 encode/decode pair and asserts the invariants the rest
 of the system leans on: round-trips preserve entries and the content
-digest, re-encoding is byte-stable, all three formats agree on the
-digest, lazy decode equals eager decode entry-for-entry, and corrupt
-frames fail loudly.  Plain tests cover the store-facing surface
-(mixed-format stores, ``migrate_format``/``format_stats``) and the
-``REPRO_WIRE_FORMAT`` override.
+digest, re-encoding is byte-stable, lazy decode equals eager decode
+entry-for-entry, and corrupt frames fail loudly.  Byte pins prove the
+encoder's output never drifts, and plain tests cover the store-facing
+surface (mixed-format stores, ``migrate_format``/``format_stats``,
+seeded from the legacy text fixtures).
 """
 
 import hashlib
+import shutil
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.serialize import (FORMAT_VERSION, SUPPORTED_VERSIONS,
-                                      WIRE_FORMAT_ENV, dumps_trace_bytes,
-                                      load_trace, loads_trace, read_header,
-                                      read_key_table, save_trace, wire_format)
+from repro.analysis.serialize import (dumps_trace_bytes, load_trace,
+                                      loads_trace, read_header,
+                                      read_key_table, save_trace)
 from repro.api.store import TraceStore
 from repro.core.entries import entries_equal
 from repro.core.view_diff import view_diff
 
+from helpers import (LEGACY_DIGEST, LEGACY_FIXTURES, forked_trace,
+                     myfaces_trace, two_thread_trace)
 from test_properties import build_trace, programs
 
 # Programs that always yield at least one real event (the empty trace
@@ -47,7 +49,7 @@ class TestV3RoundTrip:
     @settings(max_examples=60, deadline=None)
     def test_wire_round_trip_preserves_entries_and_digest(self, program):
         trace = build_trace(program, "t")
-        blob = dumps_trace_bytes(trace, version=3)
+        blob = dumps_trace_bytes(trace)
         loaded = loads_trace(blob)
         entries_match(trace, loaded)
         assert loaded.content_digest() == trace.content_digest()
@@ -58,28 +60,14 @@ class TestV3RoundTrip:
         # decode(encode(t)) re-encodes to the *same bytes* — the wire
         # memo keyed on content digest depends on this.
         trace = build_trace(program, "t")
-        blob = dumps_trace_bytes(trace, version=3)
-        assert dumps_trace_bytes(loads_trace(blob), version=3) == blob
-
-    @given(program=any_programs)
-    @settings(max_examples=30, deadline=None)
-    def test_all_formats_agree_on_digest(self, program, tmp_path_factory):
-        trace = build_trace(program, "t")
-        digests = set()
-        base = tmp_path_factory.mktemp("fmt")
-        for version in SUPPORTED_VERSIONS:
-            path = base / f"v{version}.trace"
-            save_trace(trace, path, version=version)
-            reborn = load_trace(path)
-            entries_match(trace, reborn)
-            digests.add(reborn.content_digest())
-        assert digests == {trace.content_digest()}
+        blob = dumps_trace_bytes(trace)
+        assert dumps_trace_bytes(loads_trace(blob)) == blob
 
     @given(any_programs, st.integers(0, 7))
     @settings(max_examples=40, deadline=None)
     def test_lazy_equals_eager_under_random_access(self, program, seed):
         trace = build_trace(program, "t")
-        lazy = loads_trace(dumps_trace_bytes(trace, version=3))
+        lazy = loads_trace(dumps_trace_bytes(trace))
         if len(trace):
             # Touch entries out of order first: materialisation order
             # must not affect what comes back.
@@ -106,7 +94,7 @@ class TestV3RoundTrip:
 
     def test_empty_trace_round_trips(self):
         trace = build_trace([], "empty")
-        loaded = loads_trace(dumps_trace_bytes(trace, version=3))
+        loaded = loads_trace(dumps_trace_bytes(trace))
         entries_match(trace, loaded)
 
     @given(any_programs, any_programs)
@@ -114,8 +102,8 @@ class TestV3RoundTrip:
     def test_diff_identical_across_wire(self, left_ops, right_ops):
         left, right = build_trace(left_ops, "L"), build_trace(right_ops, "R")
         direct = view_diff(left, right)
-        wired = view_diff(loads_trace(dumps_trace_bytes(left, version=3)),
-                          loads_trace(dumps_trace_bytes(right, version=3)))
+        wired = view_diff(loads_trace(dumps_trace_bytes(left)),
+                          loads_trace(dumps_trace_bytes(right)))
         assert wired.similar_left == direct.similar_left
         assert wired.similar_right == direct.similar_right
         assert wired.num_diffs() == direct.num_diffs()
@@ -126,7 +114,7 @@ class TestV3Files:
         trace = build_trace([("new",), ("call", 0, 0, 1), ("set", 0, 1, 2)],
                             "t")
         path = tmp_path / "t.trace"
-        save_trace(trace, path, extra_metadata={"tag": "x"}, version=3)
+        save_trace(trace, path, extra_metadata={"tag": "x"})
         header = read_header(path)
         assert header["format"] == 3
         assert header["name"] == "t"
@@ -142,7 +130,7 @@ class TestV3Files:
     def test_truncated_file_raises(self, tmp_path):
         trace = build_trace([("new",), ("call", 0, 0, 1)], "t")
         path = tmp_path / "t.trace"
-        save_trace(trace, path, version=3)
+        save_trace(trace, path)
         blob = path.read_bytes()
         for cut in (2, 6, len(blob) - 1):
             clipped = tmp_path / f"cut{cut}.trace"
@@ -152,7 +140,7 @@ class TestV3Files:
 
     def test_corrupt_section_table_raises(self, tmp_path):
         trace = build_trace([("new",), ("call", 0, 0, 1)], "t")
-        blob = bytearray(dumps_trace_bytes(trace, version=3))
+        blob = bytearray(dumps_trace_bytes(trace))
         # Flip a byte inside the header JSON: either the JSON parse or
         # the section-bounds validation must reject it.
         blob[12] ^= 0xFF
@@ -161,60 +149,55 @@ class TestV3Files:
 
     def test_wrong_magic_falls_back_to_text_parse_error(self, tmp_path):
         trace = build_trace([("new",)], "t")
-        blob = bytearray(dumps_trace_bytes(trace, version=3))
+        blob = bytearray(dumps_trace_bytes(trace))
         blob[:4] = b"XXXX"
         with pytest.raises(ValueError):
             loads_trace(bytes(blob))
 
 
-class TestWireFormatSelection:
-    def test_env_override(self, monkeypatch):
-        monkeypatch.delenv(WIRE_FORMAT_ENV, raising=False)
-        assert wire_format() == FORMAT_VERSION == 3
-        monkeypatch.setenv(WIRE_FORMAT_ENV, "2")
-        assert wire_format() == 2
-        assert wire_format(1) == 1  # explicit beats the environment
-        trace = build_trace([("new",), ("call", 0, 0, 1)], "t")
-        blob = dumps_trace_bytes(trace)
-        assert not blob.startswith(b"RPV3")  # env picked the text wire
-        entries_match(trace, loads_trace(blob))
+class TestV3BytePins:
+    """sha256 of the encoder's bytes for fixed traces: any change to the
+    v3 layout, pools, JSON blobs or header shows up here."""
 
-    def test_invalid_versions_rejected(self, monkeypatch):
-        with pytest.raises(ValueError, match="version 9"):
-            wire_format(9)
-        monkeypatch.setenv(WIRE_FORMAT_ENV, "banana")
-        with pytest.raises(ValueError, match=WIRE_FORMAT_ENV):
-            wire_format()
+    @pytest.mark.parametrize("build, expected", [
+        (myfaces_trace, "f7d4652dabedf6b42ced80db4bab2bcb"
+                        "e65fa0298c0b4c63a0c1a2092c8b20e8"),
+        (lambda: two_thread_trace([1, 2], [3], name="demo"),
+         "360690ceeade4aebc6383b3ecefc0f90"
+         "df8db60ac651a23177518d47d277677c"),
+        (forked_trace, "d38eaba76440ff50c2794be54b6dd87e"
+                       "16b82c55948406168a7fe34480e3cf3a"),
+    ], ids=["myfaces", "two_thread", "forked"])
+    def test_bytes_pinned(self, build, expected):
+        blob = dumps_trace_bytes(build())
+        assert hashlib.sha256(blob).hexdigest() == expected
 
 
 class TestStoreFormats:
-    def test_mixed_format_store_diffs(self, tmp_path, monkeypatch):
+    def test_mixed_format_store_diffs(self, tmp_path):
         store = TraceStore(tmp_path / "store")
-        old = build_trace([("new",), ("call", 0, 0, 1)], "old")
-        new = build_trace([("new",), ("call", 0, 0, 2)], "new")
-        monkeypatch.setenv(WIRE_FORMAT_ENV, "2")
-        store.save(old)
-        monkeypatch.delenv(WIRE_FORMAT_ENV)
+        shutil.copy(LEGACY_FIXTURES[2], store.root / "old.jsonl")
+        new = two_thread_trace([1, 2], [3], name="new")
         store.save(new)
         formats = {r.key: r.format for r in store.records()}
         assert formats == {"old": 2, "new": 3}
         result = view_diff(store.load("old"), store.load("new"))
-        assert result.num_diffs() == view_diff(old, new).num_diffs()
+        assert result.num_diffs() == \
+            view_diff(forked_trace(), new).num_diffs()
 
-    def test_migrate_format_and_stats(self, tmp_path, monkeypatch):
+    def test_migrate_format_and_stats(self, tmp_path):
         store = TraceStore(tmp_path / "store")
-        monkeypatch.setenv(WIRE_FORMAT_ENV, "2")
-        for index in range(3):
-            store.save(build_trace([("new",), ("call", 0, 0, index)],
-                                   f"t{index}"))
-        monkeypatch.delenv(WIRE_FORMAT_ENV)
+        for version, path in LEGACY_FIXTURES.items():
+            shutil.copy(path, store.root / f"t{version}.jsonl")
+        store.save(two_thread_trace([1], [2], name="t3"))
         before = {r.key: store.load(r.key).content_digest()
                   for r in store.records()}
+        assert before["t1"] == before["t2"] == LEGACY_DIGEST
         stats = store.format_stats()
-        assert stats["formats"]["2"]["traces"] == 3
-        outcome = store.migrate_format(3)
-        assert outcome == {"version": 3, "migrated": 3, "skipped": 0,
-                           "failed": 0}
+        assert {version: bucket["traces"] for version, bucket
+                in stats["formats"].items()} == {"1": 1, "2": 1, "3": 1}
+        outcome = store.migrate_format()
+        assert outcome == {"migrated": 2, "skipped": 1, "failed": 0}
         stats = store.format_stats()
         assert list(stats["formats"]) == ["3"]
         assert stats["traces"] == 3
@@ -223,4 +206,4 @@ class TestStoreFormats:
                  for r in store.records()}
         assert after == before
         # A second migration is a no-op.
-        assert store.migrate_format(3)["skipped"] == 3
+        assert store.migrate_format()["skipped"] == 3
