@@ -757,20 +757,22 @@ def read_key_table(path: str | Path) -> tuple[dict, KeyTable]:
         return header, table
 
 
-def load_trace(path: str | Path) -> Trace:
+def load_trace(path: str | Path, data: bytes | None = None) -> Trace:
     """Read a trace file: v3, or legacy v1/v2 text.
 
     v2/v3 traces come back carrying their key table and id column, so
     a later interned diff never recomputes an ``=e`` key; v3 traces
-    additionally decode lazily (see :func:`loads_trace`).
+    additionally decode lazily (see :func:`loads_trace`).  ``data``
+    is the file's bytes when the caller has already read them (the
+    store reads them from the handle it stat'ed); ``path`` then only
+    names the file in errors.
     """
     path = Path(path)
-    with path.open("rb") as probe:
-        magic = probe.read(4)
-    if magic == _V3_MAGIC:
-        return _load_v3(memoryview(path.read_bytes()), path)
-    with path.open("r", encoding="utf-8") as handle:
-        return _read_trace(handle, path)
+    if data is None:
+        data = path.read_bytes()
+    if data[:4] == _V3_MAGIC:
+        return _load_v3(memoryview(data), path)
+    return _read_trace(io.StringIO(data.decode("utf-8")), path)
 
 
 def _read_trace(handle, path: Path) -> Trace:

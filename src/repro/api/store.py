@@ -44,6 +44,12 @@ Every save/tag/delete also maintains the store's persistent catalog
 (:class:`repro.index.TraceIndex` under ``index.d/``), which is what
 ``save(dedup=True)`` consults to return an existing record instead of
 writing a byte-identical duplicate.
+
+A store handle keeps the traces it decoded **warm**: while a key's
+file is unchanged, :meth:`TraceStore.load` returns the same
+:class:`Trace` object, so a repeat diff reuses the entries, content
+digest and view index the previous one built.  Store-loaded traces
+are therefore shared and immutable.
 """
 
 from __future__ import annotations
@@ -53,6 +59,7 @@ import json
 import os
 import threading
 import time
+from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import count
@@ -83,6 +90,10 @@ SHARD_WIDTH = 2
 TRACE_INDEX_DIR = "index.d"
 
 LAYOUTS = ("auto", "flat", "sharded")
+
+#: Bound on the file bytes of the decoded traces one store handle
+#: keeps warm (least recently loaded evicted first).
+WARM_TRACE_BYTES = 16 << 20
 
 
 def shard_of(key: str, width: int = SHARD_WIDTH) -> str:
@@ -283,6 +294,75 @@ class _Shard:
     lock_path: Path
 
 
+def _file_signature(path: Path, stat: os.stat_result) -> tuple:
+    """What identifies one version of a file: its path and the inode
+    it names (writers ``os.replace``, so a rewrite is a new inode),
+    with mtime and size to catch in-place edits."""
+    return (str(path), stat.st_dev, stat.st_ino, stat.st_mtime_ns,
+            stat.st_size)
+
+
+class _WarmTraces:
+    """Decoded traces by store key, each valid for one file signature.
+
+    An LRU bounded by the file bytes of the traces it holds
+    (:data:`WARM_TRACE_BYTES`).  Its own lock guards it; decoding runs
+    outside that lock, so two threads first-loading one key may both
+    decode — the first to :meth:`put` wins the slot and the other
+    adopts its trace.
+    """
+
+    def __init__(self):
+        self.capacity = WARM_TRACE_BYTES
+        self._lock = threading.Lock()
+        self._slots: "OrderedDict[str, tuple[tuple, Trace]]" = \
+            OrderedDict()
+        self._bytes = 0
+        self.loads = 0
+        self.reuses = 0
+
+    def get(self, key: str, signature: tuple) -> Trace | None:
+        with self._lock:
+            slot = self._slots.get(key)
+            if slot is None or slot[0] != signature:
+                return None
+            self._slots.move_to_end(key)
+            self.reuses += 1
+            return slot[1]
+
+    def put(self, key: str, signature: tuple, trace: Trace) -> Trace:
+        """Hold ``trace`` as the decode of ``signature``; the trace
+        returned is the one now resident (an equal racer's, if any)."""
+        size = signature[-1]  # the file size (see _file_signature)
+        with self._lock:
+            self.loads += 1
+            slot = self._slots.get(key)
+            if slot is not None and slot[0] == signature:
+                return slot[1]
+            self._drop(key)
+            if size > self.capacity:
+                return trace
+            self._slots[key] = (signature, trace)
+            self._bytes += size
+            while self._bytes > self.capacity:
+                self._drop(next(iter(self._slots)))
+        return trace
+
+    def drop(self, key: str) -> None:
+        with self._lock:
+            self._drop(key)
+
+    def _drop(self, key: str) -> None:
+        slot = self._slots.pop(key, None)
+        if slot is not None:
+            self._bytes -= slot[0][-1]
+
+    def stats(self) -> dict:
+        with self._lock:
+            return {"loads": self.loads, "reuses": self.reuses,
+                    "traces": len(self._slots), "bytes": self._bytes}
+
+
 class TraceStore:
     """A directory of serialised traces addressed by key."""
 
@@ -298,6 +378,7 @@ class TraceStore:
             raise FileNotFoundError(f"no trace store at {self.root}")
         self._lock = threading.Lock()
         self._trace_index = None
+        self._warm = _WarmTraces()
         detected = (self.root / SHARDS_DIR).is_dir()
         if layout == "flat" and detected:
             raise ValueError(f"{self.root} already uses the sharded "
@@ -516,6 +597,7 @@ class TraceStore:
                 entry = self._entry_for(index, key, shard)
                 entry["tags"] = sorted(set(entry["tags"]) | set(tags))
                 os.replace(tmp, shard.directory / entry["file"])
+                self._warm.drop(key)
                 self._write_index(shard, index)
                 now = time.time()
                 self._catalog(lambda catalog: catalog.record_save(
@@ -611,20 +693,50 @@ class TraceStore:
                     else self._path_for(key, index))
             if path.exists():
                 path.unlink()
+            self._warm.drop(key)
             self._write_index(shard, index)
             self._catalog(lambda catalog: catalog.record_delete(key))
 
     # -- read side ----------------------------------------------------------
 
+    def _not_found(self, key: str) -> TraceNotFound:
+        return TraceNotFound(f"no trace {key!r} in store {self.root}")
+
     def _require(self, key: str, index: dict | None = None) -> Path:
         path = self._path_for(key, index)
         if not path.exists():
-            raise TraceNotFound(f"no trace {key!r} in store {self.root}")
+            raise self._not_found(key)
         return path
 
     def load(self, key: str) -> Trace:
-        """The full trace stored under ``key``."""
-        return load_trace(self._require(key))
+        """The full trace stored under ``key``.
+
+        While the key's file is unchanged (same path, inode, mtime and
+        size), repeat loads on this handle return the *same* trace
+        object, so what one diff built — entries, digest, view index —
+        serves the next.  Store-loaded traces are shared: treat them
+        as immutable.  A file that vanishes at any point reads as
+        :class:`TraceNotFound`.
+        """
+        path = self._path_for(key)
+        try:
+            trace = self._warm.get(
+                key, _file_signature(path, path.stat()))
+            if trace is not None:
+                return trace
+            with path.open("rb") as handle:
+                signature = _file_signature(path,
+                                            os.fstat(handle.fileno()))
+                data = handle.read()
+        except FileNotFoundError:
+            raise self._not_found(key) from None
+        return self._warm.put(key, signature, load_trace(path, data))
+
+    def warm_stats(self) -> dict:
+        """Decoded-trace reuse on this handle: ``loads`` (files
+        decoded), ``reuses`` (loads answered warm), and the ``traces``
+        and file ``bytes`` held."""
+        return self._warm.stats()
 
     def load_key_table(self, key: str) -> KeyTable:
         """Just the interned ``=e`` key table of a stored trace — no

@@ -151,7 +151,9 @@ class Trace:
     view index (:func:`repro.core.web.view_index`) are computed at most
     once, and :class:`TraceBuilder` (the only sanctioned mutator) snapshots
     the entry list on every :meth:`TraceBuilder.build`, so a built trace
-    never sees later recording.
+    never sees later recording.  Traces loaded from a
+    :class:`~repro.api.store.TraceStore` are also *shared*: every load
+    of an unchanged file returns the same object, to every thread.
 
     ``key_table`` / ``key_ids`` carry the interned ``=e`` representation
     when the trace was ingested through a

@@ -14,7 +14,7 @@ process).
 Endpoints (all JSON)::
 
     GET  /v1/health            liveness + store/queue snapshot
-    GET  /v1/stats             jobs, cache, and catalog statistics
+    GET  /v1/stats             jobs, cache, store and catalog statistics
     POST /v1/captures          submit a capture job (trace upload or
                                a server-registered workload)
     POST /v1/diffs             submit a diff job (keys, or
@@ -425,6 +425,7 @@ class ReproService:
                 "hits": cs.hits, "misses": cs.misses,
                 "stores": cs.stores, "disk_entries": cs.disk_entries,
             }
+        stats["store"] = self.store.warm_stats()
         index = self.store.index.stats()
         stats["index"] = {"records": index.records,
                           "diff_rows": index.diff_rows,

@@ -111,16 +111,22 @@ class LockDaemon:
     def run(self) -> None:
         while True:
             tick = self._ticks.get()
-            if tick is None:
-                return
-            self.audit()
+            try:
+                if tick is None:
+                    return
+                self.audit()
+            finally:
+                self._ticks.task_done()
 
     def audit(self) -> None:
         self.audits = self.audits + 1
         self.last_grant_total = self.manager.total_grants()
 
     def tick(self) -> None:
+        # Wait for the audit: a tick that raced the next statement
+        # would interleave the daemon's events differently per run.
         self._ticks.put(True)
+        self._ticks.join()
 
     def stop(self) -> None:
         self._ticks.put(None)

@@ -5,7 +5,8 @@ differences, not to the traces' length:
 
 * it builds at most ``num_diffs()`` entries of the two v3-loaded traces
   (memory and disk tier alike), counted by wrapping the v3 decoder's
-  entry builder;
+  entry builder — and none at all on a repeat through the same store
+  handle, whose loads return the traces the first hit built;
 * it never builds the pair's ``=e`` key table (``KeyTable.for_pair``
   runs on the miss only);
 * it still credits the cold compare totals to a caller's counter.
@@ -23,7 +24,8 @@ import random
 import pytest
 
 from repro.analysis import serialize
-from repro.api import Session, TraceStore, available_engines, get_engine
+from repro.api import (DiffCache, Session, TraceStore, available_engines,
+                       get_engine)
 from repro.capture import TraceFilter, trace_call
 from repro.core.diffs import (RESULT_WIRE_VERSION, DifferenceSequence,
                               result_from_wire, result_signature,
@@ -119,16 +121,26 @@ class TestHitCost:
         limit = cold.num_diffs()
         signature = result_signature(cold)
 
-        warm = Session(store=store, cache=cache_dir)
-        for tier in ("disk", "memory"):
+        # A fresh store handle decodes the files again, so its hits
+        # build some entries; a repeat on the same handle reuses the
+        # warm traces and builds none.
+        cache = DiffCache(cache_dir)
+        fresh = Session(store=TraceStore(store.root), cache=cache)
+        steps = (("disk", fresh, (1, 0)),
+                 ("memory", Session(store=TraceStore(store.root),
+                                    cache=cache), (1, 1)),
+                 ("repeat", fresh, (1, 2)))
+        for tier, warm, expected_hits in steps:
             del builds[:], pair_tables[:]
             counter = OpCounter()
             hit = warm.diff(*keys, counter=counter)
-            stats = warm.cache.stats()
-            assert (stats.hits_disk, stats.hits_memory) == \
-                ((1, 0) if tier == "disk" else (1, 1))
+            stats = cache.stats()
+            assert (stats.hits_disk, stats.hits_memory) == expected_hits
             assert result_signature(hit) == signature, tier
-            assert 0 < len(builds) <= limit, tier
+            if tier == "repeat":
+                assert builds == [], tier
+            else:
+                assert 0 < len(builds) <= limit, tier
             assert pair_tables == [], tier
             assert (counter.compares, counter.charged) == \
                 (cold_counter.compares, cold_counter.charged), tier

@@ -4,11 +4,11 @@ The weaver decides once per code object, memoises representations and
 builds each ``=e`` key itself, so these tests pin its output rather
 than its mechanics:
 
-* the content digest and the key-column digest of each deterministic
-  case-study role (any change to what capture records must update
-  them deliberately, and say why);
-* ``key_of(kid) == entry.key()`` for every entry of a (nondeterministic)
-  Derby capture, one key construction per entry;
+* the content digest and the key-column digest of each case-study
+  role, Derby-1633's multithreaded ones included (any change to what
+  capture records must update them deliberately, and say why);
+* ``key_of(kid) == entry.key()`` for every entry of a Derby capture,
+  one key construction per entry;
 * the decision caches: equal code objects of two modules, one code
   object reached through two receiver types, user ``__repr__`` code
   run while recording, thread fork/end ancestry;
@@ -77,6 +77,18 @@ ROLE_DIGESTS = {
     "CF-SHORTCIRCUIT/new": (
         8567, "3503a0d7f1dd9de5e4113c66778bf41b",
         "64244fadfda1875b7d6dfe3df09c9feb"),
+    "Derby-1633/old/regressing": (
+        48992, "fabb0ceeb130cde575366987c5905736",
+        "3abbffa20471f5db1e3182e25b566ad2"),
+    "Derby-1633/new/regressing": (
+        48204, "20c5b219bbde6e54d7254aa011b09007",
+        "7563472eed696713592cdd1c77b2232d"),
+    "Derby-1633/old/correct": (
+        48335, "bad8ecae19064cb9940588173f117599",
+        "858a123d0a5293ac6187069d75a5ebd9"),
+    "Derby-1633/new/correct": (
+        48707, "803fb3fad0fc46c6ebce808ae4e47296",
+        "1db3d144024a1f79572d041c4b3de0a3"),
     "MyFaces/old/regressing": (
         232, "6b93bf8c292fa3ab7017de492a34b5c8",
         "29e161c918e5203b181fa9c830e6ffc8"),

@@ -44,6 +44,8 @@ class TestEndpoints:
         assert stats["workers"]["executor"] == "serial"
         assert "shm_bytes_shipped" in stats["workers"]
         assert "index" in stats and "cache" in stats
+        assert set(stats["store"]) == {"loads", "reuses", "traces",
+                                       "bytes"}
 
     def test_capture_upload_roundtrip(self, service):
         svc, client = service
@@ -111,6 +113,12 @@ class TestEndpoints:
             "new", baseline_tag="baseline"))
         assert record["result"]["right"] == "old"
         assert record["result"]["num_diffs"] > 0
+        again = client.wait(client.submit_diff(
+            "new", baseline_tag="baseline"))["result"]
+        assert again["signature"] == record["result"]["signature"]
+        store = client.stats()["store"]
+        assert (store["loads"], store["reuses"], store["traces"]) == \
+            (2, 2, 2), "the repeat diff reuses both decoded traces"
 
     def test_diff_missing_key_errors_the_job(self, service):
         _svc, client = service
