@@ -1,5 +1,5 @@
-"""Anchored segmental diffing: compare-count reduction and segment
-caching on large near-identical trace pairs.
+"""Anchored segmental diffing: compare-count reduction on large
+near-identical trace pairs.
 
 The motivating numbers for :mod:`repro.core.anchors`: a pair of long,
 mostly-identical traces (the paper's whole premise) with a handful of
@@ -16,13 +16,7 @@ Anchored results are asserted bit-identical
 (:func:`~repro.core.diffs.result_identity`) to their inner engines
 before any cost claim, for ``anchored:views`` and ``anchored:optimized``
 alike; at full size the bench asserts **>=3x fewer key comparisons**
-for both.  Two more rows exercise the execution and caching layers:
-
-* gap segments dispatched through a process executor (worker pids
-  recorded, identity re-asserted), and
-* a segment-cache warm rerun — including an *edited* variant whose
-  shifted entry ids still hit the unchanged gaps (position-relative
-  digests), re-diffing only the changed region.
+for both.
 
 One JSON document lands in ``results/anchors.json`` (uploaded by the
 CI ``anchor-smoke`` job).  Environment knobs:
@@ -42,11 +36,10 @@ import time
 
 from conftest import write_result
 
-from repro.api import DiffCache, get_engine
+from repro.api import get_engine
 from repro.core.diffs import result_identity
 from repro.core.traces import Trace, TraceBuilder
 from repro.core.values import prim
-from repro.exec import ProcessExecutor, anchored_segment_diff
 
 ENTRIES = int(os.environ.get("BENCH_ANCHOR_ENTRIES", "40000"))
 EDITS = int(os.environ.get("BENCH_ANCHOR_EDITS", "8"))
@@ -57,29 +50,21 @@ ASSERT_REDUCTION = 3.0
 
 
 def build_trace(entries: int, edits: tuple[int, ...],
-                name: str, prefix: int = 0) -> Trace:
+                name: str) -> Trace:
     """A long single-threaded trace of distinct-argument calls (the
     shape real captures have: most ``=e`` keys unique), with a small
     divergent neighbourhood around each edit position.
-
-    ``prefix`` prepends extra warmup calls — an "edit early in the
-    scenario" that shifts the absolute entry id of everything after it
-    without changing the later content.
     """
     builder = TraceBuilder(name=name)
     tid = builder.main_tid
     service = builder.record_init(tid, "Service", (),
                                   serialization="svc")
-    for warm in range(prefix):
-        builder.record_call(tid, service, "Service.warmup",
-                            (prim(warm),))
-        builder.record_return(tid, prim(warm))
     edited = set(edits)
     for step in range(entries):
         if step in edited:
             # A *replacement* (the regression mangles this request):
             # the gap is two-sided, so the segmental driver has a real
-            # sub-diff to run, cache, and ship to workers.
+            # sub-diff to run.
             builder.record_call(tid, service, "Service.mangle",
                                 (prim(-step),))
             builder.record_return(tid, prim(-step))
@@ -91,12 +76,11 @@ def build_trace(entries: int, edits: tuple[int, ...],
     return builder.build()
 
 
-def edit_positions(entries: int, edits: int,
-                   offset: int = 0) -> tuple[int, ...]:
+def edit_positions(entries: int, edits: int) -> tuple[int, ...]:
     if edits <= 0:
         return ()
     stride = max(1, entries // (edits + 1))
-    return tuple(stride * (k + 1) + offset for k in range(edits))
+    return tuple(stride * (k + 1) for k in range(edits))
 
 
 def timed_diff(engine_name: str, left: Trace, right: Trace,
@@ -107,7 +91,7 @@ def timed_diff(engine_name: str, left: Trace, right: Trace,
     return result, time.perf_counter() - started
 
 
-def test_anchored_engines_cut_key_comparisons(tmp_path):
+def test_anchored_engines_cut_key_comparisons():
     left = build_trace(ENTRIES, (), name="baseline")
     right = build_trace(ENTRIES, edit_positions(ENTRIES, EDITS),
                         name="edited")
@@ -139,63 +123,6 @@ def test_anchored_engines_cut_key_comparisons(tmp_path):
             "anchored_seconds": round(anchored_seconds, 4),
         })
 
-    # -- gap segments through the process executor ----------------------
-    inner_engine = get_engine("optimized")
-    serial_reference = anchored_segment_diff(left, right, inner_engine)
-    workers: list[str] = []
-    with ProcessExecutor(max_workers=2) as pool:
-        started = time.perf_counter()
-        processed = anchored_segment_diff(left, right, inner_engine,
-                                          executor=pool,
-                                          workers=workers)
-        process_seconds = time.perf_counter() - started
-    assert result_identity(processed) == \
-        result_identity(serial_reference)
-    parent = f"pid:{os.getpid()}"
-    worker_pids = sorted({w for w in workers if w.startswith("pid:")})
-    assert worker_pids and all(w != parent for w in worker_pids)
-    document["rows"].append({
-        "row": "process-executor",
-        "gaps": len(workers),
-        "workers": worker_pids,
-        "seconds": round(process_seconds, 4),
-    })
-
-    # -- segment-cache warm rerun (plus an edited variant) ---------------
-    cache = DiffCache(tmp_path / "diffcache")
-    cold_workers: list[str] = []
-    started = time.perf_counter()
-    cold = anchored_segment_diff(left, right, inner_engine, cache=cache,
-                                 workers=cold_workers)
-    cold_seconds = time.perf_counter() - started
-    warm_workers: list[str] = []
-    started = time.perf_counter()
-    warm = anchored_segment_diff(left, right, inner_engine, cache=cache,
-                                 workers=warm_workers)
-    warm_seconds = time.perf_counter() - started
-    assert result_identity(warm) == result_identity(cold)
-    assert warm.counter.total == cold.counter.total  # cold totals credited
-    assert warm_workers and all(w == "cache" for w in warm_workers)
-
-    # An edit shifts every later entry id; unchanged gaps still hit.
-    shifted = build_trace(ENTRIES, edit_positions(ENTRIES, EDITS),
-                          name="edited-shifted", prefix=3)
-    shifted_workers: list[str] = []
-    rerun = anchored_segment_diff(left, shifted, inner_engine,
-                                  cache=cache, workers=shifted_workers)
-    shifted_hits = sum(1 for w in shifted_workers if w == "cache")
-    reference = inner_engine.diff(left, shifted)
-    assert result_identity(rerun) == result_identity(reference)
-    document["rows"].append({
-        "row": "segment-cache",
-        "gaps": len(cold_workers),
-        "cold_seconds": round(cold_seconds, 4),
-        "warm_seconds": round(warm_seconds, 4),
-        "warm_hits": len(warm_workers),
-        "edited_rerun_hits": shifted_hits,
-        "edited_rerun_misses": len(shifted_workers) - shifted_hits,
-    })
-
     document["assertions_enforced"] = full_size
     write_result("anchors.json",
                  json.dumps(document, indent=1, sort_keys=True))
@@ -203,4 +130,3 @@ def test_anchored_engines_cut_key_comparisons(tmp_path):
     if full_size:
         for inner_name, reduction in reductions.items():
             assert reduction >= ASSERT_REDUCTION, (inner_name, document)
-        assert shifted_hits > 0, document

@@ -57,9 +57,7 @@ import json
 import sys
 from pathlib import Path
 
-from repro.api.engines import (accepts_cache, accepts_executor,
-                               accepts_key_table, available_engines,
-                               get_engine, is_cacheable)
+from repro.api.engines import available_engines, get_engine, is_cacheable
 from repro.core.anchors import AnchorConfig, segment_pair
 from repro.api.pipeline import StoredScenarioJob, run_pipeline
 from repro.api.session import Session
@@ -206,9 +204,7 @@ def cmd_engines(args) -> int:
         engine = get_engine(name)
         flags = ", ".join(flag for flag, on in (
             ("cacheable", is_cacheable(engine)),
-            ("accepts_executor", accepts_executor(engine)),
-            ("accepts_key_table", accepts_key_table(engine)),
-            ("accepts_cache", accepts_cache(engine)),
+            ("anchor_aware", getattr(engine, "anchor_aware", False)),
         ) if on) or "-"
         print(f"  {name:{width}}  {flags}")
     return 0

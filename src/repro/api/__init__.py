@@ -27,13 +27,10 @@ The legacy ``repro.RPrism`` facade remains as a thin shim over
 """
 
 from repro.api.engines import (AnchoredEngine, DiffEngine, LcsEngine,
-                               ViewsEngine, accepts_cache,
-                               accepts_executor, accepts_key_table,
-                               accepts_kwarg, available_engines,
-                               get_engine, is_cacheable, register_engine,
+                               ViewsEngine, available_engines, get_engine,
+                               is_cacheable, register_engine,
                                unregister_engine)
-from repro.cache import (CacheStats, DiffCache, SegmentCache,
-                         cached_engine_diff)
+from repro.cache import CacheStats, DiffCache, cached_engine_diff
 from repro.core.keytable import KeyTable
 from repro.exec.capture import CaptureOutcome, CaptureTask
 from repro.exec.executors import (Executor, available_executors,
@@ -51,12 +48,9 @@ __all__ = [
     "CaptureTask",
     "DiffCache", "DiffEngine", "Executor", "JobOutcome", "KeyTable",
     "LcsEngine", "PipelineResult", "SCENARIO_ROLES", "ScenarioJob",
-    "ScenarioPipeline", "SegmentCache", "Session", "SessionResult",
-    "StoredScenarioJob",
+    "ScenarioPipeline", "Session", "SessionResult", "StoredScenarioJob",
     "TraceIndex", "TraceIndexRecord",
-    "TraceRecord", "TraceStore", "ViewsEngine", "accepts_cache",
-    "accepts_executor",
-    "accepts_key_table", "accepts_kwarg", "available_engines",
+    "TraceRecord", "TraceStore", "ViewsEngine", "available_engines",
     "available_executors", "cached_engine_diff", "get_engine",
     "get_executor", "is_cacheable", "register_engine", "run_pipeline",
     "unregister_engine",

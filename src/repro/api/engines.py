@@ -17,7 +17,7 @@ name, so swapping the analysis behind a stable driver API is one
     class MyEngine:
         name = "mine"
         def diff(self, left, right, *, config=None, counter=None,
-                 budget=None):
+                 budget=None, key_table=None, executor=None):
             ...
 
     register_engine(MyEngine())
@@ -27,11 +27,10 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import inspect
 import threading
 from typing import Protocol, runtime_checkable
 
-from repro.core.anchors import AnchorConfig
+from repro.core.anchors import AnchorConfig, segmental_diff
 from repro.core.diffs import DiffResult
 from repro.core.keytable import KeyTable
 from repro.core.lcs import MemoryBudget, OpCounter
@@ -52,15 +51,14 @@ DEFAULT_GAP_INNER = "bitparallel"
 class DiffEngine(Protocol):
     """What a differencing backend must provide.
 
-    ``config`` is a :class:`ViewDiffConfig` (engines that do not use it
-    must accept and ignore it); ``counter`` accumulates entry-compare
+    Drivers call ``diff`` with the keywords ``config``, ``counter``,
+    ``budget``, ``key_table`` and ``executor``; an engine accepts all
+    five and ignores the ones it does not use.  ``config`` is a
+    :class:`ViewDiffConfig`; ``counter`` accumulates entry-compare
     operations; ``budget`` caps DP memory for engines that allocate
     quadratic tables; ``key_table`` is the diff pair's shared interned
     ``=e`` symbol table; ``executor`` is the execution layer's backend
-    for engines whose work parallelises.  Engines written before a
-    parameter existed (without ``key_table`` or ``executor``) remain
-    valid — drivers feed each kwarg only to engines whose signature
-    accepts it (:func:`accepts_kwarg` and friends).
+    for engines whose work parallelises.
 
     Engines whose ``diff`` is a pure function of ``(left, right,
     config)`` may additionally set ``cacheable = True`` to let the
@@ -77,57 +75,6 @@ class DiffEngine(Protocol):
              key_table: KeyTable | None = None,
              executor=None) -> DiffResult:
         ...
-
-
-def accepts_kwarg(engine: DiffEngine, name: str) -> bool:
-    """Whether ``engine.diff`` can be handed the keyword ``name``.
-
-    Drivers grow new optional diff parameters over time (``key_table``
-    with the interned data layer, ``executor`` with the execution
-    layer); engines written before a parameter existed remain valid —
-    drivers feed a kwarg only to engines whose signature accepts it.
-    The signature is read once per underlying ``diff`` function.
-    """
-    diff = engine.diff
-    func = getattr(diff, "__func__", diff)
-    try:
-        keywords = _diff_keywords(func)
-    except TypeError:  # pragma: no cover - unhashable callable
-        keywords = _diff_keywords.__wrapped__(func)
-    return keywords is None or name in keywords
-
-
-@functools.lru_cache(maxsize=256)
-def _diff_keywords(func) -> "frozenset[str] | None":
-    """The parameter names of ``func``; ``None`` when it takes
-    ``**kwargs`` (any keyword)."""
-    try:
-        parameters = inspect.signature(func).parameters
-    except (TypeError, ValueError):  # pragma: no cover - exotic callables
-        return frozenset()
-    if any(p.kind is inspect.Parameter.VAR_KEYWORD
-           for p in parameters.values()):
-        return None
-    return frozenset(parameters)
-
-
-def accepts_key_table(engine: DiffEngine) -> bool:
-    """Whether ``engine.diff`` can be handed a ``key_table`` kwarg
-    (pre-interning engines are still supported without one)."""
-    return accepts_kwarg(engine, "key_table")
-
-
-def accepts_executor(engine: DiffEngine) -> bool:
-    """Whether ``engine.diff`` can be handed an ``executor`` kwarg
-    (engines without one always run their diff inline)."""
-    return accepts_kwarg(engine, "executor")
-
-
-def accepts_cache(engine: DiffEngine) -> bool:
-    """Whether ``engine.diff`` can be handed a ``cache`` kwarg (the
-    anchored meta-engines take the diff-cache handle so whole-result
-    misses can still hit at segment granularity)."""
-    return accepts_kwarg(engine, "cache")
 
 
 def is_cacheable(engine: DiffEngine) -> bool:
@@ -191,7 +138,8 @@ class LcsEngine:
              config: ViewDiffConfig | None = None,
              counter: OpCounter | None = None,
              budget: MemoryBudget | None = None,
-             key_table: KeyTable | None = None) -> DiffResult:
+             key_table: KeyTable | None = None,
+             executor=None) -> DiffResult:
         interned = config.interned if config is not None else True
         anchors = None
         if config is not None and config.anchored:
@@ -208,15 +156,13 @@ class AnchoredEngine:
 
     Wraps any inner engine under the name ``anchored:<inner>``
     (:data:`DEFAULT_GAP_INNER` — the bit-parallel LCS — when no inner
-    is named).  For
-    engines that implement anchoring natively (a truthy
-    ``anchor_aware`` attribute — the views engine), the call delegates
-    with ``config.anchored`` forced on.  For everything else the pair
-    is split along its ``=e`` anchor runs and the inner engine runs on
-    each divergent gap — serially, across a thread pool, or chunked to
-    worker processes — with optional gap-granular caching
-    (:class:`~repro.cache.SegmentCache`) so an edited scenario
-    re-diffs only the gaps that changed.
+    is named).  For engines that implement anchoring natively (a
+    truthy ``anchor_aware`` attribute — the views engine), the call
+    delegates with ``config.anchored`` forced on.  For everything else
+    the pair is split along its ``=e`` anchor runs and the inner engine
+    runs serially on each divergent gap
+    (:func:`~repro.core.anchors.segmental_diff`); the gaps are small,
+    so ``executor`` is not used there.
 
     Results are bit-identical to the inner engine's
     (:func:`~repro.core.diffs.result_identity`); only the ``=e``
@@ -237,24 +183,24 @@ class AnchoredEngine:
              counter: OpCounter | None = None,
              budget: MemoryBudget | None = None,
              key_table: KeyTable | None = None,
-             executor=None, cache=None) -> DiffResult:
+             executor=None) -> DiffResult:
         if config is None:
             config = ViewDiffConfig()
         if getattr(self.inner, "anchor_aware", False):
-            anchored = dataclasses.replace(config, anchored=True)
-            kwargs = {}
-            if key_table is not None and accepts_key_table(self.inner):
-                kwargs["key_table"] = key_table
-            if executor is not None and accepts_executor(self.inner):
-                kwargs["executor"] = executor
-            return self.inner.diff(left, right, config=anchored,
-                                   counter=counter, budget=budget,
-                                   **kwargs)
-        from repro.exec.diffing import anchored_segment_diff
-        return anchored_segment_diff(left, right, self.inner,
-                                     config=config, counter=counter,
-                                     budget=budget, key_table=key_table,
-                                     executor=executor, cache=cache)
+            return self.inner.diff(
+                left, right,
+                config=dataclasses.replace(config, anchored=True),
+                counter=counter, budget=budget, key_table=key_table,
+                executor=executor)
+        # Gap diffs must not re-anchor (the segmentation already did).
+        gap_config = dataclasses.replace(config, anchored=False)
+        return segmental_diff(
+            left, right,
+            functools.partial(self.inner.diff, config=gap_config),
+            algorithm=self.name,
+            anchors=AnchorConfig.from_view_config(config),
+            interned=config.interned, key_table=key_table,
+            counter=counter, budget=budget)
 
 
 _REGISTRY: dict[str, DiffEngine] = {}

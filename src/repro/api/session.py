@@ -42,7 +42,7 @@ from typing import TYPE_CHECKING, Callable
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.static.validate import StaticValidation
 
-from repro.api.engines import DiffEngine, accepts_executor, get_engine
+from repro.api.engines import DiffEngine, get_engine
 from repro.api.store import TraceNotFound, TraceStore
 from repro.cache import DiffCache, cached_engine_diff
 from repro.capture.filters import TraceFilter
@@ -374,9 +374,8 @@ class Session:
 
         With ``config.interned`` the pair shares one key table: the
         table both traces already carry when it is common (this
-        session's captures), a fresh pair table otherwise.  Engines
-        registered before interning existed are called without the
-        ``key_table`` kwarg.
+        session's captures), a fresh pair table otherwise.  A session
+        with a non-serial executor hands it to the engine.
 
         When the session carries a :class:`~repro.cache.DiffCache` and
         the backend advertises ``cacheable``, the cache is consulted
@@ -392,16 +391,15 @@ class Session:
         backend = self.engine if engine is None else get_engine(engine)
         left_trace = self.resolve_trace(left)
         right_trace = self.resolve_trace(right)
-        kwargs = {}
-        if self.executor.name != "serial" and accepts_executor(backend):
-            kwargs["executor"] = self.executor
+        executor = None if self.executor.name == "serial" \
+            else self.executor
         cache = self.cache if use_cache else None
         hits_before = cache.hits if cache is not None else 0
         started = time.perf_counter()
         result = cached_engine_diff(cache, backend, left_trace,
                                     right_trace, config=self.config,
                                     counter=counter, budget=budget,
-                                    **kwargs)
+                                    executor=executor)
         if self.store is not None:
             self._record_diff_stat(
                 left_trace, right_trace, backend.name, result,

@@ -8,19 +8,13 @@ door re-exports the working set:
   compute-and-store).
 * :func:`cache_key` / :func:`canonical_config` — the key discipline,
   exposed for tests and tooling.
-* :class:`SegmentCache` / :func:`segment_digest` / :func:`segment_key`
-  — gap-granular memoisation for anchored segmental diffing
-  (:mod:`repro.cache.segments`).
 """
 
 from repro.cache.diffcache import (DEFAULT_MEMORY_ENTRIES, CacheStats,
                                    DiffCache, cache_key, cached_engine_diff,
                                    canonical_config)
-from repro.cache.segments import (SegmentCache, segment_digest, segment_key,
-                                  shift_result_wire)
 
 __all__ = [
-    "DEFAULT_MEMORY_ENTRIES", "CacheStats", "DiffCache", "SegmentCache",
-    "cache_key", "cached_engine_diff", "canonical_config", "segment_digest",
-    "segment_key", "shift_result_wire",
+    "DEFAULT_MEMORY_ENTRIES", "CacheStats", "DiffCache", "cache_key",
+    "cached_engine_diff", "canonical_config",
 ]

@@ -177,18 +177,10 @@ class DiffCache:
     def get(self, key: str, left: Trace, right: Trace) -> DiffResult | None:
         """The cached result under ``key``, rehydrated over the
         caller's traces; ``None`` on a miss (including corrupt or
-        version-skewed disk entries)."""
-        return self.get_via(
-            key, lambda wire: result_from_wire(wire, left, right))
+        version-skewed disk entries).
 
-    def get_via(self, key: str, rehydrate) -> DiffResult | None:
-        """The one lookup path, parameterised over rehydration.
-
-        ``rehydrate`` receives the stored *result wire* and returns
-        the rehydrated result, raising ``ValueError`` when the wire
-        does not fit the caller's traces (the segment cache rebases
-        entry ids first, so its notion of "fits" differs from
-        :meth:`get`'s).  A rehydration failure is a counted miss —
+        A stored wire that does not fit the caller's traces
+        (``result_from_wire`` raises ``ValueError``) is a counted miss —
         digest collision or tampered entry, never an error and never a
         corrupt result — and the entry is dropped from the memory
         tier.
@@ -205,7 +197,7 @@ class DiffCache:
                 self._misses += 1
             return None
         try:
-            result = rehydrate(wire.get("result"))
+            result = result_from_wire(wire.get("result"), left, right)
         except ValueError:
             with self._lock:
                 self._memory.pop(key, None)
@@ -393,7 +385,8 @@ class DiffCache:
 
 def cached_engine_diff(cache: "DiffCache | None", engine, left: Trace,
                        right: Trace, *, config=None, counter=None,
-                       budget=None, **kwargs) -> DiffResult:
+                       budget=None, key_table=None,
+                       executor=None) -> DiffResult:
     """Run ``engine.diff`` through ``cache``.
 
     The one choke point every driver (``Session.diff``, the workload
@@ -410,31 +403,25 @@ def cached_engine_diff(cache: "DiffCache | None", engine, left: Trace,
     paper's compare-count metric) stay identical between cold and warm
     runs.
 
-    Engines whose ``diff`` accepts a ``cache`` keyword (the anchored
-    segmental engines) are additionally handed the cache handle on the
-    compute path, so a whole-result *miss* can still hit at segment
-    granularity — an edited scenario re-diffs only the gaps that
-    changed.
-
-    Under an interned config (the default) an engine that accepts a
-    ``key_table`` keyword and was given none is handed the pair's
-    shared ``=e`` table (:meth:`KeyTable.for_pair`).  The table is built
-    in the compute step, so a hit never parses either trace's key
-    table.
+    The engine is called with all five keywords of the
+    :class:`~repro.api.engines.DiffEngine` protocol.  Under an interned
+    config (the default) a call given no ``key_table`` hands the engine
+    the pair's shared ``=e`` table (:meth:`KeyTable.for_pair`).  The
+    table is built in the compute step, so a hit never parses either
+    trace's key table.
     """
-    from repro.api.engines import accepts_kwarg, is_cacheable
+    from repro.api.engines import is_cacheable
 
     def compute() -> DiffResult:
-        if "key_table" not in kwargs and (config is None or config.interned) \
-                and accepts_kwarg(engine, "key_table"):
-            kwargs["key_table"] = KeyTable.for_pair(left, right)
+        table = key_table
+        if table is None and (config is None or config.interned):
+            table = KeyTable.for_pair(left, right)
         return engine.diff(left, right, config=config, counter=counter,
-                           budget=budget, **kwargs)
+                           budget=budget, key_table=table,
+                           executor=executor)
 
     if cache is None or budget is not None or not is_cacheable(engine):
         return compute()
-    if accepts_kwarg(engine, "cache"):
-        kwargs.setdefault("cache", cache)
     key = cache.key_for(left, right, engine.name, config)
     hit = cache.get(key, left, right)
     if hit is not None:

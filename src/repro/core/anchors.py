@@ -27,9 +27,10 @@ Selection pipeline (:func:`select_anchor_runs`):
    mode) is cheaper to re-derive inside its gap than to trust.
 
 :func:`segment_pair` slices a trace pair along the surviving runs into
-an alternating sequence of *common runs* and *gaps*; a segmental driver
-(:func:`~repro.core.lcs_diff.lcs_diff` with ``anchors=``, or the
-``anchored:*`` engines of :mod:`repro.api.engines`) then runs a full
+an alternating sequence of *common runs* and *gaps*; the one segmental
+driver, :func:`segmental_diff` (behind
+:func:`~repro.core.lcs_diff.lcs_diff` with ``anchors=`` and the
+``anchored:*`` engines of :mod:`repro.api.engines`), then runs a full
 differencing engine on each gap independently and
 :func:`merge_segment_results` folds the per-gap results back into one
 full-trace :class:`~repro.core.diffs.DiffResult` — matched pairs are
@@ -41,14 +42,15 @@ indistinguishable from a whole-pair evaluation.
 
 from __future__ import annotations
 
+import time
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 from repro.core.diffs import DiffResult, build_sequences
 from repro.core.kernels import bitvector
 from repro.core.keytable import KeyTable
-from repro.core.lcs import OpCounter
+from repro.core.lcs import MemoryBudget, OpCounter
 from repro.core.traces import Trace
 
 
@@ -465,3 +467,48 @@ def merge_segment_results(left: Trace, right: Trace,
         seconds=seconds,
         peak_cells=peak_cells,
     )
+
+
+# -- the segmental driver ----------------------------------------------------
+
+
+def segmental_diff(left: Trace, right: Trace,
+                   gap_diff: Callable[..., DiffResult], *,
+                   algorithm: str,
+                   anchors: AnchorConfig | None = None,
+                   interned: bool = True,
+                   key_table: KeyTable | None = None,
+                   counter: OpCounter | None = None,
+                   budget: MemoryBudget | None = None) -> DiffResult:
+    """Anchored segmental diff: segment the pair, diff each gap, merge.
+
+    ``gap_diff(gap_left, gap_right, counter=, budget=, key_table=)``
+    diffs one two-sided gap; every gap runs serially in the calling
+    thread against the pair's key table (derived from the pair when
+    ``interned`` and none is given), the caller's ``counter`` and its
+    ``budget``.  One-sided gaps (pure insertions or deletions) are
+    never diffed.  ``algorithm`` labels the merged result.
+    """
+    started = time.perf_counter()
+    if counter is None:
+        counter = OpCounter()
+    table = None
+    if interned:
+        table = key_table if key_table is not None \
+            else KeyTable.for_pair(left, right)
+    segmentation = segment_pair(left, right, config=anchors,
+                                interned=interned, key_table=table,
+                                counter=counter)
+    gap_results: list[DiffResult | None] = []
+    for gap in segmentation.gaps:
+        if gap.left_len == 0 or gap.right_len == 0:
+            gap_results.append(None)
+            continue
+        gap_results.append(gap_diff(
+            left[gap.left_lo:gap.left_hi],
+            right[gap.right_lo:gap.right_hi],
+            counter=counter, budget=budget, key_table=table))
+    return merge_segment_results(
+        left, right, segmentation, gap_results, counter=counter,
+        algorithm=algorithm, seconds=time.perf_counter() - started,
+        peak_cells=budget.peak_cells if budget is not None else 0)

@@ -20,10 +20,10 @@ tuple-key path.
 
 from __future__ import annotations
 
+import functools
 import time
 
-from repro.core.anchors import (AnchorConfig, merge_segment_results,
-                                segment_pair)
+from repro.core.anchors import AnchorConfig, segmental_diff
 from repro.core.diffs import DiffResult, build_sequences
 from repro.core.keytable import KeyTable
 from repro.core.lcs import (LcsResult, MemoryBudget, OpCounter,
@@ -73,10 +73,14 @@ def lcs_diff(left: Trace, right: Trace, algorithm: str = "optimized",
     if counter is None:
         counter = OpCounter()
     if anchors is not None:
-        return _anchored_lcs_diff(left, right, algorithm, anchors,
-                                  counter=counter, budget=budget,
-                                  dp_cell_limit=dp_cell_limit,
-                                  interned=interned, key_table=key_table)
+        return segmental_diff(
+            left, right,
+            functools.partial(lcs_diff, algorithm=algorithm,
+                              dp_cell_limit=dp_cell_limit,
+                              interned=interned),
+            algorithm=f"anchored-lcs-{algorithm}", anchors=anchors,
+            interned=interned, key_table=key_table, counter=counter,
+            budget=budget)
     started = time.perf_counter()
     if interned:
         table = key_table if key_table is not None \
@@ -118,40 +122,3 @@ def lcs_diff(left: Trace, right: Trace, algorithm: str = "optimized",
         seconds=elapsed,
         peak_cells=budget.peak_cells if budget is not None else 0,
     )
-
-
-def _anchored_lcs_diff(left: Trace, right: Trace, algorithm: str,
-                       anchors: AnchorConfig,
-                       counter: OpCounter,
-                       budget: MemoryBudget | None,
-                       dp_cell_limit: int,
-                       interned: bool,
-                       key_table: KeyTable | None) -> DiffResult:
-    """The anchored segmental path of :func:`lcs_diff` (serial; the
-    executor-parallel and segment-cached variant is
-    :func:`repro.exec.diffing.anchored_segment_diff`)."""
-    started = time.perf_counter()
-    table = None
-    if interned:
-        table = key_table if key_table is not None \
-            else KeyTable.for_pair(left, right)
-    segmentation = segment_pair(left, right, config=anchors,
-                                interned=interned, key_table=table,
-                                counter=counter)
-    gap_results: list[DiffResult | None] = []
-    for gap in segmentation.gaps:
-        if gap.left_len == 0 or gap.right_len == 0:
-            # One-sided gap: pure insertion/deletion, nothing to align.
-            gap_results.append(None)
-            continue
-        gap_results.append(lcs_diff(
-            left[gap.left_lo:gap.left_hi],
-            right[gap.right_lo:gap.right_hi],
-            algorithm=algorithm, counter=counter, budget=budget,
-            dp_cell_limit=dp_cell_limit, interned=interned,
-            key_table=table))
-    return merge_segment_results(
-        left, right, segmentation, gap_results, counter=counter,
-        algorithm=f"anchored-lcs-{algorithm}",
-        seconds=time.perf_counter() - started,
-        peak_cells=budget.peak_cells if budget is not None else 0)

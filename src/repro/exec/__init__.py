@@ -13,11 +13,11 @@ The process backend is a *persistent substrate*:
   driver that names ``"processes"``, shut down at interpreter exit (or
   :func:`shutdown_warm_pools`); spin-up is paid once per process.
 * **zero-copy trace shipping** (:mod:`repro.exec.shm`) — traces cross
-  the boundary as serialization-v2 wire bytes in
+  the boundary as binary v3 wire bytes in
   ``multiprocessing.shared_memory`` segments, refcounted and
   guaranteed-unlinked by a :class:`~repro.exec.shm.SegmentRegistry`
   (with an orphan sweep for crashed workers), falling back to inline
-  text transparently.
+  bytes transparently.
 * **batched leasing** (:func:`lease_chunks`) — workers lease
   near-even chunks plus a work-stealing singleton tail instead of one
   task per round trip; per-pid caches
@@ -33,16 +33,14 @@ Two task kinds ride the layer today:
   execution.
 * diff (:mod:`repro.exec.diffing`) — the views-based diff's execution
   phase (independent correlated-thread-pair evaluations) through
-  :func:`executed_view_diff`, bit-identical to the serial path, and
-  the anchored segmental driver :func:`anchored_segment_diff` (gap
-  diffs fanned out as chunks, with segment-granular caching).
+  :func:`executed_view_diff`, bit-identical to the serial path.
 """
 
 from repro.exec.capture import (CAPTURE_LOCK, CaptureOutcome, CaptureTask,
                                 RemoteCaptureError, capture_call,
                                 capture_task_locally, ensure_portable,
                                 resolve_callable, run_capture_tasks)
-from repro.exec.diffing import anchored_segment_diff, executed_view_diff
+from repro.exec.diffing import executed_view_diff
 from repro.exec.executors import (DEFAULT_MAX_WORKERS, Executor,
                                   ProcessExecutor, SerialExecutor,
                                   ThreadExecutor, available_executors,
@@ -58,7 +56,7 @@ __all__ = [
     "CAPTURE_LOCK", "CaptureOutcome", "CaptureTask", "DEFAULT_MAX_WORKERS",
     "Executor", "ProcessExecutor", "RemoteCaptureError", "SegmentRegistry",
     "SerialExecutor", "ThreadExecutor", "TraceShippingError", "WorkerState",
-    "anchored_segment_diff", "available_executors", "capture_call",
+    "available_executors", "capture_call",
     "capture_task_locally", "chunk_evenly", "ensure_portable",
     "executed_view_diff", "get_executor", "lease_chunks", "parent_registry",
     "prewarm_thread_pool", "resolve_callable", "resolve_executor",

@@ -7,9 +7,7 @@ job state; the actual trace work (captures, diffs) runs on a
 ``ThreadPoolExecutor`` worker pool through the service's one
 :class:`~repro.api.session.Session`, so every job shares the session's
 store, interned key table, ``repro.exec`` executor, and
-:class:`~repro.cache.DiffCache` (segment tier included — a re-diff of
-an edited scenario hits at segment granularity exactly as it would in
-process).
+:class:`~repro.cache.DiffCache`.
 
 Endpoints (all JSON)::
 

@@ -1,6 +1,5 @@
-"""Anchored segmental diffing (ISSUE 5): anchor selection, the
-segmental drivers, the ``anchored:*`` meta-engines, segment-parallel
-execution, and segment-granular caching.
+"""Anchored segmental diffing: anchor selection, the segmental driver,
+and the ``anchored:*`` meta-engines across executors and the cache.
 
 The identity contract, pinned by the property suites below:
 
@@ -20,29 +19,23 @@ The identity contract, pinned by the property suites below:
 
 from __future__ import annotations
 
-import os
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.api import (AnchoredEngine, DiffCache, Session, accepts_cache,
-                       accepts_executor, accepts_key_table,
-                       available_engines, get_engine, is_cacheable,
-                       register_engine, unregister_engine)
-from repro.cache.segments import (SegmentCache, segment_digest, segment_key,
-                                  shift_result_wire)
+from repro.api import (AnchoredEngine, Session, available_engines,
+                       get_engine, is_cacheable, register_engine,
+                       unregister_engine)
 from repro.core.anchors import (AnchorConfig, AnchorRun, Gap,
                                 anchor_candidates, merge_segment_results,
                                 segment_pair, segment_sequences,
                                 select_anchor_runs)
-from repro.core.diffs import result_identity, result_to_wire
+from repro.core.diffs import result_identity
 from repro.core.lcs import LcsMemoryError, MemoryBudget, OpCounter
 from repro.core.lcs_diff import ALGORITHMS, lcs_diff
 from repro.core.traces import Trace
 from repro.core.view_diff import ViewDiffConfig, view_diff
-from repro.exec import (ProcessExecutor, ThreadExecutor,
-                        anchored_segment_diff)
+from repro.exec import ProcessExecutor, ThreadExecutor
 
 from helpers import myfaces_trace, simple_trace, two_thread_trace
 
@@ -339,23 +332,24 @@ class TestAnchoredEngineRegistry:
             assert f"anchored:{algorithm}" in names
 
     def test_capability_flags(self):
-        engine = get_engine("anchored:views")
-        assert is_cacheable(engine)
-        assert accepts_executor(engine)
-        assert accepts_key_table(engine)
-        assert accepts_cache(engine)
-        # Plain LCS engines know nothing of executors or caches.
-        assert not accepts_executor(get_engine("optimized"))
-        assert not accepts_cache(get_engine("views"))
+        views = get_engine("anchored:views")
+        optimized = get_engine("anchored:optimized")
+        assert is_cacheable(views) and is_cacheable(optimized)
+        # Only views anchors inside its own evaluation; LCS inners are
+        # segmented.
+        assert views.inner.anchor_aware
+        assert not getattr(optimized.inner, "anchor_aware", False)
 
     def test_dynamic_resolution_of_custom_inner(self):
         class Constant:
             name = "anchor-test-constant"
 
             def diff(self, left, right, *, config=None, counter=None,
-                     budget=None, **kwargs):
+                     budget=None, key_table=None, executor=None):
                 return get_engine("optimized").diff(
-                    left, right, config=config, counter=counter)
+                    left, right, config=config, counter=counter,
+                    budget=budget, key_table=key_table,
+                    executor=executor)
 
         register_engine(Constant())
         try:
@@ -367,6 +361,16 @@ class TestAnchoredEngineRegistry:
                 available_engines()
             # Purity is not assumed for third-party inners.
             assert not is_cacheable(engine)
+            base = list(range(300))
+            left = simple_trace(base, name="l")
+            right = simple_trace(
+                mutate(base, [(40, 901), (41, 902), (250, 903)]),
+                name="r")
+            # The meta-engine and lcs_diff's anchored path share one
+            # gap driver.
+            assert result_identity(engine.diff(left, right)) == \
+                result_identity(lcs_diff(left, right,
+                                         anchors=AnchorConfig()))
         finally:
             unregister_engine("anchor-test-constant")
 
@@ -383,7 +387,7 @@ class TestAnchoredEngineRegistry:
         assert result_identity(result) == result_identity(reference)
 
 
-# -- segment-parallel execution ----------------------------------------------
+# -- executors and the cache -------------------------------------------------
 
 
 @pytest.fixture(scope="module")
@@ -410,33 +414,16 @@ def gapped_pair():
 
 
 class TestSegmentExecution:
+    """Gap diffs run serially in the calling thread whatever executor
+    the caller holds, so every executor gives the serial result."""
+
     def test_threads_identical_to_serial(self, gapped_pair, thread_pool):
         left, right = gapped_pair
-        inner = get_engine("optimized")
-        serial = anchored_segment_diff(left, right, inner)
-        workers: list[str] = []
-        threaded = anchored_segment_diff(left, right, inner,
-                                         executor=thread_pool,
-                                         workers=workers)
+        engine = AnchoredEngine("optimized")
+        serial = engine.diff(left, right)
+        threaded = engine.diff(left, right, executor=thread_pool)
         assert result_identity(threaded) == result_identity(serial)
-        assert workers and all(w.startswith("thread:") for w in workers)
         assert threaded.counter.total == serial.counter.total
-
-    def test_gap_segments_execute_in_worker_processes(self, gapped_pair,
-                                                      process_pool):
-        left, right = gapped_pair
-        inner = get_engine("optimized")
-        serial = anchored_segment_diff(left, right, inner)
-        workers: list[str] = []
-        processed = anchored_segment_diff(left, right, inner,
-                                          executor=process_pool,
-                                          workers=workers)
-        assert result_identity(processed) == result_identity(serial)
-        parent = f"pid:{os.getpid()}"
-        assert workers
-        assert all(w.startswith("pid:") for w in workers)
-        assert any(w != parent for w in workers)
-        assert processed.counter.total == serial.counter.total
 
     def test_engine_executor_kwarg_routes_segments(self, gapped_pair,
                                                    process_pool):
@@ -447,30 +434,27 @@ class TestSegmentExecution:
         assert result_identity(result) == result_identity(reference)
 
     def test_unresolvable_inner_falls_back_to_inline(self, gapped_pair):
-        """An inner engine the worker processes cannot resolve by name
-        (registered after the pool was spawned, or any spawn-start
-        platform) must not fail the diff — the gaps run inline."""
+        """An inner engine a worker process could not resolve by name
+        (registered after the pool was spawned) diffs its gaps here."""
         left, right = gapped_pair
 
         class LateRegistered:
             name = "anchor-test-late"
 
             def diff(self, inner_left, inner_right, *, config=None,
-                     counter=None, budget=None, **kwargs):
+                     counter=None, budget=None, key_table=None,
+                     executor=None):
                 return get_engine("optimized").diff(
                     inner_left, inner_right, config=config,
-                    counter=counter)
+                    counter=counter, key_table=key_table)
 
         with ProcessExecutor(max_workers=2) as pool:
             register_engine(LateRegistered())
             try:
-                workers: list[str] = []
-                result = anchored_segment_diff(
-                    left, right, get_engine("anchor-test-late"),
-                    executor=pool, workers=workers)
+                result = get_engine("anchored:anchor-test-late").diff(
+                    left, right, executor=pool)
             finally:
                 unregister_engine("anchor-test-late")
-        assert workers and all(w == "inline" for w in workers)
         reference = get_engine("optimized").diff(left, right)
         assert result_identity(result) == result_identity(reference)
 
@@ -478,155 +462,36 @@ class TestSegmentExecution:
                                                    process_pool):
         left, right = gapped_pair
         budget = MemoryBudget(max_cells=10_000)
-        result = anchored_segment_diff(left, right,
-                                       get_engine("optimized"),
-                                       budget=budget,
-                                       executor=process_pool)
+        result = AnchoredEngine("optimized").diff(
+            left, right, budget=budget, executor=process_pool)
         assert budget.peak_cells > 0  # gap tables were really requested
         assert result.peak_cells == budget.peak_cells
 
 
-# -- segment-granular caching ------------------------------------------------
-
-
-class TestSegmentDigest:
-    def test_position_independent(self):
-        trace = simple_trace(list(range(40)), name="t")
-        assert segment_digest(trace[5:15]) != segment_digest(trace[5:16])
-        # Same content at different offsets digests the same once the
-        # entry ids are rebased (here: identical values re-built at an
-        # offset).
-        shifted = simple_trace([0] * 7 + list(range(40)), name="s")
-        assert segment_digest(trace[8:12]) == segment_digest(
-            shifted[15:19])
-
-    def test_empty_trace_digest(self):
-        assert segment_digest(Trace([])) == segment_digest(Trace([]))
-
-    def test_key_namespaced_from_whole_result_keys(self):
-        left = simple_trace([1, 2, 3], name="l")
-        right = simple_trace([1, 2, 4], name="r")
-        from repro.cache import cache_key
-        assert segment_key(left, right, "optimized", None) != \
-            cache_key(left, right, "optimized", None)
-
-
-class TestShiftResultWire:
-    def test_round_trip(self):
-        left = simple_trace([1, 2, 9], name="l")
-        right = simple_trace([1, 2, 8], name="r")
-        wire = result_to_wire(lcs_diff(left, right))
-        shifted = shift_result_wire(wire, 10, 20)
-        back = shift_result_wire(shifted, -10, -20)
-        assert back == wire
-        assert shifted != wire
-
-    def test_eof_sentinel_never_shifted(self):
-        wire = {"similar_left": [-1, 3], "similar_right": [0],
-                "match_pairs": [[-1, -1]], "anchor_pairs": [],
-                "sequences": []}
-        shifted = shift_result_wire(wire, 5, 5)
-        assert shifted["similar_left"] == [-1, 8]
-        assert shifted["match_pairs"] == [[-1, -1]]
-
-
-class TestSegmentCache:
-    def test_warm_rerun_hits_every_gap(self, gapped_pair, tmp_path):
-        left, right = gapped_pair
-        cache = DiffCache(tmp_path / "cache")
-        inner = get_engine("optimized")
-        cold_workers: list[str] = []
-        cold = anchored_segment_diff(left, right, inner, cache=cache,
-                                     workers=cold_workers)
-        assert cold_workers and "cache" not in cold_workers
-        warm_workers: list[str] = []
-        warm = anchored_segment_diff(left, right, inner, cache=cache,
-                                     workers=warm_workers)
-        assert warm_workers and all(w == "cache" for w in warm_workers)
-        assert result_identity(warm) == result_identity(cold)
-        # Cold totals credited per segment: identical compare counts.
-        assert warm.counter.total == cold.counter.total
-
-    def test_disk_tier_survives_fresh_handle(self, gapped_pair, tmp_path):
-        left, right = gapped_pair
-        inner = get_engine("optimized")
-        cold = anchored_segment_diff(left, right, inner,
-                                     cache=DiffCache(tmp_path / "c"))
-        workers: list[str] = []
-        warm = anchored_segment_diff(left, right, inner,
-                                     cache=DiffCache(tmp_path / "c"),
-                                     workers=workers)
-        assert workers and all(w == "cache" for w in workers)
-        assert result_identity(warm) == result_identity(cold)
-
-    def test_edited_scenario_rediffs_only_changed_gaps(self, tmp_path):
-        """The payoff: an edit early in a scenario shifts every later
-        entry id, yet unchanged gaps still hit (position-relative
-        digests and rebased wires)."""
-        base = list(range(2000))
-        edits = [(100, 9001), (700, 9003), (1400, 9004), (1900, 9006)]
+class TestAnchoredCacheAccounting:
+    def test_computed_diff_is_not_a_cache_hit(self, tmp_path):
+        """A whole-result miss is computed: it leaves the cache's hit
+        count alone and its catalog row reads ``cached=False``, even
+        when the new pair shares every gap's content with a diff the
+        cache already holds."""
+        base = list(range(3000))
+        edits = [(600, 9001), (1200, 9002), (1800, 9003), (2400, 9004)]
         left = simple_trace(base, name="l")
         right = simple_trace(mutate(base, edits), name="r")
-        cache = DiffCache(tmp_path / "cache")
-        inner = get_engine("optimized")
-        anchored_segment_diff(left, right, inner, cache=cache)
-        # Insert three entries at the very front of the right trace:
-        # every original entry's eid shifts by three.
-        edited = simple_trace([55555, 55556, 55557] +
-                              mutate(base, edits), name="r2")
-        workers: list[str] = []
-        rerun = anchored_segment_diff(left, edited, inner, cache=cache,
-                                      workers=workers)
-        hits = [w for w in workers if w == "cache"]
-        misses = [w for w in workers if w != "cache"]
-        assert len(hits) >= 3      # unchanged interior gaps reused
-        assert len(misses) <= 2    # only the edited region recomputed
-        reference = get_engine("optimized").diff(left, edited)
-        assert result_identity(rerun) == result_identity(reference)
-
-    def test_corrupt_segment_entry_is_a_miss(self, gapped_pair, tmp_path):
-        left, right = gapped_pair
-        cache = DiffCache(tmp_path / "cache")
-        inner = get_engine("optimized")
-        cold = anchored_segment_diff(left, right, inner, cache=cache)
-        for entry in (tmp_path / "cache").glob("*/*.json"):
-            entry.write_text(entry.read_text()[:40])
-        workers: list[str] = []
-        recovered = anchored_segment_diff(left, right, inner,
-                                          cache=DiffCache(tmp_path / "cache"),
-                                          workers=workers)
-        assert workers and all(w != "cache" for w in workers)
-        assert result_identity(recovered) == result_identity(cold)
-
-    def test_segment_adapter_rejects_wrong_pair(self, tmp_path):
-        left = simple_trace([1, 2, 9, 4], name="l")
-        right = simple_trace([1, 2, 8, 4], name="r")
-        cache = DiffCache(tmp_path / "cache")
-        adapter = SegmentCache(cache)
-        result = lcs_diff(left, right)
-        key = adapter.key_for(left, right, "optimized", None)
-        adapter.put(key, result, left, right)
-        assert adapter.get(key, left, right) is not None
-        stranger = simple_trace([5], name="s")
-        assert adapter.get(key, stranger, stranger) is None
-
-    def test_session_cache_flows_to_segments(self, tmp_path):
-        """A whole-result miss (edited trace) still hits at segment
-        granularity through Session's one cache handle."""
-        base = list(range(1500))
-        left = simple_trace(base, name="l")
-        right = simple_trace(mutate(base, [(200, 901), (1200, 902)]),
-                             name="r")
+        # Three extra entries up front shift every later entry id.
+        shifted = simple_trace([-1, -2, -3] + mutate(base, edits),
+                               name="shifted")
         session = Session(engine="anchored:optimized",
-                          cache=tmp_path / "cache")
+                          cache=tmp_path / "cache",
+                          store=tmp_path / "store")
         session.diff(left, right)
-        edited = simple_trace(
-            mutate(base, [(200, 901), (700, 955), (1200, 902)]),
-            name="r-edited")
-        before = session.cache.stats().hits
-        result = session.diff(left, edited)
-        assert session.cache.stats().hits > before  # segment hits
-        reference = get_engine("optimized").diff(left, edited)
+        hits = session.cache.hits
+        result = session.diff(left, shifted)
+        assert session.cache.hits == hits
+        rows = session.store.index.diff_stats()
+        assert len(rows) == 2
+        assert not any(row.cached for row in rows)
+        reference = lcs_diff(left, shifted, anchors=AnchorConfig())
         assert result_identity(result) == result_identity(reference)
 
 

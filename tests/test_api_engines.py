@@ -116,44 +116,6 @@ class TestBuiltinEngines:
 
 
 class TestKeyTablePlumbing:
-    def test_accepts_key_table_detection(self):
-        from repro.api.engines import accepts_key_table
-
-        class Legacy:
-            name = "legacy"
-
-            def diff(self, left, right, *, config=None, counter=None,
-                     budget=None):  # pragma: no cover - signature only
-                raise NotImplementedError
-
-        class VarKw:
-            name = "varkw"
-
-            def diff(self, left, right, **kwargs):  # pragma: no cover
-                raise NotImplementedError
-
-        assert not accepts_key_table(Legacy())
-        assert accepts_key_table(VarKw())
-        assert accepts_key_table(ViewsEngine())
-        assert accepts_key_table(LcsEngine("dp"))
-
-    def test_session_feeds_legacy_engine_without_key_table(self, trace_pair):
-        from repro.api.session import Session
-
-        seen = {}
-
-        class Legacy:
-            name = "legacy-probe"
-
-            def diff(self, left, right, *, config=None, counter=None,
-                     budget=None):
-                seen["kwargs"] = True
-                return view_diff(left, right, config=config,
-                                 counter=counter)
-
-        result = Session(engine=Legacy()).diff(*trace_pair)
-        assert seen["kwargs"] and result.num_diffs() > 0
-
     def test_session_shares_pair_table(self, trace_pair):
         from repro.api.session import Session
         from repro.core.keytable import KeyTable
@@ -164,7 +126,7 @@ class TestKeyTablePlumbing:
             name = "table-probe"
 
             def diff(self, left, right, *, config=None, counter=None,
-                     budget=None, key_table=None):
+                     budget=None, key_table=None, executor=None):
                 captured["table"] = key_table
                 return view_diff(left, right, config=config,
                                  counter=counter, key_table=key_table)

@@ -507,9 +507,8 @@ class TestEngines:
         main(["engines"])
         out = capsys.readouterr().out
         assert "cacheable" in out
-        assert "accepts_executor" in out
-        assert "accepts_key_table" in out
-        assert "accepts_cache" in out
+        assert "anchor_aware" in out
+        assert "accepts_" not in out
 
 
 class TestAnchoredDiff:

@@ -178,10 +178,13 @@ class TestExecutorIdentity:
 
 
 class TestSessionDiffExecutor:
-    def test_views_engine_accepts_executor(self):
-        from repro.api.engines import accepts_executor, get_engine
-        assert accepts_executor(get_engine("views"))
-        assert not accepts_executor(get_engine("optimized"))
+    def test_views_engine_accepts_executor(self, thread_pool):
+        from repro.api.engines import get_engine
+        left = two_thread_trace([1, 2, 3], [7, 8], name="L")
+        right = two_thread_trace([1, 5, 3], [7, 9], name="R")
+        engine = get_engine("views")
+        assert signature(engine.diff(left, right)) == \
+            signature(engine.diff(left, right, executor=thread_pool))
 
     def test_session_diff_routes_through_executor(self, process_pool):
         from repro.api import Session

@@ -120,13 +120,12 @@ class TestEngineWiring:
         assert DEFAULT_GAP_INNER == "bitparallel"
         assert AnchoredEngine().name == "anchored:bitparallel"
 
-    def test_anchored_segment_diff_default_inner(self):
-        from repro.exec.diffing import anchored_segment_diff
+    def test_anchored_engine_default_inner(self):
         left = simple_trace([1, 2, 3, 9, 4, 5, 6], name="old")
         right = simple_trace([1, 2, 3, 8, 8, 4, 5, 6], name="new")
-        defaulted = anchored_segment_diff(left, right)
-        explicit = anchored_segment_diff(left, right,
-                                         get_engine(DEFAULT_GAP_INNER))
+        defaulted = AnchoredEngine().diff(left, right)
+        explicit = AnchoredEngine(get_engine(DEFAULT_GAP_INNER)).diff(
+            left, right)
         assert result_identity(defaulted) == result_identity(explicit)
 
     def test_bitparallel_engine_matches_hirschberg(self):
