@@ -1,8 +1,8 @@
 """Diff-cache throughput: warm batches vs cold batches.
 
-The motivating number for ``repro.cache``: the 6-scenario exec-bench
-workload (traced request handlers, as in ``bench_executors.py``) is
-captured once per version pair, then the whole diff batch runs
+The motivating number for ``repro.cache``: a 6-scenario workload
+(traced request handlers) is captured once per version pair, then the
+whole diff batch runs
 
 * **cold** — an empty :class:`~repro.cache.DiffCache` (every pair
   plans, correlates, and evaluates in full, then stores), and
@@ -39,7 +39,6 @@ from repro.api import Session
 from repro.cache import DiffCache
 from repro.capture.filters import TraceFilter
 from repro.core.diffs import result_signature
-from repro.exec import CaptureTask, run_capture_tasks
 
 SCENARIOS = int(os.environ.get("BENCH_CACHE_SCENARIOS", "6"))
 OPS = int(os.environ.get("BENCH_CACHE_OPS", "150"))
@@ -54,8 +53,8 @@ FILTER = TraceFilter(include_modules=("bench_cache",))
 
 
 class RequestHandler:
-    """The traced service of the exec bench (I/O waits dropped: this
-    bench times differencing, not capture)."""
+    """A traced request handler (no I/O waits: this bench times
+    differencing, not capture)."""
 
     def __init__(self, scenario: int):
         self.scenario = scenario
@@ -86,16 +85,13 @@ def new_scenario(spec: tuple) -> int:
 
 
 def _capture_pairs() -> list[tuple]:
-    tasks = []
-    for scenario in range(SCENARIOS):
-        for role, func in (("old", old_scenario), ("new", new_scenario)):
-            tasks.append(CaptureTask(func=func,
-                                     args=((scenario, OPS),),
-                                     name=f"s{scenario}/{role}",
-                                     filter=FILTER))
-    outcomes = run_capture_tasks(tasks)
-    assert all(outcome.ok for outcome in outcomes)
-    traces = [outcome.trace for outcome in outcomes]
+    session = Session(filter=FILTER)
+    captured = session.capture_batch(
+        [(f"s{scenario}/{role}", func, ((scenario, OPS),), {})
+         for scenario in range(SCENARIOS)
+         for role, func in (("old", old_scenario), ("new", new_scenario))])
+    assert all(outcome.ok for outcome in captured)
+    traces = [outcome.trace for outcome in captured]
     return list(zip(traces[0::2], traces[1::2]))
 
 

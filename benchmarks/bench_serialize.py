@@ -1,6 +1,6 @@
 """Wire-format throughput: binary v3 lazy decode vs the v2 text baseline.
 
-The serialisation layer is the boundary-crossing cost every executor,
+The serialisation layer is the boundary-crossing cost every capture,
 service upload, and store read pays.  This bench times the one format
 the library writes against the legacy text format it replaced, over
 the same traces:

@@ -10,9 +10,9 @@ ratios, and compares them against the committed baseline (by default
 ``git show HEAD:results/<name>``), failing when a fresh ratio drops
 more than ``--tolerance`` (default 25%) below its baseline.
 
-In CI the ``executors``, ``kernels`` and ``serialize`` budgets are
-*blocking* — their key ratios compare two modes measured within the
-same run on the same machine, so runner noise cancels out.  The remaining benches stay
+In CI the ``kernels`` and ``serialize`` budgets are *blocking* — their
+key ratios compare two modes measured within the same run on the same
+machine, so runner noise cancels out.  The remaining benches stay
 non-blocking (``continue-on-error``): a red check there is a prompt to
 look, not a gate.  Locally::
 
@@ -57,11 +57,6 @@ def _anchors(document: dict) -> dict[str, float]:
     return out
 
 
-def _executors(document: dict) -> dict[str, float]:
-    return {f"speedup:{profile}": value
-            for profile, value in document.get("speedups", {}).items()}
-
-
 def _service(document: dict) -> dict[str, float]:
     out = {}
     if "warm_speedup" in document:
@@ -98,7 +93,6 @@ def _static(document: dict) -> dict[str, float]:
 BUDGETS = {
     "kernels.json": _kernels,
     "anchors.json": _anchors,
-    "executors.json": _executors,
     "serialize.json": _serialize,
     "service.json": _service,
     "static.json": _static,

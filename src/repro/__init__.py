@@ -21,7 +21,7 @@ Typical use (the :mod:`repro.api` session layer)::
 Lower-level pieces remain directly importable: ``session.capture`` /
 ``session.diff`` drive individual steps, ``repro.api.TraceStore``
 persists traces for offline analysis, ``repro.api.ScenarioPipeline``
-batches scenarios across a worker pool, and the legacy ``RPrism``
+batches scenarios across a thread pool, and the legacy ``RPrism``
 facade still works (it delegates to a ``Session``).
 """
 

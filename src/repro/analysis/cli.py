@@ -17,13 +17,13 @@ while the program runs, then analysed later.  This CLI covers that side::
         [--against-baseline TAG] [--engine ...]
     python -m repro.analysis.cli store migrate DIR
     python -m repro.analysis.cli batch scenarios.json --store DIR \\
-        [--jobs 4] [--executor processes]
+        [--jobs 4]
     python -m repro.analysis.cli cache stats|prune|clear DIR ...
     python -m repro.analysis.cli index build|stats|compact DIR
     python -m repro.analysis.cli query DIR [--tag T] [--scenario S] \\
         [--digest-prefix HEX] [--since WHEN] [--similar KEY] [--json]
     python -m repro.analysis.cli serve DIR [--host H] [--port P] \\
-        [--workers N] [--executor NAME[:N]]
+        [--workers N]
 
 ``index``/``query`` read the store's persistent catalog
 (:mod:`repro.index`, maintained automatically on save/tag/delete;
@@ -63,7 +63,6 @@ from repro.api.pipeline import StoredScenarioJob, run_pipeline
 from repro.api.session import Session
 from repro.api.store import INDEX_NAME, LAYOUTS, TraceStore
 from repro.cache import DiffCache, cached_engine_diff
-from repro.exec.executors import available_executors, get_executor
 from repro.analysis.report import render_diff_report, render_trace_tree
 from repro.analysis.serialize import load_trace
 from repro.core.regression import (MODE_INTERSECT, MODE_SUBTRACT,
@@ -510,7 +509,6 @@ def cmd_serve(args) -> int:
     service = ReproService(TraceStore(args.store, layout=args.layout),
                            host=args.host,
                            port=args.port, workers=args.workers,
-                           executor=args.executor,
                            engine=_engine_name(args),
                            cache=not args.no_cache)
     try:
@@ -561,21 +559,12 @@ def cmd_batch(args) -> int:
         raise SystemExit(f"batch spec {args.spec} is not valid JSON: "
                          f"{error}")
     jobs = _jobs_from_spec(spec)
-    try:
-        executor = get_executor(args.executor)
-    except (KeyError, ValueError) as error:
-        # args[0], not str(): str(KeyError) wraps the message in quotes.
-        raise SystemExit(error.args[0])
     cache = _resolve_cache(args, args.store)
-    try:
-        session = Session(store=_open_store(args.store),
-                          engine=_engine_name(args),
-                          config=parse_config_flags(args.config),
-                          executor=executor,
-                          cache=cache)
-        result = run_pipeline(jobs, session=session, max_workers=args.jobs)
-    finally:
-        executor.close()
+    session = Session(store=_open_store(args.store),
+                      engine=_engine_name(args),
+                      config=parse_config_flags(args.config),
+                      cache=cache)
+    result = run_pipeline(jobs, session=session, max_workers=args.jobs)
     print(result.render())
     if cache is not None:
         stats = cache.stats()
@@ -795,10 +784,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="TCP port (0: ephemeral, printed on boot)")
     serve.add_argument("--workers", type=int, default=4,
                        help="concurrent job workers")
-    serve.add_argument("--executor", default=None, metavar="NAME[:N]",
-                       help="execution backend for job captures/diffs "
-                            f"(one of: {', '.join(available_executors())};"
-                            " default: serial)")
     _add_engine_options(serve)
     serve.add_argument("--no-cache", action="store_true",
                        help="serve without a diff cache")
@@ -815,13 +800,6 @@ def build_parser() -> argparse.ArgumentParser:
     batch.add_argument("--jobs", type=int, default=None,
                        help="worker threads (default: one per scenario, "
                             "capped)")
-    batch.add_argument("--executor", default=None, metavar="NAME[:N]",
-                       help="execution backend for each job's captures "
-                            "and parallelisable diffs, with optional "
-                            "worker count (one of: "
-                            f"{', '.join(available_executors())}; "
-                            "processes breaks the capture lock; "
-                            "default: serial)")
     _add_engine_options(batch)
     _add_cache_options(batch)
     batch.set_defaults(func=cmd_batch)

@@ -79,15 +79,21 @@ def _rep_to_json(rep: ValueRep | None):
 
 
 def _plain(value):
-    """Tuples -> lists (JSON-encodable), tagged so they round-trip."""
+    """Tuples -> lists and bytes -> hex (JSON-encodable), tagged so they
+    round-trip."""
     if isinstance(value, tuple):
         return {"t": [_plain(v) for v in value]}
+    if isinstance(value, bytes):
+        return {"b": value.hex()}
     return value
 
 
 def _untuple(value):
-    if isinstance(value, dict) and set(value) == {"t"}:
-        return tuple(_untuple(v) for v in value["t"])
+    if isinstance(value, dict):
+        if set(value) == {"t"}:
+            return tuple(_untuple(v) for v in value["t"])
+        if set(value) == {"b"}:
+            return bytes.fromhex(value["b"])
     return value
 
 

@@ -17,7 +17,7 @@ name, so swapping the analysis behind a stable driver API is one
     class MyEngine:
         name = "mine"
         def diff(self, left, right, *, config=None, counter=None,
-                 budget=None, key_table=None, executor=None):
+                 budget=None, key_table=None):
             ...
 
     register_engine(MyEngine())
@@ -52,13 +52,12 @@ class DiffEngine(Protocol):
     """What a differencing backend must provide.
 
     Drivers call ``diff`` with the keywords ``config``, ``counter``,
-    ``budget``, ``key_table`` and ``executor``; an engine accepts all
-    five and ignores the ones it does not use.  ``config`` is a
+    ``budget`` and ``key_table``; an engine accepts all four and
+    ignores the ones it does not use.  ``config`` is a
     :class:`ViewDiffConfig`; ``counter`` accumulates entry-compare
     operations; ``budget`` caps DP memory for engines that allocate
     quadratic tables; ``key_table`` is the diff pair's shared interned
-    ``=e`` symbol table; ``executor`` is the execution layer's backend
-    for engines whose work parallelises.
+    ``=e`` symbol table.
 
     Engines whose ``diff`` is a pure function of ``(left, right,
     config)`` may additionally set ``cacheable = True`` to let the
@@ -72,8 +71,7 @@ class DiffEngine(Protocol):
              config: ViewDiffConfig | None = None,
              counter: OpCounter | None = None,
              budget: MemoryBudget | None = None,
-             key_table: KeyTable | None = None,
-             executor=None) -> DiffResult:
+             key_table: KeyTable | None = None) -> DiffResult:
         ...
 
 
@@ -91,12 +89,7 @@ def is_cacheable(engine: DiffEngine) -> bool:
 
 
 class ViewsEngine:
-    """The paper's contribution: linear-time views-based differencing.
-
-    ``executor`` routes the per-thread-pair execution phase through the
-    execution layer (serial / threads / processes); results are
-    bit-identical to the inline path for every executor.
-    """
+    """The paper's contribution: linear-time views-based differencing."""
 
     name = "views"
     #: Pure function of (traces, config): safe to memoise.
@@ -111,15 +104,9 @@ class ViewsEngine:
              config: ViewDiffConfig | None = None,
              counter: OpCounter | None = None,
              budget: MemoryBudget | None = None,
-             key_table: KeyTable | None = None,
-             executor=None) -> DiffResult:
-        if executor is None:
-            return view_diff(left, right, config=config, counter=counter,
-                             key_table=key_table)
-        from repro.exec.diffing import executed_view_diff
-        return executed_view_diff(left, right, config=config,
-                                  counter=counter, key_table=key_table,
-                                  executor=executor)
+             key_table: KeyTable | None = None) -> DiffResult:
+        return view_diff(left, right, config=config, counter=counter,
+                         key_table=key_table)
 
 
 class LcsEngine:
@@ -138,8 +125,7 @@ class LcsEngine:
              config: ViewDiffConfig | None = None,
              counter: OpCounter | None = None,
              budget: MemoryBudget | None = None,
-             key_table: KeyTable | None = None,
-             executor=None) -> DiffResult:
+             key_table: KeyTable | None = None) -> DiffResult:
         interned = config.interned if config is not None else True
         anchors = None
         if config is not None and config.anchored:
@@ -160,9 +146,8 @@ class AnchoredEngine:
     truthy ``anchor_aware`` attribute — the views engine), the call
     delegates with ``config.anchored`` forced on.  For everything else
     the pair is split along its ``=e`` anchor runs and the inner engine
-    runs serially on each divergent gap
-    (:func:`~repro.core.anchors.segmental_diff`); the gaps are small,
-    so ``executor`` is not used there.
+    runs on each divergent gap
+    (:func:`~repro.core.anchors.segmental_diff`).
 
     Results are bit-identical to the inner engine's
     (:func:`~repro.core.diffs.result_identity`); only the ``=e``
@@ -182,16 +167,14 @@ class AnchoredEngine:
              config: ViewDiffConfig | None = None,
              counter: OpCounter | None = None,
              budget: MemoryBudget | None = None,
-             key_table: KeyTable | None = None,
-             executor=None) -> DiffResult:
+             key_table: KeyTable | None = None) -> DiffResult:
         if config is None:
             config = ViewDiffConfig()
         if getattr(self.inner, "anchor_aware", False):
             return self.inner.diff(
                 left, right,
                 config=dataclasses.replace(config, anchored=True),
-                counter=counter, budget=budget, key_table=key_table,
-                executor=executor)
+                counter=counter, budget=budget, key_table=key_table)
         # Gap diffs must not re-anchor (the segmentation already did).
         gap_config = dataclasses.replace(config, anchored=False)
         return segmental_diff(

@@ -11,16 +11,12 @@ across a ``concurrent.futures`` thread pool:
   over trace pairs already in a :class:`~repro.api.store.TraceStore`
   (``Session.run_stored_scenario``).
 
-With the default in-process execution, capture is serial (one
-``sys.settrace`` weaver per process; see
-:data:`repro.exec.capture.CAPTURE_LOCK`) and parallelism buys its
-speedup on the diff/analysis side.  Give the pipeline a *process*
-executor (``executor="processes"``) and the capture half scales too:
-each job's capture batch dispatches to worker processes owning their
-own weavers, so N captures proceed truly concurrently while the job
-threads overlap diff/analysis.  Each job runs in a session derived from
-the pipeline's base session, so per-job engine/config/mode overrides
-compose with shared configuration — including the base session's ``=e``
+Captures are serial (one ``sys.settrace`` weaver per process; jobs
+take turns on :data:`repro.capture.tracer.CAPTURE_LOCK`), so the pool
+buys its speedup on the diff/analysis side.  Each job runs in a
+session derived from the pipeline's base session, so per-job
+engine/config/mode overrides compose with shared configuration —
+including the base session's ``=e``
 :class:`~repro.core.keytable.KeyTable`, so every trace a batch captures
 is interned into one shared id space at ingest — and every job reports
 an :class:`OpCounter` total, wall-clock seconds, and the worker it ran
@@ -39,25 +35,9 @@ from repro.api.engines import DiffEngine
 from repro.api.session import Session, SessionResult
 from repro.capture.filters import TraceFilter
 from repro.core.view_diff import ViewDiffConfig
-from repro.exec.executors import (Executor, prewarm_thread_pool,
-                                  resolve_executor)
 
 #: Upper bound on pool size when ``max_workers`` is not given.
 DEFAULT_MAX_WORKERS = 8
-
-
-def prewarm_pool(pool: ThreadPoolExecutor, workers: int) -> None:
-    """Force the executor to spawn all its threads up front.
-
-    ``ThreadPoolExecutor`` creates worker threads lazily, and the
-    capture layer's active :class:`~repro.capture.tracer.Tracer` wraps
-    ``threading.Thread.start`` process-wide — a worker spawned while
-    some job's capture holds the weaver would be recorded as a spurious
-    fork event inside that workload's trace.  Delegates to the
-    execution layer's :func:`~repro.exec.executors.prewarm_thread_pool`
-    (one implementation of the barrier trick).
-    """
-    prewarm_thread_pool(pool, workers)
 
 
 @dataclass(slots=True)
@@ -93,10 +73,8 @@ class StoredScenarioJob:
 class JobOutcome:
     """What one pipeline job produced (or the error that stopped it).
 
-    ``worker`` names the pipeline worker the job ran on; capture
-    workers (pids under a process executor) are listed per-job via
-    ``SessionResult.workers`` — both surface in :meth:`brief` so
-    parallel runs are debuggable.
+    ``worker`` names the pipeline thread the job ran on; it surfaces
+    in :meth:`brief` so parallel runs are debuggable.
     """
 
     name: str
@@ -112,21 +90,15 @@ class JobOutcome:
     def compares(self) -> int:
         return self.result.compares() if self.result is not None else 0
 
-    def _where(self) -> str:
-        where = self.worker or "?"
-        if self.result is not None and self.result.workers:
-            where += " capture=" + ",".join(self.result.workers)
-        return where
-
     def brief(self) -> str:
         if not self.ok:
             return (f"{self.name:24} FAILED: {self.error} "
-                    f"[{self.seconds:.3f}s on {self._where()}]")
+                    f"[{self.seconds:.3f}s on {self.worker or '?'}]")
         sizes = self.result.report.set_sizes()
         return (f"{self.name:24} engine={self.result.engine:10} "
                 f"|A|={sizes['A']:<4} |D|={sizes['D']:<4} "
                 f"{self.compares()} compares  {self.seconds:.3f}s "
-                f"[{self._where()}]")
+                f"[{self.worker or '?'}]")
 
 
 @dataclass(slots=True)
@@ -173,52 +145,20 @@ class PipelineResult:
 
 
 class ScenarioPipeline:
-    """Execute scenario jobs across a thread pool.
-
-    ``executor`` selects the execution backend job sessions run their
-    captures and parallelisable diffs on (``"processes"`` breaks the
-    capture lock; see :mod:`repro.exec`).  The job fan-out itself stays
-    a thread pool — threads block cheaply on the shared process pool,
-    so ``max_workers`` job threads drive ``executor``'s workers.
-    """
+    """Execute scenario jobs across a thread pool."""
 
     def __init__(self, session: Session | None = None, *,
                  max_workers: int | None = None,
-                 executor: "Executor | str | None" = None,
                  cache: "object | None" = None):
         self.session = session if session is not None else Session()
-        self._owned_executor: Executor | None = None
-        if executor is not None:
-            resolved, owned = resolve_executor(executor)
-            if owned:
-                self._owned_executor = resolved
-            self.session = self.session.derive(executor=resolved)
         if cache is not None:
             # One DiffCache handle (instance, path, or True) shared by
             # every job: derived sessions inherit it, so a pair diffed
             # by one job is a hit for every other — and for the whole
             # next batch when the cache has a disk tier.  DiffCache is
-            # thread-safe, and under process executors lookups still
-            # happen on the job threads of this process, so the shared
-            # handle is safe for every repro.exec backend.
+            # thread-safe.
             self.session = self.session.derive(cache=cache)
         self.max_workers = max_workers
-
-    def close(self) -> None:
-        """Release a pool this pipeline resolved from an executor name
-        spec (instances stay with their creator).  For ``"processes"``
-        specs the release is soft: the warm shared pool stays alive,
-        so back-to-back :func:`run_pipeline` batches never rebuild
-        it."""
-        if self._owned_executor is not None:
-            self._owned_executor.close()
-            self._owned_executor = None
-
-    def __enter__(self) -> "ScenarioPipeline":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
 
     def _workers_for(self, jobs: Sequence) -> int:
         if self.max_workers is not None:
@@ -262,7 +202,6 @@ class ScenarioPipeline:
             outcomes = [self._run_job(job) for job in jobs]
         else:
             with ThreadPoolExecutor(max_workers=workers) as pool:
-                prewarm_pool(pool, workers)
                 outcomes = list(pool.map(self._run_job, jobs))
         return PipelineResult(outcomes=outcomes,
                               seconds=time.perf_counter() - started,
@@ -272,11 +211,8 @@ class ScenarioPipeline:
 def run_pipeline(jobs: Sequence[ScenarioJob | StoredScenarioJob], *,
                  session: Session | None = None,
                  max_workers: int | None = None,
-                 executor: "Executor | str | None" = None,
                  cache: "object | None" = None) -> PipelineResult:
-    """One-shot convenience over :class:`ScenarioPipeline` — a pool
-    built from an ``executor`` name spec is closed when the batch
-    ends; ``cache`` attaches one shared diff cache to every job."""
-    with ScenarioPipeline(session, max_workers=max_workers,
-                          executor=executor, cache=cache) as pipeline:
-        return pipeline.run(jobs)
+    """One-shot convenience over :class:`ScenarioPipeline`; ``cache``
+    attaches one shared diff cache to every job."""
+    return ScenarioPipeline(session, max_workers=max_workers,
+                            cache=cache).run(jobs)

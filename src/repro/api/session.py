@@ -19,16 +19,12 @@ The full Sec. 4 recipe is one call::
                             regressing_input=bad, correct_input=ok))
     print(result.render())
 
-How a session *executes* is pluggable (:mod:`repro.exec`): with the
-default ``serial``/``threads`` executors capture is serialised
+Everything runs in the calling thread.  Captures are serialised
 process-wide — the ``sys.settrace`` weaver admits a single active
-:class:`~repro.capture.tracer.Tracer`, so concurrent sessions (e.g. the
-parallel pipeline) interleave their capture phases under
-:data:`CAPTURE_LOCK` while overlapping the diff/analysis work.  With
-``executor="processes"`` captures dispatch to worker processes that
-each own their own weaver — N captures proceed truly concurrently and
-the lock never enters the picture — and views-based diffs run their
-per-thread-pair execution phase through the same pool.
+:class:`~repro.capture.tracer.Tracer` — so concurrent sessions (e.g.
+the pipeline's job threads) take turns on
+:data:`~repro.capture.tracer.CAPTURE_LOCK` while their diffs and
+analyses overlap.
 """
 
 from __future__ import annotations
@@ -46,7 +42,7 @@ from repro.api.engines import DiffEngine, get_engine
 from repro.api.store import TraceNotFound, TraceStore
 from repro.cache import DiffCache, cached_engine_diff
 from repro.capture.filters import TraceFilter
-from repro.capture.tracer import CaptureResult
+from repro.capture.tracer import CAPTURE_LOCK, CaptureResult, trace_call
 from repro.core.diffs import DiffResult
 from repro.core.keytable import KeyTable
 from repro.core.lcs import MemoryBudget, OpCounter
@@ -55,15 +51,31 @@ from repro.core.regression import (MODE_INTERSECT, RegressionReport,
 from repro.core.traces import Trace
 from repro.core.view_diff import ViewDiffConfig
 from repro.core.web import ViewWeb
-from repro.exec.capture import (CAPTURE_LOCK, CaptureOutcome, CaptureTask,
-                                run_capture_tasks)
-from repro.exec.executors import Executor, resolve_executor
 
-__all__ = ["CAPTURE_LOCK", "SCENARIO_ROLES", "Session", "SessionResult"]
+__all__ = ["SCENARIO_ROLES", "Session", "SessionResult",
+           "run_capture_tasks"]
 
 #: The four trace roles of the Sec. 4 recipe, in capture order.
 SCENARIO_ROLES = ("old/regressing", "new/regressing",
                   "old/correct", "new/correct")
+
+
+def run_capture_tasks(tasks, *, filter: TraceFilter | None = None,
+                      record_fields: bool = True,
+                      key_table: KeyTable | None = None
+                      ) -> list[CaptureResult]:
+    """Capture each ``(name, func, args, kwargs)`` task in order: one
+    :func:`~repro.capture.tracer.trace_call` per task, each under
+    :data:`~repro.capture.tracer.CAPTURE_LOCK`.  Every capture a
+    session makes goes through here."""
+    results = []
+    for name, func, args, kwargs in tasks:
+        with CAPTURE_LOCK:
+            results.append(trace_call(func, *args, name=name,
+                                      filter=filter,
+                                      record_fields=record_fields,
+                                      key_table=key_table, **kwargs))
+    return results
 
 
 @dataclass(slots=True)
@@ -84,9 +96,6 @@ class SessionResult:
     engine: str = "views"
     scenario: str = ""
     store_keys: tuple[str, ...] = ()
-    #: Distinct workers the captures ran on (``pid:N`` under a process
-    #: executor, ``thread:NAME`` in-process), in first-use order.
-    workers: tuple[str, ...] = ()
     #: Static change-impact prediction cross-validated against the
     #: dynamic ImpactReport (:mod:`repro.static`), when the scenario
     #: was run with ``static_impact=...``.
@@ -132,7 +141,6 @@ class Session:
                  mode: str = MODE_INTERSECT,
                  record_fields: bool = True,
                  key_table: KeyTable | None = None,
-                 executor: "Executor | str | None" = None,
                  cache: "DiffCache | str | Path | bool | None" = None):
         self.config = config if config is not None else ViewDiffConfig()
         self.filter = filter
@@ -152,16 +160,6 @@ class Session:
         #: (or its derived siblings — the pipeline's per-job sessions)
         #: already share one id space when they meet in :meth:`diff`.
         self.key_table = key_table if key_table is not None else KeyTable()
-        #: How this session's captures and parallelisable diffs run
-        #: (:mod:`repro.exec`): ``serial`` by default; ``"processes"``
-        #: isolates each capture in a worker process with its own
-        #: settrace weaver.  A pool built here from a name spec is
-        #: *owned* — :meth:`close` (or the context manager) releases
-        #: it; instances stay with their creator.  ``"processes"``
-        #: specs resolve to the process-wide *warm* pool, whose
-        #: release is soft — repeat sessions and back-to-back diffs
-        #: reuse the same live workers.
-        self.executor, self._owns_executor = resolve_executor(executor)
 
     @staticmethod
     def _as_store(store) -> TraceStore | None:
@@ -226,45 +224,16 @@ class Session:
         self.mode = mode
         return self
 
-    def with_executor(self, executor: "Executor | str",
-                      max_workers: int | None = None) -> "Session":
-        """Select the execution backend (``serial`` / ``threads`` /
-        ``processes``, optionally ``"processes:4"``-style, or an
-        executor instance to share a pool)."""
-        # Resolve first: a bad spec must not leave the session with a
-        # closed (unusable) executor.
-        resolved, owned = resolve_executor(executor,
-                                           max_workers=max_workers)
-        if self._owns_executor:
-            self.executor.close()
-        self.executor, self._owns_executor = resolved, owned
-        return self
-
-    def close(self) -> None:
-        """Shut down the executor pool this session owns (one built
-        from a name spec); shared instances are left to their owner."""
-        if self._owns_executor:
-            self.executor.close()
-            self._owns_executor = False
-
-    def __enter__(self) -> "Session":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
     def derive(self, *, engine: str | DiffEngine | None = None,
                config: ViewDiffConfig | None = None,
                filter: TraceFilter | None = None,
                mode: str | None = None,
-               executor: "Executor | str | None" = None,
                cache: "DiffCache | str | Path | bool | None" = None
                ) -> "Session":
-        """A sibling session sharing this one's store, key table,
-        executor (pool included), and diff cache (one handle, so every
-        derived job of a batch hits the same memoisation), with
-        overrides (the pipeline gives each job its own derived
-        session)."""
+        """A sibling session sharing this one's store, key table and
+        diff cache (one handle, so every derived job of a batch hits
+        the same memoisation), with overrides (the pipeline gives each
+        job its own derived session)."""
         return Session(
             config=config if config is not None else self.config,
             filter=filter if filter is not None else self.filter,
@@ -273,17 +242,10 @@ class Session:
             mode=mode if mode is not None else self.mode,
             record_fields=self.record_fields,
             key_table=self.key_table,
-            executor=executor if executor is not None else self.executor,
             cache=cache if cache is not None else self.cache,
         )
 
     # -- lifecycle: capture / ingest ---------------------------------------
-
-    def _capture_task(self, func: Callable, args: tuple, kwargs: dict,
-                      name: str) -> CaptureTask:
-        return CaptureTask(func=func, args=args, kwargs=kwargs, name=name,
-                           filter=self.filter,
-                           record_fields=self.record_fields)
 
     def _ingest_table(self) -> KeyTable | None:
         return self.key_table if self.config.interned else None
@@ -292,32 +254,26 @@ class Session:
                 store_as: str | None = None,
                 tags: tuple[str, ...] = (), dedup: bool = False,
                 scenario: str | None = None, **kwargs) -> CaptureResult:
-        """Trace one run under this session's filter.
-
-        The session's executor decides where the capture runs: under
-        :data:`CAPTURE_LOCK` in-process (serial / threads), or in a
-        worker process owning its own weaver (``processes`` — ``func``
-        and its arguments must then be picklable).  ``store_as``
+        """Trace one run under this session's filter (waiting for
+        :data:`~repro.capture.tracer.CAPTURE_LOCK`).  ``store_as``
         persists the trace to the session store immediately (requires
         :meth:`with_store`); ``dedup=True`` skips the write when a
         byte-identical trace is already stored, ``scenario`` is catalog
         metadata for ``repro query``.
         """
-        task = self._capture_task(func, args, kwargs, name)
-        outcome = run_capture_tasks([task], self.executor,
-                                    key_table=self._ingest_table())[0]
+        captured = self.capture_batch([(name, func, args, kwargs)])[0]
         if store_as is not None:
-            self._store_required().save(outcome.trace, key=store_as,
+            self._store_required().save(captured.trace, key=store_as,
                                         tags=tags, dedup=dedup,
                                         scenario=scenario)
-        return outcome.capture_result()
+        return captured
 
-    def capture_batch(self, tasks: "list[CaptureTask]"
-                      ) -> "list[CaptureOutcome]":
-        """Evaluate many capture tasks through the session's executor
-        (truly concurrently under a process executor), interning every
-        trace into the session's key table."""
-        return run_capture_tasks(tasks, self.executor,
+    def capture_batch(self, tasks) -> list[CaptureResult]:
+        """Capture ``(name, func, args, kwargs)`` tasks in order
+        (:func:`run_capture_tasks`), interning every trace into the
+        session's key table."""
+        return run_capture_tasks(tasks, filter=self.filter,
+                                 record_fields=self.record_fields,
                                  key_table=self._ingest_table())
 
     def trace_call(self, func: Callable, *args, name: str = "",
@@ -374,8 +330,7 @@ class Session:
 
         With ``config.interned`` the pair shares one key table: the
         table both traces already carry when it is common (this
-        session's captures), a fresh pair table otherwise.  A session
-        with a non-serial executor hands it to the engine.
+        session's captures), a fresh pair table otherwise.
 
         When the session carries a :class:`~repro.cache.DiffCache` and
         the backend advertises ``cacheable``, the cache is consulted
@@ -391,15 +346,12 @@ class Session:
         backend = self.engine if engine is None else get_engine(engine)
         left_trace = self.resolve_trace(left)
         right_trace = self.resolve_trace(right)
-        executor = None if self.executor.name == "serial" \
-            else self.executor
         cache = self.cache if use_cache else None
         hits_before = cache.hits if cache is not None else 0
         started = time.perf_counter()
         result = cached_engine_diff(cache, backend, left_trace,
                                     right_trace, config=self.config,
-                                    counter=counter, budget=budget,
-                                    executor=executor)
+                                    counter=counter, budget=budget)
         if self.store is not None:
             self._record_diff_stat(
                 left_trace, right_trace, backend.name, result,
@@ -458,10 +410,6 @@ class Session:
         store under ``<prefix>/<role>`` keys, so the scenario can be
         re-analysed offline (``run_stored_scenario``).
 
-        The whole capture phase runs as one batch through the session's
-        executor — under a process executor the four roles are captured
-        truly concurrently, each in a worker owning its own weaver.
-
         ``static_impact`` folds in the :mod:`repro.static` layer: pass
         a bundled ``repro.lang`` scenario name (``static_impact=
         "minidb"``) or ``True`` with ``old_program``/``new_program``
@@ -487,7 +435,6 @@ class Session:
                     self.config, anchor_method_hints=hints)
         traces: dict[str, Trace] = {}
         store_keys: list[str] = []
-        workers: list[str] = []
 
         roles: list[tuple[str, Callable, object]] = [
             ("old/regressing", old_version, regressing_input),
@@ -495,13 +442,11 @@ class Session:
         if correct_input is not None:
             roles.append(("old/correct", old_version, correct_input))
             roles.append(("new/correct", new_version, correct_input))
-        outcomes = self.capture_batch(
-            [self._capture_task(runner, (payload,), {}, role)
+        captured = self.capture_batch(
+            [(role, runner, (payload,), {})
              for role, runner, payload in roles])
-        for (role, _runner, _payload), outcome in zip(roles, outcomes):
+        for (role, _runner, _payload), outcome in zip(roles, captured):
             traces[role] = outcome.trace
-            if outcome.worker and outcome.worker not in workers:
-                workers.append(outcome.worker)
             if store_prefix is not None:
                 key = f"{store_prefix}/{role}"
                 store_keys.append(key)
@@ -536,7 +481,6 @@ class Session:
             engine=backend.name,
             scenario=name,
             store_keys=tuple(store_keys),
-            workers=tuple(workers),
             static_impact=validation,
         )
 

@@ -19,11 +19,11 @@ file headers, so files dropped into the directory by other tools are
 picked up; only tags live in the index.
 
 Writes are safe under concurrent writers — threads of one process *and*
-separate processes (the execution layer's capture workers persist
-traces from wherever they run).  Every file lands via write-to-unique-
-temp + ``os.replace`` (readers never observe a half-written trace or
-index), and index read-modify-writes are serialised through an advisory
-``flock`` on a sidecar lock file where the platform provides one.
+separate processes sharing the directory.  Every file lands via
+write-to-unique-temp + ``os.replace`` (readers never observe a
+half-written trace or index), and index read-modify-writes are
+serialised through an advisory ``flock`` on a sidecar lock file where
+the platform provides one.
 
 Two directory **layouts** share one API:
 

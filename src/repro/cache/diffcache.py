@@ -38,11 +38,9 @@ Correctness rests on two contracts, both documented at their homes:
   stateful until they say otherwise.
 
 Thread safety: one lock guards the memory tier and the counters, disk
-writes are atomic, so one handle may be shared by every job of a
-pipeline batch across thread *and* process executors (captures run in
-workers; diffs — and therefore cache lookups — run on the job threads
-of the parent, all hitting this one handle; separate processes sharing
-a directory meet through the disk tier).
+writes are atomic, so one handle may be shared by every job thread of
+a pipeline batch or service; separate processes sharing a directory
+meet through the disk tier.
 """
 
 from __future__ import annotations
@@ -385,8 +383,7 @@ class DiffCache:
 
 def cached_engine_diff(cache: "DiffCache | None", engine, left: Trace,
                        right: Trace, *, config=None, counter=None,
-                       budget=None, key_table=None,
-                       executor=None) -> DiffResult:
+                       budget=None, key_table=None) -> DiffResult:
     """Run ``engine.diff`` through ``cache``.
 
     The one choke point every driver (``Session.diff``, the workload
@@ -403,7 +400,7 @@ def cached_engine_diff(cache: "DiffCache | None", engine, left: Trace,
     paper's compare-count metric) stay identical between cold and warm
     runs.
 
-    The engine is called with all five keywords of the
+    The engine is called with all four keywords of the
     :class:`~repro.api.engines.DiffEngine` protocol.  Under an interned
     config (the default) a call given no ``key_table`` hands the engine
     the pair's shared ``=e`` table (:meth:`KeyTable.for_pair`).  The
@@ -417,8 +414,7 @@ def cached_engine_diff(cache: "DiffCache | None", engine, left: Trace,
         if table is None and (config is None or config.interned):
             table = KeyTable.for_pair(left, right)
         return engine.diff(left, right, config=config, counter=counter,
-                           budget=budget, key_table=table,
-                           executor=executor)
+                           budget=budget, key_table=table)
 
     if cache is None or budget is not None or not is_cacheable(engine):
         return compute()

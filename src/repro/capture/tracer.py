@@ -4,9 +4,10 @@ A :class:`Tracer` is a context manager; code executed inside it has its
 method calls and returns recorded into a :class:`TraceBuilder`, subject to
 the pointcut filter.  Classes decorated with
 :func:`repro.capture.objects.traced` additionally record object creation
-and field reads/writes.  Threads started inside the context are woven too
-(``threading.settrace``), and their fork events capture the full spawn
-ancestry just like the formal FORK-E rule.
+and field reads/writes.  Threads that a captured thread starts are woven
+too, and their fork events capture the full spawn ancestry just like the
+formal FORK-E rule; threads started by anyone else stay out of the
+trace.
 
 Usage::
 
@@ -32,6 +33,13 @@ from repro.core.values import UNIT, ValueRep
 #: The installed tracer, if any.
 _ACTIVE: "Tracer | None" = None
 _ACTIVE_LOCK = threading.Lock()
+
+#: Serialises captures process-wide: there is one ``sys.settrace``
+#: weaver per interpreter, so concurrent callers (pipeline jobs, the
+#: harness's scenario threads, service workers) take turns capturing
+#: while their diffs and analyses overlap.  Re-entrant, so a nested
+#: capture attempt still reaches the "already active" diagnostic.
+CAPTURE_LOCK = threading.RLock()
 
 #: ``f_locals`` lookup default: a parameter not yet bound.
 _UNBOUND = object()
@@ -114,14 +122,12 @@ class Tracer:
         self._previous_trace = sys.gettrace()
         self._original_thread_start = threading.Thread.start
         threading.Thread.start = self._make_start_wrapper()
-        threading.settrace(self._trace)
         sys.settrace(self._trace)
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
         global _ACTIVE
         sys.settrace(self._previous_trace)
-        threading.settrace(None)  # type: ignore[arg-type]
         threading.Thread.start = self._original_thread_start
         with _ACTIVE_LOCK:
             _ACTIVE = None
@@ -162,30 +168,34 @@ class Tracer:
     # -- thread management -------------------------------------------------------
 
     def _tid(self) -> int:
-        ident = threading.get_ident()
-        tid = self._tids.get(ident)
-        if tid is None:
-            # A thread we did not see being started (pre-existing).
-            with self._lock:
-                tid = self.builder.register_thread()
-                self._tids[ident] = tid
-        return tid
+        # Only the capturing thread and the threads it (transitively)
+        # starts run the trace function, and each is registered first.
+        return self._tids[threading.get_ident()]
 
     def _make_start_wrapper(self):
+        """``Thread.start`` while this tracer is active.  The patch is
+        process-wide, so it records a fork (and weaves the new thread)
+        only when the starting thread belongs to the capture; any other
+        thread's start passes straight through."""
         tracer = self
         original_start = self._original_thread_start
 
         def start(thread: threading.Thread) -> None:
-            parent_tid = tracer._tid()
+            parent_tid = tracer._tids.get(threading.get_ident())
+            if parent_tid is None:
+                original_start(thread)
+                return
             with tracer._lock:
                 child_tid = tracer.builder.record_fork(parent_tid)
             original_run = thread.run
 
             def run_wrapper():
                 tracer._tids[threading.get_ident()] = child_tid
+                sys.settrace(tracer._trace)
                 try:
                     original_run()
                 finally:
+                    sys.settrace(None)
                     with tracer._lock:
                         while tracer.builder.stack_depth(child_tid) > 0:
                             tracer.builder.record_return(child_tid, UNIT)
@@ -364,6 +374,10 @@ class CaptureResult:
     @property
     def ok(self) -> bool:
         return self.error is None
+
+    @property
+    def name(self) -> str:
+        return self.trace.name
 
 
 def trace_call(func, *args, name: str = "",

@@ -36,7 +36,6 @@ refactorings.
 
 from __future__ import annotations
 
-import threading
 import time
 from array import array
 from bisect import bisect_left
@@ -445,10 +444,10 @@ class PairMarks:
 
     Marks are *independent* per pair — the lock-step evaluation only
     ever writes into the similarity sets, never reads them — which is
-    what lets the execution phase run pairs in any order (or in other
-    threads/processes) and still merge to a result bit-identical to the
-    serial evaluation.  ``compares`` carries the pair's entry-compare
-    count so counters aggregate order-independently.
+    what lets the execution phase run pairs in any order and still merge
+    to a result bit-identical to the in-order evaluation.  ``compares``
+    carries the pair's entry-compare count so counters aggregate
+    order-independently.
 
     Marks hold trace *positions*, not eids: :meth:`ViewDiffPlan.merge`
     maps them (positions and eids coincide except on sliced or
@@ -471,11 +470,10 @@ class ViewDiffPlan:
     view webs (whose columns live on the traces, so they are built once
     per trace however many diffs it takes part in), correlate the
     webs' views, and enumerate the correlated thread pairs
-    (``plan.pairs``).  The execution phase is then embarrassingly
-    parallel — :meth:`run_pair` per enumerated pair, in any order,
-    through any executor — and :meth:`merge` folds the
+    (``plan.pairs``).  The execution phase is then :meth:`run_pair`
+    per enumerated pair, in any order, and :meth:`merge` folds the
     :class:`PairMarks` back together deterministically (always in
-    ``plan.pairs`` order, regardless of completion order).
+    ``plan.pairs`` order).
     """
 
     def __init__(self, left: Trace, right: Trace,
@@ -489,14 +487,12 @@ class ViewDiffPlan:
         self.web_l = web_left if web_left is not None else ViewWeb(left)
         self.web_r = web_right if web_right is not None else ViewWeb(right)
         # The two full-trace =e key columns (interned ids, or key tuples
-        # when ``config.interned`` is off) are built on the first local
-        # run_pair: a parent plan whose execution phase runs entirely
-        # in worker processes (which re-intern from the wire) never
-        # pays the two O(n) passes.
+        # when ``config.interned`` is off) are built on the first
+        # run_pair, so a pair with no correlated threads never pays the
+        # two O(n) passes.
         self.keys_l = self.keys_r = None
         self._key_table = key_table
         self._secondary: list[_Secondary] | None = None
-        self._lock = threading.Lock()
         self.correlator = ViewCorrelator(self.web_l, self.web_r)
         #: Correlated thread pairs with a thread view on both sides —
         #: the execution phase's work list.
@@ -508,42 +504,32 @@ class ViewDiffPlan:
             if ltid in threads_l and rtid in threads_r]
         #: Secondary-view window caches, shared across this plan's
         #: pair evaluations: (type tag, view id, lo, hi) -> (member
-        #: positions, keys).  Pure memoisation: values are
-        #: deterministic, so concurrent fills are benign.
+        #: positions, keys).
         self.window_keys_l: dict = {}
         self.window_keys_r: dict = {}
 
     def _ensure_keys(self) -> None:
-        """Build both traces' ``=e`` key columns once, on first local
-        pair evaluation (thread-safe: pairs may run concurrently)."""
+        """Build both traces' ``=e`` key columns once, on the first pair
+        evaluation."""
         if self.keys_l is not None:
             return
-        with self._lock:
-            if self.keys_l is not None:
-                return
-            if self.config.interned:
-                table = self._key_table if self._key_table is not None \
-                    else KeyTable.for_pair(self.left, self.right)
-                keys_r = table.ids_for(self.right)
-                self.keys_l = table.ids_for(self.left)
-            else:
-                keys_r = [entry.key() for entry in self.right.entries]
-                self.keys_l = [entry.key() for entry in self.left.entries]
-            self.keys_r = keys_r
+        if self.config.interned:
+            table = self._key_table if self._key_table is not None \
+                else KeyTable.for_pair(self.left, self.right)
+            self.keys_r = table.ids_for(self.right)
+            self.keys_l = table.ids_for(self.left)
+        else:
+            self.keys_r = [entry.key() for entry in self.right.entries]
+            self.keys_l = [entry.key() for entry in self.left.entries]
 
     def secondary(self) -> list[_Secondary]:
         """The secondary view types' columns and view-id maps, built on
         the first NOMATCH step (a diff of equal traces never builds
         them)."""
-        specs = self._secondary
-        if specs is None:
-            with self._lock:
-                specs = self._secondary
-                if specs is None:
-                    specs = self._secondary = [
-                        self._secondary_type(vtype)
-                        for vtype in self.config.view_types]
-        return specs
+        if self._secondary is None:
+            self._secondary = [self._secondary_type(vtype)
+                               for vtype in self.config.view_types]
+        return self._secondary
 
     def _secondary_type(self, vtype: ViewType) -> _Secondary:
         left = self.web_l.columns(vtype)
@@ -591,9 +577,9 @@ class ViewDiffPlan:
               started: float | None = None) -> DiffResult:
         """Fold per-pair marks into the final :class:`DiffResult`.
 
-        ``marks`` must be ordered like ``plan.pairs`` (executors
-        preserve submission order); the union/concatenation below then
-        reproduces the serial evaluation exactly.  Sequences are cut
+        ``marks`` must be ordered like ``plan.pairs``; the
+        union/concatenation below then reproduces the one-pass
+        evaluation exactly.  Sequences are cut
         from the thread views by position; marks become eids only in
         the returned result.
         """
@@ -692,25 +678,12 @@ def _differing(entries, rows, similar: set[int]):
     return take
 
 
-def plan_view_diff(left: Trace, right: Trace,
-                   config: ViewDiffConfig | None = None,
-                   web_left: ViewWeb | None = None,
-                   web_right: ViewWeb | None = None,
-                   key_table: KeyTable | None = None) -> ViewDiffPlan:
-    """The planning phase alone (webs + interning + correlation + the
-    correlated-thread-pair work list), for callers that drive the
-    execution phase themselves."""
-    return ViewDiffPlan(left, right, config=config, web_left=web_left,
-                        web_right=web_right, key_table=key_table)
-
-
 def view_diff(left: Trace, right: Trace,
               config: ViewDiffConfig | None = None,
               counter: OpCounter | None = None,
               web_left: ViewWeb | None = None,
               web_right: ViewWeb | None = None,
-              key_table: KeyTable | None = None,
-              executor=None) -> DiffResult:
+              key_table: KeyTable | None = None) -> DiffResult:
     """Difference two traces with the views-based semantics of Fig. 12.
 
     Every pair of correlated thread views (X_TH) is evaluated under the
@@ -724,23 +697,9 @@ def view_diff(left: Trace, right: Trace,
     given, the table the traces already carry when it is common to both,
     a fresh pair table otherwise — and every ``=e`` compare below is an
     int compare.  The similarity sets are identical to the tuple path's.
-
-    ``executor`` runs the per-thread-pair execution phase through an
-    *in-process* executor (anything with an order-preserving
-    ``map(fn, items)``); the merged result is bit-identical to the
-    serial evaluation.  Process executors cannot share the in-memory
-    webs — route those through
-    :func:`repro.exec.diffing.executed_view_diff`.
     """
     started = time.perf_counter()
     plan = ViewDiffPlan(left, right, config=config, web_left=web_left,
                         web_right=web_right, key_table=key_table)
-    if executor is None:
-        marks = [plan.run_pair(pair) for pair in plan.pairs]
-    else:
-        if not getattr(executor, "in_process", True):
-            raise ValueError(
-                "process executors cannot share in-memory view webs; "
-                "use repro.exec.diffing.executed_view_diff instead")
-        marks = executor.map(plan.run_pair, plan.pairs)
+    marks = [plan.run_pair(pair) for pair in plan.pairs]
     return plan.merge(marks, counter=counter, started=started)

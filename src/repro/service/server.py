@@ -6,8 +6,7 @@ no web framework enters the dependency set.  The event loop owns all
 job state; the actual trace work (captures, diffs) runs on a
 ``ThreadPoolExecutor`` worker pool through the service's one
 :class:`~repro.api.session.Session`, so every job shares the session's
-store, interned key table, ``repro.exec`` executor, and
-:class:`~repro.cache.DiffCache`.
+store, interned key table and :class:`~repro.cache.DiffCache`.
 
 Endpoints (all JSON)::
 
@@ -72,15 +71,14 @@ class ReproService:
 
     def __init__(self, store: "TraceStore | str | Path", *,
                  host: str = "127.0.0.1", port: int = 0,
-                 workers: int = 4, executor: str | None = None,
+                 workers: int = 4,
                  engine: str = "views", cache: bool = True,
                  queue_limit: int = DEFAULT_QUEUE_LIMIT,
                  job_history: int = DEFAULT_JOB_HISTORY):
         if not isinstance(store, TraceStore):
             store = TraceStore(store)
         self.store = store
-        self.session = Session(store=store, engine=engine,
-                               executor=executor, cache=cache)
+        self.session = Session(store=store, engine=engine, cache=cache)
         self.host = host
         self.port = port           # 0: ephemeral; rebound once serving
         self.workers = max(1, workers)
@@ -158,7 +156,6 @@ class ReproService:
                 task.cancel()
             await asyncio.gather(*workers, return_exceptions=True)
             self._pool.shutdown(wait=True)
-            self.session.close()
             self._loop = None
 
     # -- job machinery -------------------------------------------------------
@@ -414,7 +411,7 @@ class ReproService:
         stats: dict = {
             "jobs": states,
             "queued": self._queue.qsize() if self._queue else 0,
-            "workers": self._worker_stats(),
+            "workers": {"count": self.workers},
             "uptime": time.time() - self.started_at,
         }
         if cache is not None:
@@ -429,30 +426,6 @@ class ReproService:
                           "diff_rows": index.diff_rows,
                           "bytes": index.bytes}
         return stats
-
-    def _worker_stats(self) -> dict:
-        """The ``workers`` detail row: service loop workers plus — when
-        the session rides a warm process pool — the execution
-        substrate's pool and shared-memory shipping counters."""
-        from repro.exec.shm import shm_stats
-
-        row: dict = {"count": self.workers}
-        executor = self.session.executor
-        name = getattr(executor, "name", None)
-        if name is not None:
-            row["executor"] = name
-        pool_stats = getattr(executor, "stats", None)
-        if callable(pool_stats):
-            pool = pool_stats()
-            row["pool_size"] = pool["pool_size"]
-            row["pool_shared"] = pool["shared"]
-            row["batches"] = pool["batches"]
-            row["tasks_leased"] = pool["tasks_leased"]
-        shm = shm_stats()
-        row["shm_segments_live"] = shm["segments_live"]
-        row["shm_bytes_shipped"] = shm["bytes_shipped"]
-        row["shm_bytes_received"] = shm["bytes_received"]
-        return row
 
     def _query(self, query: dict) -> dict:
         limit = None

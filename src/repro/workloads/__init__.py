@@ -10,7 +10,7 @@ paper's evaluation runs on.
   stylesheet compilation to VM opcodes (dynamic code generation), and the
   XALANJ-1725 / XALANJ-1802 regression analogues.
 * :mod:`repro.workloads.minidb` — the Derby analogue: a small SQL engine
-  (parser, planner/optimiser, executor, lock manager) with worker threads
+  (parser, optimising planner, plan runner, lock manager) with worker threads
   and the DERBY-1633 regression analogue.
 * :mod:`repro.workloads.invariants` — the Daikon analogue: likely-invariant
   inference with the XorVisitor regression.

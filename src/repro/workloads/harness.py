@@ -16,11 +16,8 @@ from pathlib import Path
 from typing import Callable
 
 from repro.api.engines import get_engine
-from repro.api.session import CAPTURE_LOCK
 from repro.cache import DiffCache, cached_engine_diff
-from repro.capture import TraceFilter, trace_call
-from repro.exec.capture import CaptureTask, run_capture_tasks
-from repro.exec.executors import Executor, resolve_executor
+from repro.capture import CAPTURE_LOCK, TraceFilter, trace_call
 from repro.core.lcs import LcsMemoryError, MemoryBudget, OpCounter
 from repro.core.regression import (MODE_INTERSECT, analyze_regression,
                                    evaluate_against_truth)
@@ -109,28 +106,6 @@ def capture_scenario_trace(spec: ScenarioSpec, runner: Callable, payload,
                           name=name).trace
 
 
-def capture_scenario_traces(spec: ScenarioSpec,
-                            executor: "Executor | str | None" = None
-                            ) -> tuple[Trace, Trace, Trace, Trace]:
-    """The four scenario traces (old/bad, new/bad, old/ok, new/ok) as
-    one batch through the execution layer — truly concurrent under a
-    process executor (workload entry points are module-level, so they
-    cross the pickle boundary by reference)."""
-    trace_filter = TraceFilter(include_modules=spec.filter_modules)
-    runs = (
-        (spec.run_old, spec.regressing_input, "old/regressing"),
-        (spec.run_new, spec.regressing_input, "new/regressing"),
-        (spec.run_old, spec.correct_input, "old/correct"),
-        (spec.run_new, spec.correct_input, "new/correct"),
-    )
-    outcomes = run_capture_tasks(
-        [CaptureTask(func=runner, args=(payload,),
-                     name=f"{spec.name}/{role}", filter=trace_filter)
-         for runner, payload, role in runs],
-        executor)
-    return tuple(outcome.trace for outcome in outcomes)
-
-
 def _analyze(spec: ScenarioSpec, suspected, expected, regression,
              row: SemanticsRow) -> dict[str, int]:
     report = analyze_regression(suspected, expected=expected,
@@ -150,7 +125,6 @@ def run_scenario(spec: ScenarioSpec,
                  config: ViewDiffConfig | None = None,
                  lcs_engine: str = "optimized",
                  views_engine: str = "views",
-                 executor: "Executor | str | None" = None,
                  cache: "DiffCache | None" = None,
                  static_impact: bool = False) -> ScenarioResult:
     """Everything the paper measures for one case study.
@@ -160,8 +134,6 @@ def run_scenario(spec: ScenarioSpec,
     default; ``anchored:views`` skips ``=e`` compares over patience
     anchor runs while producing the identical result), the
     baseline side runs ``lcs_engine`` (any registered LCS variant).
-    ``executor`` routes the four captures through the execution layer
-    (``"processes"`` captures them concurrently, worker per trace);
     ``cache`` memoises the three *views* diffs through a
     :class:`~repro.cache.DiffCache`: warm hits credit the compare
     counter with the cold run's totals (so the Table 1 compare and
@@ -175,8 +147,13 @@ def run_scenario(spec: ScenarioSpec,
     ground truth (``result.static_impact``).
     """
     started = time.perf_counter()
-    old_bad, new_bad, old_ok, new_ok = capture_scenario_traces(
-        spec, executor)
+    old_bad, new_bad, old_ok, new_ok = (
+        capture_scenario_trace(spec, runner, payload, f"{spec.name}/{role}")
+        for runner, payload, role in (
+            (spec.run_old, spec.regressing_input, "old/regressing"),
+            (spec.run_new, spec.regressing_input, "new/regressing"),
+            (spec.run_old, spec.correct_input, "old/correct"),
+            (spec.run_new, spec.correct_input, "new/correct")))
     tracing_seconds = time.perf_counter() - started
 
     result = ScenarioResult(
@@ -294,46 +271,23 @@ SCENARIOS: dict[str, ScenarioSpec] = {
 
 
 def run_all_scenarios(max_workers: int | None = None,
-                      executor: "Executor | str | None" = None,
                       cache: "DiffCache | None" = None,
                       **kwargs) -> list[ScenarioResult]:
     """All four case studies, optionally across a thread pool.
 
-    With ``max_workers`` > 1 and in-process execution the capture
-    phases still interleave (they contend on :data:`CAPTURE_LOCK`) but
-    differencing and analysis of different scenarios overlap.  Passing
-    ``executor="processes"`` breaks the lock: every scenario thread
-    dispatches its captures to the shared process pool, so captures of
-    different scenarios run truly concurrently.  Results keep
-    ``SCENARIOS`` order.
+    With ``max_workers`` > 1 the capture phases still interleave (they
+    take turns on :data:`~repro.capture.tracer.CAPTURE_LOCK`) but
+    differencing and analysis of different scenarios overlap.  Results
+    keep ``SCENARIOS`` order.
 
     ``cache`` is one :class:`~repro.cache.DiffCache` handle shared by
     every scenario (thread-safe, so the parallel mode shares it too):
     re-runs of unchanged scenarios skip their diffs entirely.
-
-    Multithreaded workloads (Derby's lock daemon) interleave their own
-    threads' entries by OS scheduling, so per-run diff counts can shift
-    by a few entries under concurrent load — in sequential mode too.
     """
     specs = list(SCENARIOS.values())
-    executor, owned = resolve_executor(executor)
-    try:
-        if max_workers is None or max_workers <= 1:
-            return [run_scenario(spec, executor=executor, cache=cache,
-                                 **kwargs)
-                    for spec in specs]
-        from concurrent.futures import ThreadPoolExecutor
-
-        from repro.api.pipeline import prewarm_pool
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            # Spawn every worker before any capture installs the weaver
-            # (a lazily-spawned pool thread would be traced as a stray
-            # fork).
-            prewarm_pool(pool, max_workers)
-            return list(pool.map(
-                lambda spec: run_scenario(spec, executor=executor,
-                                          cache=cache, **kwargs),
-                specs))
-    finally:
-        if owned:
-            executor.close()
+    if max_workers is None or max_workers <= 1:
+        return [run_scenario(spec, cache=cache, **kwargs) for spec in specs]
+    from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(max_workers=max_workers) as pool:
+        return list(pool.map(
+            lambda spec: run_scenario(spec, cache=cache, **kwargs), specs))

@@ -1,7 +1,7 @@
 """Physical plan nodes.
 
 Plans are trees of nodes with an ``execute(context) -> list[rows]``
-protocol.  The planner builds them; the executor runs them under table
+protocol.  The planner builds them; the engine runs them under table
 locks.  ``InSubqueryFilterNode`` is the old (10.1.2.1) strategy for ``IN``
 subqueries; ``SemiJoinNode`` is the flattened strategy the new optimiser
 prefers.

@@ -1,12 +1,12 @@
 """Anchored segmental diffing: anchor selection, the segmental driver,
-and the ``anchored:*`` meta-engines across executors and the cache.
+and the ``anchored:*`` meta-engines, directly and through the cache.
 
 The identity contract, pinned by the property suites below:
 
 * ``anchored:views`` is bit-identical to ``views`` *by construction*
   (anchor runs are bulk-matched only when the lock-step scan is exactly
   at a run start, so the scan's state trajectory never changes) — on
-  any trace pair, any executor, interning on or off.
+  any trace pair, interning on or off.
 * ``anchored:<lcs>`` is bit-identical to its inner engine whenever the
   inner computes its canonical exact answer — structured near-identical
   pairs (hypothesis), and the single-threaded workload scenario pairs
@@ -35,7 +35,6 @@ from repro.core.lcs import LcsMemoryError, MemoryBudget, OpCounter
 from repro.core.lcs_diff import ALGORITHMS, lcs_diff
 from repro.core.traces import Trace
 from repro.core.view_diff import ViewDiffConfig, view_diff
-from repro.exec import ProcessExecutor, ThreadExecutor
 
 from helpers import myfaces_trace, simple_trace, two_thread_trace
 
@@ -345,11 +344,10 @@ class TestAnchoredEngineRegistry:
             name = "anchor-test-constant"
 
             def diff(self, left, right, *, config=None, counter=None,
-                     budget=None, key_table=None, executor=None):
+                     budget=None, key_table=None):
                 return get_engine("optimized").diff(
                     left, right, config=config, counter=counter,
-                    budget=budget, key_table=key_table,
-                    executor=executor)
+                    budget=budget, key_table=key_table)
 
         register_engine(Constant())
         try:
@@ -387,19 +385,7 @@ class TestAnchoredEngineRegistry:
         assert result_identity(result) == result_identity(reference)
 
 
-# -- executors and the cache -------------------------------------------------
-
-
-@pytest.fixture(scope="module")
-def thread_pool():
-    with ThreadExecutor(max_workers=2) as executor:
-        yield executor
-
-
-@pytest.fixture(scope="module")
-def process_pool():
-    with ProcessExecutor(max_workers=2) as executor:
-        yield executor
+# -- gap execution and the cache ---------------------------------------------
 
 
 @pytest.fixture(scope="module")
@@ -414,56 +400,19 @@ def gapped_pair():
 
 
 class TestSegmentExecution:
-    """Gap diffs run serially in the calling thread whatever executor
-    the caller holds, so every executor gives the serial result."""
+    """Gap diffs run in the calling thread, one after another."""
 
-    def test_threads_identical_to_serial(self, gapped_pair, thread_pool):
+    def test_gap_diffs_identical_to_inner(self, gapped_pair):
         left, right = gapped_pair
-        engine = AnchoredEngine("optimized")
-        serial = engine.diff(left, right)
-        threaded = engine.diff(left, right, executor=thread_pool)
-        assert result_identity(threaded) == result_identity(serial)
-        assert threaded.counter.total == serial.counter.total
-
-    def test_engine_executor_kwarg_routes_segments(self, gapped_pair,
-                                                   process_pool):
-        left, right = gapped_pair
-        engine = get_engine("anchored:optimized")
-        result = engine.diff(left, right, executor=process_pool)
+        result = get_engine("anchored:optimized").diff(left, right)
         reference = get_engine("optimized").diff(left, right)
         assert result_identity(result) == result_identity(reference)
 
-    def test_unresolvable_inner_falls_back_to_inline(self, gapped_pair):
-        """An inner engine a worker process could not resolve by name
-        (registered after the pool was spawned) diffs its gaps here."""
-        left, right = gapped_pair
-
-        class LateRegistered:
-            name = "anchor-test-late"
-
-            def diff(self, inner_left, inner_right, *, config=None,
-                     counter=None, budget=None, key_table=None,
-                     executor=None):
-                return get_engine("optimized").diff(
-                    inner_left, inner_right, config=config,
-                    counter=counter, key_table=key_table)
-
-        with ProcessExecutor(max_workers=2) as pool:
-            register_engine(LateRegistered())
-            try:
-                result = get_engine("anchored:anchor-test-late").diff(
-                    left, right, executor=pool)
-            finally:
-                unregister_engine("anchor-test-late")
-        reference = get_engine("optimized").diff(left, right)
-        assert result_identity(result) == result_identity(reference)
-
-    def test_budget_calls_stay_serial_and_budgeted(self, gapped_pair,
-                                                   process_pool):
+    def test_budget_calls_stay_serial_and_budgeted(self, gapped_pair):
         left, right = gapped_pair
         budget = MemoryBudget(max_cells=10_000)
         result = AnchoredEngine("optimized").diff(
-            left, right, budget=budget, executor=process_pool)
+            left, right, budget=budget)
         assert budget.peak_cells > 0  # gap tables were really requested
         assert result.peak_cells == budget.peak_cells
 
@@ -544,15 +493,18 @@ def _scenario_pairs():
     carry genuinely ambiguous repeated-key alignments; minixslt and
     minijs are single-threaded and unambiguous.
     """
-    from repro.workloads.harness import SCENARIOS, capture_scenario_traces
+    from repro.workloads.harness import SCENARIOS, capture_scenario_trace
     from repro.workloads.minijs import scenario as minijs
     from repro.workloads.minijs.bug_registry import MINIJS_BUGS
 
     pairs = {}
     for name, key in (("minixslt", "Xalan-1725"), ("minidb", "Derby-1633")):
-        old_bad, new_bad, _old_ok, _new_ok = capture_scenario_traces(
-            SCENARIOS[key])
-        pairs[name] = (old_bad, new_bad)
+        spec = SCENARIOS[key]
+        pairs[name] = tuple(
+            capture_scenario_trace(spec, runner, spec.regressing_input,
+                                   f"{key}/{role}")
+            for runner, role in ((spec.run_old, "old/regressing"),
+                                 (spec.run_new, "new/regressing")))
     old, new = minijs.trace_pair(MINIJS_BUGS.get("MF-STR-COERCE"), 6)
     pairs["minijs"] = (old, new)
     return pairs
@@ -571,32 +523,26 @@ ENGINE_SLICES = {"views": 4000, "optimized": 1500, "fast": 1500,
 
 
 class TestScenarioIdentityMatrix:
-    """The ISSUE's property suite: anchored engine vs inner engine
-    across all inner engines x interned on/off x serial/threads/
-    processes executors x the three workload scenario pairs."""
+    """Anchored engine vs inner engine across all inner engines x
+    interned on/off x the three workload scenario pairs."""
 
     @pytest.mark.parametrize("interned", [True, False])
     @pytest.mark.parametrize("engine", list(ENGINE_SLICES))
     @pytest.mark.parametrize("workload", ["minixslt", "minijs"])
     def test_bit_identity_single_threaded_workloads(
-            self, scenario_pairs, workload, engine, interned,
-            thread_pool, process_pool):
+            self, scenario_pairs, workload, engine, interned):
         size = ENGINE_SLICES[engine]
         left, right = scenario_pairs[workload]
         left, right = left[:size], right[:size]
         config = ViewDiffConfig(interned=interned)
         inner = get_engine(engine).diff(left, right, config=config)
-        anchored_engine = get_engine(f"anchored:{engine}")
-        for executor in (None, thread_pool, process_pool):
-            anchored = anchored_engine.diff(left, right, config=config,
-                                            executor=executor)
-            assert result_identity(anchored) == result_identity(inner), \
-                (workload, engine, interned,
-                 executor.name if executor else "serial")
+        anchored = get_engine(f"anchored:{engine}").diff(left, right,
+                                                        config=config)
+        assert result_identity(anchored) == result_identity(inner), \
+            (workload, engine, interned)
 
     @pytest.mark.parametrize("engine", list(ENGINE_SLICES))
-    def test_minidb_anchored_never_worse(self, scenario_pairs, engine,
-                                         process_pool):
+    def test_minidb_anchored_never_worse(self, scenario_pairs, engine):
         """Derby's interleaved lock-daemon entries make some LCS ties
         genuinely ambiguous, so the contract there is: same or better
         alignment, never worse — and strict bit-identity for views
@@ -605,12 +551,9 @@ class TestScenarioIdentityMatrix:
         left, right = scenario_pairs["minidb"]
         left, right = left[:size], right[:size]
         inner = get_engine(engine).diff(left, right)
-        for executor in (None, process_pool):
-            anchored = get_engine(f"anchored:{engine}").diff(
-                left, right, executor=executor)
-            if engine == "views":
-                assert result_identity(anchored) == \
-                    result_identity(inner)
-            assert len(anchored.match_pairs) >= len(inner.match_pairs)
-            assert anchored.num_diffs() <= inner.num_diffs()
-            assert anchored.counter.total <= inner.counter.total
+        anchored = get_engine(f"anchored:{engine}").diff(left, right)
+        if engine == "views":
+            assert result_identity(anchored) == result_identity(inner)
+        assert len(anchored.match_pairs) >= len(inner.match_pairs)
+        assert anchored.num_diffs() <= inner.num_diffs()
+        assert anchored.counter.total <= inner.counter.total

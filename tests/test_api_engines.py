@@ -126,7 +126,7 @@ class TestKeyTablePlumbing:
             name = "table-probe"
 
             def diff(self, left, right, *, config=None, counter=None,
-                     budget=None, key_table=None, executor=None):
+                     budget=None, key_table=None):
                 captured["table"] = key_table
                 return view_diff(left, right, config=config,
                                  counter=counter, key_table=key_table)

@@ -142,9 +142,9 @@ class TestConcurrentCapture:
             assert outcome.result.report.set_sizes() == baseline
 
     def test_no_foreign_forks_in_parallel_captures(self):
-        # Pool workers are pre-spawned before jobs run; a lazily-spawned
-        # worker thread would otherwise be recorded as a fork event
-        # inside whichever capture held the weaver at that moment.
+        # The pool spawns its workers lazily, some while another job's
+        # capture holds the weaver; a thread started outside a capture
+        # must never show up in it as a fork.
         jobs = [_live_job(f"job-{i}") for i in range(6)]
         result = run_pipeline(jobs, max_workers=3)
         for outcome in result:
@@ -152,7 +152,7 @@ class TestConcurrentCapture:
                 assert "fork" not in trace.event_kinds()
 
     def test_capture_lock_is_reentrant(self):
-        from repro.api.session import CAPTURE_LOCK
+        from repro.capture import CAPTURE_LOCK
         with CAPTURE_LOCK:
             acquired = CAPTURE_LOCK.acquire(timeout=0.1)
             assert acquired
@@ -171,7 +171,6 @@ class TestWorkerVisibility:
         assert result["only"].worker
         assert result["only"].worker in brief
         assert f"{result['only'].seconds:.3f}s" in brief
-        assert "capture=thread:" in brief
 
     def test_failed_brief_surfaces_wall_time_and_worker(self,
                                                         stored_session):
@@ -189,11 +188,3 @@ class TestWorkerVisibility:
         rendered = result.render()
         for outcome in result:
             assert outcome.worker in rendered
-
-    def test_pipeline_executor_reaches_job_sessions(self):
-        # The executor spec on the pipeline derives into job sessions;
-        # with the in-process default nothing else changes.
-        pipeline = ScenarioPipeline(executor="serial")
-        assert pipeline.session.executor.name == "serial"
-        result = pipeline.run([_live_job("one")])
-        assert result["one"].ok

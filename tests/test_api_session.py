@@ -1,10 +1,14 @@
 """Tests for the Session layer (the new public API entry object)."""
 
+import threading
+
 import pytest
 
 from repro import RPrism
 from repro.api import Session, SessionResult, TraceStore
+from repro.api.session import run_capture_tasks
 from repro.capture.filters import TraceFilter
+from repro.capture.tracer import CAPTURE_LOCK, trace_call
 from repro.core.regression import MODE_SUBTRACT
 from repro.core.traces import Trace
 from repro.core.view_diff import ViewDiffConfig
@@ -92,6 +96,45 @@ class TestLifecycle:
         session.capture(old_version, [1, 2], name="r", store_as="runs/r")
         assert "runs/r" in session.store
 
+    def test_capture_interns_into_session_table(self):
+        session = Session().with_filter(MODULE_FILTER)
+        trace = session.capture(old_version, [1, 2]).trace
+        assert trace.key_table is session.key_table
+        assert len(trace.key_ids) == len(trace)
+
+    def test_workload_error_captured_not_raised(self):
+        def failing(amounts):
+            old_version(amounts)
+            raise ValueError("workload exploded")
+
+        captured = Session().with_filter(MODULE_FILTER).capture(
+            failing, [1, 2])
+        assert not captured.ok
+        assert isinstance(captured.error, ValueError)
+        assert any(getattr(e.event, "method", None) == "Counter.bump"
+                   for e in captured.trace.entries)
+
+    def test_capture_batch_keeps_task_order(self):
+        session = Session().with_filter(MODULE_FILTER)
+        captured = session.capture_batch(
+            [("a", old_version, ([1],), {}), ("b", new_version, ([1],), {})])
+        assert [c.name for c in captured] == ["a", "b"]
+        assert [c.result for c in captured] == [1, 2]
+        assert all(c.trace.key_table is session.key_table
+                   for c in captured)
+
+    def test_concurrent_captures_take_turns(self):
+        """Captures from several threads serialise on the capture lock,
+        so each one records exactly its own run."""
+        from concurrent.futures import ThreadPoolExecutor
+        session = Session().with_filter(MODULE_FILTER)
+        with ThreadPoolExecutor(max_workers=3) as pool:
+            traces = list(pool.map(
+                lambda n: session.capture(old_version, [1, 2],
+                                          name=f"r{n}").trace, range(3)))
+        keys = [[e.key() for e in trace.entries] for trace in traces]
+        assert keys[0] == keys[1] == keys[2]
+
     def test_store_as_without_store_raises(self):
         session = Session().with_filter(MODULE_FILTER)
         with pytest.raises(RuntimeError, match="store"):
@@ -133,6 +176,56 @@ class TestLifecycle:
         assert session.diff(old, new).algorithm == "views"
         assert session.diff(old, new,
                             engine="dp").algorithm == "lcs-dp"
+
+
+class TestRunCaptureTasks:
+    """The capture loop every session capture goes through."""
+
+    def test_one_shot_trace_call(self):
+        captured = trace_call(old_version, [1, 2], name="one",
+                              filter=MODULE_FILTER)
+        assert captured.ok
+        assert captured.result == 3
+        assert captured.trace.name == "one"
+
+    def test_captures_under_lock(self):
+        """No other thread can take the capture lock while a task runs."""
+        others_locked_out = []
+
+        def probe(amounts):
+            def try_lock():
+                got = CAPTURE_LOCK.acquire(blocking=False)
+                if got:
+                    CAPTURE_LOCK.release()
+                others_locked_out.append(not got)
+            thread = threading.Thread(target=try_lock)
+            thread.start()
+            thread.join(timeout=10)
+            return old_version(amounts)
+
+        captured = run_capture_tasks([("svc", probe, ([1, 2],), {})],
+                                     filter=MODULE_FILTER)[0]
+        assert captured.ok
+        assert captured.name == "svc"
+        assert others_locked_out == [True]
+        assert any(getattr(e.event, "method", None) == "Counter.bump"
+                   for e in captured.trace.entries)
+
+    def test_result_value_preserved(self):
+        captured = run_capture_tasks([("svc", old_version, ([5, 7],), {})],
+                                     filter=MODULE_FILTER)[0]
+        assert captured.result == 12
+
+    def test_threads_serialise_on_the_lock(self):
+        from concurrent.futures import ThreadPoolExecutor
+        task = ("svc", old_version, ([1, 2, 3],), {})
+        with ThreadPoolExecutor(max_workers=3) as pool:
+            captured = [c for batch in pool.map(
+                lambda _: run_capture_tasks([task], filter=MODULE_FILTER),
+                range(3)) for c in batch]
+        assert all(c.ok for c in captured)
+        keys = [[e.key() for e in c.trace.entries] for c in captured]
+        assert keys[0] == keys[1] == keys[2]
 
 
 class TestRunScenario:

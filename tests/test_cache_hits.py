@@ -17,7 +17,7 @@ kind of eid column a trace can carry.
 
 The anchored paths on the same pairs are pinned by signature digest and
 compare total: each ``anchored:*`` engine, ``lcs_diff(anchors=)``, and
-an ``anchored:optimized`` session under thread and process executors.
+an ``anchored:optimized`` session.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ from repro.core.keytable import KeyTable
 from repro.core.lcs import OpCounter
 from repro.core.lcs_diff import lcs_diff
 from repro.core.traces import Trace
-from repro.exec import ProcessExecutor, ThreadExecutor
 from repro.workloads.harness import SCENARIOS
 
 MYFACES_MODULES = ("repro.workloads.myfaces",)
@@ -304,10 +303,8 @@ class TestAnchoredIdentityPins:
                           anchors=AnchorConfig())
         assert_pinned(result, name, "lcs_diff-anchors")
 
-    @pytest.mark.parametrize("executor", [ThreadExecutor, ProcessExecutor])
-    def test_session_executors(self, pairs, executor):
-        with executor(max_workers=2) as pool:
-            session = Session(engine="anchored:optimized", executor=pool)
-            for name in ("myfaces", "xalan-1802"):
-                assert_pinned(session.diff(*pairs[name]), name,
-                              "anchored:optimized")
+    def test_session_diff(self, pairs):
+        session = Session(engine="anchored:optimized")
+        for name in ("myfaces", "xalan-1802"):
+            assert_pinned(session.diff(*pairs[name]), name,
+                          "anchored:optimized")

@@ -196,3 +196,34 @@ class TestThreadCapture:
         capture = trace_call(scenario, filter=MODULE_FILTER)
         ends = [e for e in capture.trace if isinstance(e.event, End)]
         assert len(ends) == 2  # child + main
+
+    def test_thread_started_by_a_bystander_stays_out(self):
+        """A thread outside the capture that starts a thread while the
+        capture runs adds no fork, no thread and no entries to it."""
+        started = threading.Event()
+        release = threading.Event()
+
+        def bystander():
+            started.wait(10)
+            stray = threading.Thread(target=Account("stray", 0).deposit,
+                                     args=(1,))
+            stray.start()
+            stray.join()
+            release.set()
+
+        def scenario():
+            started.set()
+            release.wait(10)
+            return "done"
+
+        outsider = threading.Thread(target=bystander)
+        outsider.start()
+        try:
+            trace = trace_call(scenario, filter=MODULE_FILTER).trace
+        finally:
+            outsider.join(10)
+        assert not outsider.is_alive()
+        assert release.is_set()
+        assert not [e for e in trace if isinstance(e.event, Fork)]
+        assert len(set(trace.thread_ids())) == 1
+        assert [type(e.event) for e in trace] == [Call, Return, End]

@@ -19,10 +19,11 @@ than its mechanics:
 import hashlib
 import threading
 import types
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from repro.capture import TraceFilter, trace_call, traced
+from repro.capture import CAPTURE_LOCK, TraceFilter, trace_call, traced
 from repro.capture.values import LiveRegistry, live_value_rep
 from repro.core.keytable import KeyTable
 from repro.workloads.harness import SCENARIOS
@@ -142,6 +143,27 @@ def test_role_trace_pinned(role):
                        key_table=KeyTable(), name=role).trace
     assert (len(trace), trace.content_digest(), key_digest(trace)) \
         == ROLE_DIGESTS[role]
+
+
+def test_case_study_roles_pinned_through_a_cold_thread_pool():
+    """Every Table 1 role, captured from an un-prewarmed 2-worker pool
+    (the shape of the pipeline and ``run_all_scenarios``), matches its
+    pin: a pool thread spawned while another role's capture runs stays
+    out of that trace."""
+    roles = sorted(role for role in ROLE_DIGESTS
+                   if role.partition("/")[0] in SCENARIOS)
+
+    def capture(role):
+        func, args, trace_filter = role_capture(role)
+        with CAPTURE_LOCK:
+            trace = trace_call(func, *args, filter=trace_filter,
+                               key_table=KeyTable(), name=role).trace
+        return len(trace), trace.content_digest(), key_digest(trace)
+
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        captured = dict(zip(roles, pool.map(capture, roles)))
+    assert len(roles) == 16
+    assert captured == {role: ROLE_DIGESTS[role] for role in roles}
 
 
 def test_derby_keys_agree_with_event_keys():

@@ -338,23 +338,6 @@ class TestBatch:
         with pytest.raises(SystemExit, match="no trace store"):
             main(["batch", spec, "--store", str(tmp_path / "nowhere")])
 
-    @pytest.mark.parametrize("executor", ["serial", "threads", "processes"])
-    def test_executor_flag(self, tmp_path, populated_store, capsys,
-                           executor):
-        spec = self._spec(tmp_path, [
-            {"name": "full", "suspected": ["ob", "nb"],
-             "expected": ["oo", "no"], "regression": ["no", "nb"]},
-        ])
-        assert main(["batch", spec, "--store", str(populated_store),
-                     "--executor", f"{executor}:2"]) == 0
-        assert "1/1 scenarios ok" in capsys.readouterr().out
-
-    def test_unknown_executor_rejected(self, tmp_path, populated_store):
-        spec = self._spec(tmp_path, [{"suspected": ["ob", "nb"]}])
-        with pytest.raises(SystemExit):
-            main(["batch", spec, "--store", str(populated_store),
-                  "--executor", "gpu"])
-
 
 class TestSerializeRoundTripProperty:
     """Capture -> save -> load must preserve the view-diff verdict."""

@@ -173,6 +173,29 @@ class TestV3BytePins:
         assert hashlib.sha256(blob).hexdigest() == expected
 
 
+class TestBytesValues:
+    def test_traced_bytes_argument_survives_save_and_load(self, tmp_path):
+        """A traced call taking ``bytes`` records a ``Bytes`` value; the
+        trace must save and load back to the same content digest."""
+        from repro.capture import TraceFilter, trace_call, traced
+
+        @traced
+        class Codec:
+            def feed(self, data):
+                return len(data)
+
+        trace = trace_call(lambda: Codec().feed(b"abc"),
+                           filter=TraceFilter(include_modules=(__name__,))
+                           ).trace
+        assert any(rep.key() == ("Bytes", b"abc")
+                   for entry in trace.entries
+                   for rep in getattr(entry.event, "args", ()))
+        store = TraceStore(tmp_path / "store")
+        store.save(trace, key="codec")
+        loaded = TraceStore(tmp_path / "store").load("codec")
+        assert loaded.content_digest() == trace.content_digest()
+
+
 class TestStoreFormats:
     def test_mixed_format_store_diffs(self, tmp_path):
         store = TraceStore(tmp_path / "store")

@@ -4,7 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.lcs_diff import lcs_diff
-from repro.core.view_diff import ViewDiffConfig, view_diff
+from repro.core.lcs import OpCounter
+from repro.core.view_diff import (PairMarks, ViewDiffConfig, ViewDiffPlan,
+                                  view_diff)
 
 from helpers import myfaces_trace, simple_trace, two_thread_trace
 
@@ -216,3 +218,60 @@ class TestDegeneratePairs:
         assert plain.num_diffs() == anchored.num_diffs() == 2
         assert [s.kind for s in plain.sequences] == ["modify"]
         assert [s.kind for s in anchored.sequences] == ["modify"]
+
+
+def _signature(result):
+    return (sorted(result.similar_left), sorted(result.similar_right),
+            result.match_pairs, result.anchor_pairs,
+            [(s.kind, [e.eid for e in s.left_entries],
+              [e.eid for e in s.right_entries]) for s in result.sequences],
+            result.counter.total)
+
+
+class TestPlanPhase:
+    """``view_diff`` is plan, one ``run_pair`` per correlated thread
+    pair, then merge; the pieces stand alone."""
+
+    def test_plan_enumerates_correlated_thread_pairs(self):
+        left = two_thread_trace([1, 2, 3], [7, 8], name="L")
+        right = two_thread_trace([1, 2, 4], [7, 9], name="R")
+        plan = ViewDiffPlan(left, right)
+        assert len(plan.pairs) == 2
+        assert all(isinstance(p, tuple) and len(p) == 2
+                   for p in plan.pairs)
+
+    def test_run_pair_produces_independent_marks(self):
+        left = two_thread_trace([1, 2, 3], [7, 8], name="L")
+        right = two_thread_trace([1, 2, 4], [7, 9], name="R")
+        plan = ViewDiffPlan(left, right)
+        marks = [plan.run_pair(pair) for pair in plan.pairs]
+        assert all(isinstance(mark, PairMarks) for mark in marks)
+        assert [(m.ltid, m.rtid) for m in marks] == plan.pairs
+        assert sum(mark.compares for mark in marks) > 0
+
+    def test_merge_equals_one_shot_view_diff(self):
+        left = two_thread_trace([1, 2, 3, 4], [7, 8], name="L")
+        right = two_thread_trace([1, 2, 9, 4], [7, 9], name="R")
+        plan = ViewDiffPlan(left, right)
+        merged = plan.merge([plan.run_pair(p) for p in plan.pairs])
+        assert _signature(merged) == _signature(view_diff(left, right))
+
+    def test_merge_order_is_plan_order_not_evaluation_order(self):
+        left = two_thread_trace([1, 2, 3], [7, 8, 1], name="L")
+        right = two_thread_trace([1, 5, 3], [7, 9, 1], name="R")
+        plan = ViewDiffPlan(left, right)
+        forward = [plan.run_pair(p) for p in plan.pairs]
+        backward = list(reversed(
+            [plan.run_pair(p) for p in reversed(plan.pairs)]))
+        assert _signature(plan.merge(forward)) == \
+            _signature(plan.merge(backward)) == \
+            _signature(view_diff(left, right))
+
+    def test_counter_accumulates_across_diffs(self):
+        left = two_thread_trace([1, 2, 3], [7, 8], name="L")
+        right = two_thread_trace([1, 5, 3], [7, 9], name="R")
+        baseline = view_diff(left, right).counter.total
+        counter = OpCounter()
+        view_diff(left, right, counter=counter)
+        view_diff(left, right, counter=counter)
+        assert counter.total == 2 * baseline

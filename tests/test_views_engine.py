@@ -21,7 +21,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api import Session
-from repro.capture.filters import TraceFilter
 from repro.core.correlation import ViewCorrelator
 from repro.core.diffs import result_signature
 from repro.core.kernels import scalar
@@ -30,9 +29,7 @@ from repro.core.traces import Trace
 from repro.core.view_diff import view_diff
 from repro.core.views import KEY_MAPPINGS, ViewType
 from repro.core.web import TypeIndex, ViewWeb, view_index
-from repro.exec import ThreadExecutor
-from repro.exec.capture import CaptureTask, run_capture_tasks
-from repro.workloads.harness import SCENARIOS, capture_scenario_traces
+from repro.workloads.harness import SCENARIOS, capture_scenario_trace
 
 
 def signature_digest(result) -> str:
@@ -76,8 +73,17 @@ PINNED = {
 @pytest.fixture(scope="module")
 def case_traces():
     """The four captured traces of each deterministic case study."""
-    return {name: capture_scenario_traces(SCENARIOS[name])
-            for name in ("Daikon", "Xalan-1725", "Xalan-1802")}
+    roles = (("old/regressing", "run_old", "regressing_input"),
+             ("new/regressing", "run_new", "regressing_input"),
+             ("old/correct", "run_old", "correct_input"),
+             ("new/correct", "run_new", "correct_input"))
+    return {name: tuple(
+        capture_scenario_trace(SCENARIOS[name],
+                               getattr(SCENARIOS[name], runner),
+                               getattr(SCENARIOS[name], payload),
+                               f"{name}/{role}")
+        for role, runner, payload in roles)
+        for name in ("Daikon", "Xalan-1725", "Xalan-1802")}
 
 
 def diff_pair(traces, which: str):
@@ -95,23 +101,6 @@ class TestPinnedCaseStudies:
         digest, compares = PINNED[(case, which)]
         assert result.counter.total == compares
         assert signature_digest(result) == digest
-
-    def test_derby_serial_equals_threads(self):
-        """Derby's interleaving varies run to run, so one captured pair
-        is diffed both ways instead of being pinned."""
-        spec = SCENARIOS["Derby-1633"]
-        trace_filter = TraceFilter(include_modules=spec.filter_modules)
-        outcomes = run_capture_tasks([
-            CaptureTask(func=runner, args=(spec.regressing_input,),
-                        name=f"derby/{role}", filter=trace_filter)
-            for runner, role in ((spec.run_old, "old"),
-                                 (spec.run_new, "new"))])
-        left, right = (outcome.trace for outcome in outcomes)
-        serial = view_diff(left, right)
-        with ThreadExecutor(max_workers=3) as pool:
-            threaded = view_diff(Trace(left.entries), Trace(right.entries),
-                                 executor=pool)
-        assert result_signature(serial) == result_signature(threaded)
 
 
 class TestViewIndex:
