@@ -99,7 +99,7 @@ def _run_pass(url: str, pairs, label: str) -> tuple[dict, list]:
 
 
 def test_service_throughput_and_latency(tmp_path):
-    store = TraceStore(tmp_path / "store", layout="sharded")
+    store = TraceStore(tmp_path / "store")
     pairs = _prime_store(store)
 
     # Ground truth: direct in-process diffs, no cache.

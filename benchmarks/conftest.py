@@ -41,15 +41,15 @@ def scenario_results():
 @pytest.fixture(scope="session")
 def myfaces_outcome():
     """The motivating example's full analysis (Sec. 4.2)."""
-    from repro.analysis.rprism import RPrism
+    from repro.api import Session
     from repro.capture import TraceFilter
     from repro.workloads.myfaces.scenario import (CORRECT_REQUEST,
                                                   REGRESSING_REQUEST,
                                                   run_new_version,
                                                   run_old_version)
-    tool = RPrism(filter=TraceFilter(
+    session = Session(filter=TraceFilter(
         include_modules=("repro.workloads.myfaces",)))
-    return tool.analyze_regression_scenario(
+    return session.run_scenario(
         run_old_version, run_new_version,
         regressing_input=REGRESSING_REQUEST,
         correct_input=CORRECT_REQUEST)

@@ -11,7 +11,7 @@ Run with::
     python examples/minidb_regression.py
 """
 
-from repro.analysis.rprism import RPrism
+from repro.api import Session
 from repro.capture import TraceFilter
 from repro.core.regression import evaluate_against_truth
 from repro.workloads.minidb.scenario import (CORRECT_INPUT,
@@ -34,9 +34,9 @@ def main():
         print(f"         new={new[:60]}{marker}")
     print()
 
-    tool = RPrism(filter=TraceFilter(
+    session = Session(filter=TraceFilter(
         include_modules=("repro.workloads.minidb",)))
-    outcome = tool.analyze_regression_scenario(
+    outcome = session.run_scenario(
         run_old_version, run_new_version,
         regressing_input=REGRESSING_INPUT,
         correct_input=CORRECT_INPUT)

@@ -12,7 +12,7 @@ Run with::
     python examples/xslt_codegen_regression.py
 """
 
-from repro.analysis.rprism import RPrism
+from repro.api import Session
 from repro.capture import TraceFilter
 from repro.core.regression import evaluate_against_truth
 from repro.workloads.minixslt.engine import XsltEngine
@@ -38,9 +38,9 @@ def main():
         print(f"{version} compiled <item> template: {ops}")
     print()
 
-    tool = RPrism(filter=TraceFilter(
+    session = Session(filter=TraceFilter(
         include_modules=("repro.workloads.minixslt",)))
-    outcome = tool.analyze_regression_scenario(
+    outcome = session.run_scenario(
         run_1725_old, run_1725_new,
         regressing_input=REGRESSING_INPUT_1725,
         correct_input=CORRECT_INPUT_1725)

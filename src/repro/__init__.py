@@ -20,9 +20,9 @@ Typical use (the :mod:`repro.api` session layer)::
 
 Lower-level pieces remain directly importable: ``session.capture`` /
 ``session.diff`` drive individual steps, ``repro.api.TraceStore``
-persists traces for offline analysis, ``repro.api.ScenarioPipeline``
-batches scenarios across a thread pool, and the legacy ``RPrism``
-facade still works (it delegates to a ``Session``).
+persists traces for offline analysis (one sharded directory layout),
+and ``repro.api.ScenarioPipeline`` batches scenarios across a thread
+pool.
 """
 
 from repro.core import (DiffResult, DifferenceSequence, OpCounter,
@@ -34,7 +34,7 @@ __version__ = "2.0.0"
 
 __all__ = [
     "DiffResult", "DifferenceSequence", "OpCounter", "RegressionReport",
-    "RPrism", "Session", "SessionResult", "Trace", "TraceBuilder",
+    "Session", "SessionResult", "Trace", "TraceBuilder",
     "TraceEntry", "TraceStore", "ValueRep", "ViewDiffConfig", "ViewType",
     "ViewWeb", "analyze_regression", "lcs_diff", "view_diff",
     "__version__",
@@ -44,7 +44,6 @@ __all__ = [
 #: capture substrate, so the core model stays importable in minimal
 #: environments.
 _LAZY = {
-    "RPrism": ("repro.analysis.rprism", "RPrism"),
     "Session": ("repro.api.session", "Session"),
     "SessionResult": ("repro.api.session", "SessionResult"),
     "TraceStore": ("repro.api.store", "TraceStore"),

@@ -10,18 +10,9 @@ from repro.analysis.serialize import (entry_from_json, load_trace,
                                       read_header, save_trace)
 
 __all__ = [
-    "ImpactReport", "Protocol", "ProtocolDiff", "RPrism", "RPrismResult",
-    "diff_protocols", "entry_from_json", "impact_of",
-    "impacted_methods", "infer_protocols", "load_trace",
-    "read_header", "render_diff_report", "render_trace_tree", "save_trace",
+    "ImpactReport", "Protocol", "ProtocolDiff", "diff_protocols",
+    "entry_from_json", "impact_of", "impacted_methods", "infer_protocols",
+    "load_trace", "read_header", "render_diff_report", "render_trace_tree",
+    "save_trace",
 ]
 
-
-def __getattr__(name: str):
-    # The RPrism shim sits on top of repro.api, which in turn uses this
-    # package's serialisation layer; load it lazily to keep the import
-    # graph acyclic.
-    if name in ("RPrism", "RPrismResult"):
-        from repro.analysis import rprism
-        return getattr(rprism, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

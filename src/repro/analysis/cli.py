@@ -29,9 +29,10 @@ while the program runs, then analysed later.  This CLI covers that side::
 (:mod:`repro.index`, maintained automatically on save/tag/delete;
 ``index build`` backfills it for legacy stores), ``serve`` boots the
 long-running JSON-over-HTTP service (:mod:`repro.service`), and
-``store migrate`` brings a store to its current form in place: a flat
-store moves to the sharded layout, and legacy text (v1/v2) trace files
-are rewritten as binary v3.  Both steps are idempotent.
+``store migrate`` rewrites a store's legacy text (v1/v2) trace files
+as binary v3 in place (idempotent).  Every command that opens a store
+converts a flat one (``store.json`` and trace files at the root) to
+the sharded layout first; ``store migrate`` reports what that moved.
 
 Stored-trace differencing (``store diff``, ``batch``) memoises results
 in a ``diffcache`` directory beside the store (``--no-cache`` bypasses,
@@ -40,8 +41,7 @@ explicit ``--cache DIR``.
 
 Differencing is routed through the :mod:`repro.api.engines` registry
 (``--engine`` accepts any registered name, including the
-``anchored:<inner>`` meta-engines; ``--algorithm`` remains as a
-deprecated alias), and the view-diff knobs of
+``anchored:<inner>`` meta-engines), and the view-diff knobs of
 :class:`~repro.core.view_diff.ViewDiffConfig` are exposed as repeatable
 ``--config KEY=VALUE`` flags (anchor selection included:
 ``--config anchor_min_run=4``).  ``engines`` lists every registered
@@ -61,7 +61,7 @@ from repro.api.engines import available_engines, get_engine, is_cacheable
 from repro.core.anchors import AnchorConfig, segment_pair
 from repro.api.pipeline import StoredScenarioJob, run_pipeline
 from repro.api.session import Session
-from repro.api.store import INDEX_NAME, LAYOUTS, TraceStore
+from repro.api.store import INDEX_NAME, SHARDS_DIR, TraceStore
 from repro.cache import DiffCache, cached_engine_diff
 from repro.analysis.report import render_diff_report, render_trace_tree
 from repro.analysis.serialize import load_trace
@@ -123,15 +123,12 @@ def parse_config_flags(pairs: list[str] | None) -> ViewDiffConfig | None:
 
 
 def _engine_name(args) -> str:
-    """``--engine`` wins; ``--algorithm`` is the deprecated alias."""
-    return args.engine or getattr(args, "algorithm", None) or "views"
+    return args.engine or "views"
 
 
 def _add_engine_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--engine", choices=available_engines(),
                         help="differencing engine (registry name)")
-    parser.add_argument("--algorithm", choices=available_engines(),
-                        help=argparse.SUPPRESS)  # deprecated alias
     parser.add_argument("--config", action="append", metavar="KEY=VALUE",
                         help="view-diff knob, e.g. --config window=8 "
                              "--config relaxed=false (repeatable)")
@@ -280,6 +277,10 @@ def _open_store(path: str) -> TraceStore:
         return TraceStore(path, create=False)
     except FileNotFoundError:
         raise SystemExit(f"no trace store at {path}")
+    except PermissionError as exc:
+        # Opening converts a flat store in place, which needs writes.
+        raise SystemExit(f"cannot open the trace store at {path}: {exc} "
+                         f"(run `store migrate` on a writable copy)")
 
 
 def cmd_store_show(args) -> int:
@@ -365,15 +366,14 @@ def cmd_store_rm(args) -> int:
 
 
 def cmd_store_migrate(args) -> int:
-    store = _open_store(args.store)
-    was_sharded = store.sharded
-    moved = store.migrate_to_sharded()  # idempotent: sweeps remnants
-    if was_sharded:
-        print(f"{store.root} already sharded "
-              f"({moved} remnant(s) adopted)")
+    store = _open_store(args.store)  # opening converts a flat layout
+    if store.migration is None:
+        print(f"{store.root} already sharded")
     else:
         print(f"migrated {store.root} to the sharded layout "
-              f"({moved} trace(s) moved)")
+              f"({store.migration['moved']} trace(s) moved, "
+              f"{store.migration['dropped']} stale root cop(ies) "
+              f"dropped)")
     summary = store.migrate_format()
     print(f"format v3: {summary['migrated']} rewritten, "
           f"{summary['skipped']} already current, "
@@ -396,10 +396,12 @@ def cmd_store_stats(args) -> int:
 
 
 def _cache_dir(path: str) -> Path:
-    """A cache directory argument: a trace store directory means its
-    ``diffcache`` sidecar, anything else is the cache itself."""
+    """A cache directory argument: a trace store directory (sharded,
+    or flat and not yet opened) means its ``diffcache`` sidecar,
+    anything else is the cache itself."""
     directory = Path(path)
-    if (directory / INDEX_NAME).exists():
+    if (directory / SHARDS_DIR).is_dir() \
+            or (directory / INDEX_NAME).exists():
         return directory / "diffcache"
     return directory
 
@@ -684,11 +686,10 @@ def build_parser() -> argparse.ArgumentParser:
     store_diff.set_defaults(func=cmd_store_diff)
 
     store_migrate = store_cmds.add_parser(
-        "migrate", help="bring a store to its current form in place: "
-                        "the sharded layout (shards.d/<hh>/, per-shard "
-                        "indexes) and binary v3 trace files (legacy "
-                        "text files rewritten; keys, tags and digests "
-                        "kept)")
+        "migrate", help="rewrite legacy text trace files as binary v3 "
+                        "in place (keys, tags and digests kept), and "
+                        "report what opening the store moved from a "
+                        "flat layout into shards.d/<hh>/")
     store_migrate.add_argument("store")
     store_migrate.set_defaults(func=cmd_store_migrate)
 
@@ -777,9 +778,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("store", help="trace store directory (created "
                                      "if missing)")
     serve.add_argument("--host", default="127.0.0.1")
-    serve.add_argument("--layout", choices=LAYOUTS, default="auto",
-                       help="store layout when creating a fresh store "
-                            "(existing stores are auto-detected)")
+    serve.add_argument("--layout", choices=("sharded",),
+                       default="sharded",
+                       help="store layout (sharded is the only one)")
     serve.add_argument("--port", type=int, default=8321,
                        help="TCP port (0: ephemeral, printed on boot)")
     serve.add_argument("--workers", type=int, default=4,

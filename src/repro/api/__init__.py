@@ -8,9 +8,9 @@ Four pieces, designed to grow independently:
 * the engine registry — :func:`register_engine` / :func:`get_engine` /
   :func:`available_engines` over the :class:`DiffEngine` protocol; the
   views-based semantics and every LCS baseline ship pre-registered.
-* :class:`TraceStore` — persistent JSONL trace storage (capture now,
-  diff later: the paper's offline workflow), flat or sharded layout,
-  with a queryable catalog sidecar (:class:`TraceIndex` from
+* :class:`TraceStore` — persistent trace storage (capture now, diff
+  later: the paper's offline workflow) in one sharded directory
+  layout, with a queryable catalog sidecar (:class:`TraceIndex` from
   :mod:`repro.index`).
 * :class:`ScenarioPipeline` — batch execution of many regression
   scenarios over a thread pool, with per-job op/timing/worker
@@ -19,9 +19,6 @@ Four pieces, designed to grow independently:
 Everything runs in-process.  Captures take turns on the process-wide
 :data:`CAPTURE_LOCK` (one ``sys.settrace`` weaver per interpreter);
 the pipeline's threads overlap diffs and analyses.
-
-The legacy ``repro.RPrism`` facade remains as a thin shim over
-:class:`Session`.
 """
 
 from repro.api.engines import (AnchoredEngine, DiffEngine, LcsEngine,

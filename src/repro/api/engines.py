@@ -1,12 +1,10 @@
 """Pluggable trace-differencing engines.
 
-The seed hard-wired ``algorithm="views"`` string branching into both
-:mod:`repro.analysis.rprism` and :mod:`repro.analysis.cli`.  This module
-replaces that with a small registry: a :class:`DiffEngine` is anything
-with a ``name`` and a ``diff(left, right, ...)`` method producing a
-:class:`repro.core.diffs.DiffResult`, and the built-in semantics — the
-views-based differencing of Sec. 3.3 and every LCS baseline of Sec. 3.2 —
-are pre-registered under stable names.
+Differencing is chosen through a small registry: a :class:`DiffEngine`
+is anything with a ``name`` and a ``diff(left, right, ...)`` method
+producing a :class:`repro.core.diffs.DiffResult`, and the built-in
+semantics — the views-based differencing of Sec. 3.3 and every LCS
+baseline of Sec. 3.2 — are pre-registered under stable names.
 
 Drivers (``Session``, the CLI, the workload harness) resolve engines by
 name, so swapping the analysis behind a stable driver API is one

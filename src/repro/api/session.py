@@ -1,8 +1,8 @@
 """The session layer: configure once, then capture / ingest / diff /
 analyze through one object.
 
-:class:`Session` replaces the monolithic ``RPrism`` facade with a
-composable driver: configuration is applied fluently
+:class:`Session` is the library's one driver: configuration is
+applied fluently
 (``Session().with_config(window=8).with_filter(include_modules=...)``),
 the differencing backend is resolved through the engine registry
 (:mod:`repro.api.engines`), and traces can be persisted to / resolved

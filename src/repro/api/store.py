@@ -13,32 +13,28 @@ addressed by key, with a small sidecar index for tags::
         print(record.key, record.entries)
 
 Keys may contain ``/`` (sessions namespace the four-trace recipe as
-``<scenario>/old/regressing`` etc.); they are sanitised to flat file
-names on disk.  Trace name and entry counts are always read from the
-file headers, so files dropped into the directory by other tools are
-picked up; only tags live in the index.
+``<scenario>/old/regressing`` etc.); they are sanitised to plain file
+names on disk.  Trace files live under ``shards.d/<hh>/``, where
+``hh`` is a digest prefix of the *key*; each shard carries its own
+``shard.json`` index (tags, key -> file) and lock, so key -> file
+resolution is O(1) and an index read-modify-write touches one small
+shard however many traces the store holds.  Trace name and entry
+counts are always read from the file headers; only tags live in the
+index, and a file in a shard that its index does not name is still
+listed under the ``store_key`` its header carries.
 
 Writes are safe under concurrent writers — threads of one process *and*
 separate processes sharing the directory.  Every file lands via
 write-to-unique-temp + ``os.replace`` (readers never observe a
 half-written trace or index), and index read-modify-writes are
-serialised through an advisory ``flock`` on a sidecar lock file where
+serialised through an advisory ``flock`` on the shard's lock file where
 the platform provides one.
 
-Two directory **layouts** share one API:
-
-* **flat** (the legacy default): trace files and ``store.json`` at the
-  store root — fine up to a few thousand traces, but every save
-  rewrites the whole index.
-* **sharded** (``layout="sharded"``, auto-detected thereafter): files
-  live under ``shards.d/<hh>/`` where ``hh`` is a digest prefix of the
-  *key*, each shard carrying its own ``shard.json`` index and lock —
-  key→file resolution stays O(1) and index read-modify-writes touch
-  one small shard no matter how many million traces the store holds.
-  :meth:`TraceStore.migrate_to_sharded` converts a flat store in
-  place; until then (and through a crashed migration) sharded stores
-  transparently fall back to flat-root files on lookups and adopt
-  them into their shard on the next mutation.
+Stores written by older versions kept ``store.json`` and the trace
+files at the root (the flat layout).  Opening such a directory
+converts it in place (:meth:`TraceStore.migrate_to_sharded`, the only
+code that reads that layout), so a read-only flat store must be
+copied somewhere writable first.
 
 Every save/tag/delete also maintains the store's persistent catalog
 (:class:`repro.index.TraceIndex` under ``index.d/``), which is what
@@ -76,20 +72,21 @@ from repro.analysis.serialize import (FORMAT_VERSION, load_trace,
 from repro.core.keytable import KeyTable
 from repro.core.traces import Trace
 
-INDEX_NAME = "store.json"
-LOCK_NAME = "store.lock"
-INDEX_VERSION = 1
-_SUFFIX = ".jsonl"
-
-#: Sharded-layout names: trace files under ``shards.d/<hh>/`` with a
-#: per-shard index + lock; the sidecar catalog lives in ``index.d``.
+#: Trace files and shard indexes live under ``shards.d/<hh>/``, each
+#: shard with its own index + lock; the sidecar catalog lives in
+#: ``index.d``.
 SHARDS_DIR = "shards.d"
 SHARD_INDEX_NAME = "shard.json"
 SHARD_LOCK_NAME = "shard.lock"
 SHARD_WIDTH = 2
 TRACE_INDEX_DIR = "index.d"
+INDEX_VERSION = 1
+_SUFFIX = ".jsonl"
 
-LAYOUTS = ("auto", "flat", "sharded")
+#: What a pre-sharding store kept at its root: the index that
+#: :meth:`TraceStore.migrate_to_sharded` reads, and the lock it holds.
+INDEX_NAME = "store.json"
+LOCK_NAME = "store.lock"
 
 #: Bound on the file bytes of the decoded traces one store handle
 #: keeps warm (least recently loaded evicted first).
@@ -286,12 +283,16 @@ class TraceRecord:
 
 @dataclass(frozen=True, slots=True)
 class _Shard:
-    """One index+lock+directory unit: the whole store in flat layout,
-    one ``shards.d/<hh>/`` directory in sharded layout."""
+    """One ``shards.d/<hh>/`` directory with its index and lock."""
 
     directory: Path
     index_path: Path
     lock_path: Path
+
+    @classmethod
+    def at(cls, directory: Path) -> "_Shard":
+        return cls(directory, directory / SHARD_INDEX_NAME,
+                   directory / SHARD_LOCK_NAME)
 
 
 def _file_signature(path: Path, stat: os.stat_result) -> tuple:
@@ -367,10 +368,11 @@ class TraceStore:
     """A directory of serialised traces addressed by key."""
 
     def __init__(self, root: str | Path, create: bool = True,
-                 layout: str = "auto"):
-        if layout not in LAYOUTS:
-            raise ValueError(f"unknown store layout {layout!r} "
-                             f"(expected one of: {', '.join(LAYOUTS)})")
+                 layout: str = "sharded"):
+        if layout != "sharded":
+            raise ValueError(f"unknown store layout {layout!r}: every "
+                             f"store is sharded (a flat directory is "
+                             f"converted when opened)")
         self.root = Path(root)
         if create:
             self.root.mkdir(parents=True, exist_ok=True)
@@ -379,15 +381,16 @@ class TraceStore:
         self._lock = threading.Lock()
         self._trace_index = None
         self._warm = _WarmTraces()
-        detected = (self.root / SHARDS_DIR).is_dir()
-        if layout == "flat" and detected:
-            raise ValueError(f"{self.root} already uses the sharded "
-                             f"layout; open it with layout='auto'")
-        self.sharded = detected
-        if layout == "sharded" and not detected:
-            # Transparent adoption: a fresh directory just gains
-            # shards.d, a flat legacy store is migrated in place.
-            self.migrate_to_sharded()
+        #: What the migration run by this open did
+        #: (``{"moved", "dropped"}``, see :meth:`migrate_to_sharded`),
+        #: or None when there was nothing at the root to convert.
+        self.migration = None
+        if (self.root / INDEX_NAME).exists() or any(
+                self._key_of(path) is not None
+                for path in self.root.glob("*" + _SUFFIX)):
+            self.migration = self.migrate_to_sharded()
+        elif not (self.root / SHARDS_DIR).is_dir():
+            (self.root / SHARDS_DIR).mkdir()
 
     @property
     def index(self):
@@ -401,29 +404,14 @@ class TraceStore:
 
     # -- layout --------------------------------------------------------------
 
-    def _flat_shard(self) -> _Shard:
-        return _Shard(self.root, self.root / INDEX_NAME,
-                      self.root / LOCK_NAME)
-
     def _shard_for(self, key: str) -> _Shard:
-        if not self.sharded:
-            return self._flat_shard()
-        directory = self.root / SHARDS_DIR / shard_of(key)
-        return _Shard(directory, directory / SHARD_INDEX_NAME,
-                      directory / SHARD_LOCK_NAME)
+        return _Shard.at(self.root / SHARDS_DIR / shard_of(key))
 
     def _shards(self) -> list[_Shard]:
         """Every shard that exists on disk (list/iteration side)."""
-        if not self.sharded:
-            return [self._flat_shard()]
-        base = self.root / SHARDS_DIR
-        shards = []
-        for directory in sorted(p for p in base.iterdir()
-                                if p.is_dir()):
-            shards.append(_Shard(directory,
-                                 directory / SHARD_INDEX_NAME,
-                                 directory / SHARD_LOCK_NAME))
-        return shards
+        return [_Shard.at(directory)
+                for directory in sorted((self.root / SHARDS_DIR).iterdir())
+                if directory.is_dir()]
 
     # -- write serialisation -------------------------------------------------
 
@@ -462,8 +450,12 @@ class TraceStore:
         path = shard.index_path
         if not path.exists():
             return {"version": INDEX_VERSION, "traces": {}}
-        index = json.loads(path.read_text(encoding="utf-8"))
-        if index.get("version") != INDEX_VERSION:
+        try:
+            index = json.loads(path.read_text(encoding="utf-8"))
+        except ValueError as exc:
+            raise ValueError(f"corrupt store index {path}: {exc}") from None
+        if not isinstance(index, dict) \
+                or index.get("version") != INDEX_VERSION:
             raise ValueError(f"unsupported store index: {path}")
         return index
 
@@ -519,31 +511,7 @@ class TraceStore:
         for path in sorted(shard.directory.glob("*" + _SUFFIX)):
             if self._key_of(path) == key:
                 return path
-        if self.sharded:
-            # A flat remnant (mid-migration store): resolve against the
-            # legacy root layout before giving up.
-            flat = self._flat_path_for(key)
-            if flat is not None:
-                return flat
         return guess
-
-    def _flat_path_for(self, key: str) -> Path | None:
-        """Flat-layout resolution of ``key`` (the transparent fallback
-        a sharded store uses for not-yet-migrated files)."""
-        flat = self._flat_shard()
-        try:
-            entry = self._read_index(flat)["traces"].get(key)
-        except ValueError:
-            entry = None
-        if entry is not None and (self.root / entry["file"]).exists():
-            return self.root / entry["file"]
-        guess = self.root / (_stem_for(key) + _SUFFIX)
-        if guess.exists() and self._key_of(guess) == key:
-            return guess
-        for path in sorted(self.root.glob("*" + _SUFFIX)):
-            if self._key_of(path) == key:
-                return path
-        return None
 
     # -- write side ---------------------------------------------------------
 
@@ -661,8 +629,7 @@ class TraceStore:
                 entry = self._entry_for(index, key, shard)
                 target = shard.directory / entry["file"]
                 if path != target:
-                    # Adopt a loose / flat-remnant file into the shard
-                    # the key resolves to (lazy per-key migration).
+                    # Index a loose file under the name its entry got.
                     os.replace(path, target)
             entry = index["traces"][key]
             entry["tags"] = sorted(set(entry["tags"]) | set(tags))
@@ -745,18 +712,8 @@ class TraceStore:
         _header, table = read_key_table(self._require(key))
         return table
 
-    def _record_for(self, key: str, index: dict,
-                    shard: _Shard | None = None) -> TraceRecord:
-        entry = index["traces"].get(key)
-        if shard is not None and entry is not None:
-            # The caller knows which directory this index describes
-            # (it may be the flat root of a mid-migration store, which
-            # is *not* where ``_shard_for`` would place the key).
-            path = shard.directory / entry["file"]
-            if not path.exists():
-                path = self._require(key)
-        else:
-            path = self._require(key, index)
+    def _record_for(self, key: str, index: dict) -> TraceRecord:
+        path = self._require(key, index)
         header = read_header(path)
         entry = index["traces"].get(key) or {}
         return TraceRecord(
@@ -789,44 +746,27 @@ class TraceStore:
                 keys.add(key)
         return sorted(keys)
 
-    def _key_sets(self) -> list[tuple[_Shard, list[str]]]:
-        """Per-shard key lists; a sharded store also lists its flat
-        root (not-yet-migrated remnants) as a trailing pseudo-shard."""
-        sets = [(shard, self._keys(shard, self._read_index(shard)))
-                for shard in self._shards()]
-        if self.sharded:
-            flat = self._flat_shard()
-            try:
-                flat_index = self._read_index(flat)
-            except ValueError:
-                flat_index = {"version": INDEX_VERSION, "traces": {}}
-            sets.append((flat, self._keys(flat, flat_index)))
-        return sets
-
     def keys(self) -> list[str]:
         """Every stored key: indexed ones plus loose ``.jsonl`` files."""
         keys = set()
-        for _shard, shard_keys in self._key_sets():
-            keys.update(shard_keys)
+        for shard in self._shards():
+            keys.update(self._keys(shard, self._read_index(shard)))
         return sorted(keys)
 
     def records(self, tag: str | None = None) -> list[TraceRecord]:
         """List stored traces, optionally only those carrying ``tag``."""
-        records, seen = [], set()
-        for shard, shard_keys in self._key_sets():
+        records = {}
+        for shard in self._shards():
             index = self._read_index(shard)
-            for key in shard_keys:
-                if key in seen:
+            for key in self._keys(shard, index):
+                if key in records:
                     continue
-                seen.add(key)
                 try:
-                    records.append(self._record_for(key, index, shard))
+                    records[key] = self._record_for(key, index)
                 except (KeyError, ValueError, OSError):
                     continue  # deleted or corrupted under the listing
-        records.sort(key=lambda r: r.key)
-        if tag is not None:
-            records = [r for r in records if tag in r.tags]
-        return records
+        return [records[key] for key in sorted(records)
+                if tag is None or tag in records[key].tags]
 
     def __contains__(self, key: str) -> bool:
         return self._path_for(key).exists()
@@ -839,68 +779,61 @@ class TraceStore:
 
     # -- layout migration ----------------------------------------------------
 
-    def migrate_to_sharded(self) -> int:
-        """Convert a flat store to the sharded layout in place; the
-        number of trace files moved is returned.
+    def migrate_to_sharded(self) -> dict:
+        """Move a flat store's root files into their shards, in place.
 
-        The whole move runs under the flat root lock, so concurrent
-        writers using the flat layout are held off; readers that raced
-        past the layout probe still resolve — ``_path_for`` falls back
-        to the flat root, and files linger there only if the migration
-        crashes, in which case re-running it (or any per-key mutation,
-        which adopts remnants lazily) finishes the job.  Idempotent:
-        migrating an already-sharded store just sweeps remnants.
+        Opening a store calls this whenever the root holds
+        ``store.json`` or readable trace files.  The move runs under
+        the root lock (one migration at a time, across processes), and
+        each shard's index read-modify-write under that shard's lock,
+        so a concurrent ``save`` or ``tag`` is never lost.  A key its
+        shard already holds keeps the shard copy: the root copy is the
+        stale one (a crashed migration, then a newer save) and is
+        deleted.  Unreadable root files stay put.  Returns
+        ``{"moved", "dropped"}``; running it again finds nothing.
         """
-        flat = self._flat_shard()
-        moved = 0
-        with self._lock:
-            with locked_file(flat.lock_path):
-                try:
-                    flat_index = json.loads(
-                        flat.index_path.read_text(encoding="utf-8"))
-                except (OSError, ValueError):
-                    flat_index = {"traces": {}}
-                if flat_index.get("version", INDEX_VERSION) \
-                        != INDEX_VERSION:
-                    raise ValueError(
-                        f"unsupported store index: {flat.index_path}")
-                entries = dict(flat_index.get("traces", {}))
-                file_to_key = {e["file"]: k for k, e in entries.items()}
-                for path in sorted(self.root.glob("*" + _SUFFIX)):
-                    key = file_to_key.get(path.name) \
-                        or self._key_of(path)
-                    if key is None:
-                        continue  # unreadable junk stays put
-                    if key not in entries:
-                        entries[key] = {"file": path.name, "tags": []}
-                self.sharded = True
-                per_shard: dict[str, dict] = {}
-                for key, entry in sorted(entries.items()):
-                    source = self.root / entry["file"]
-                    if not source.exists():
-                        continue
-                    shard = self._shard_for(key)
-                    shard.directory.mkdir(parents=True, exist_ok=True)
-                    index = per_shard.setdefault(
-                        shard.directory.name,
-                        self._read_index(shard))
-                    target = self._entry_for(index, key, shard)
-                    target["tags"] = sorted(
-                        set(target["tags"]) | set(entry["tags"]))
-                    os.replace(source, shard.directory / target["file"])
-                    moved += 1
-                for name, index in per_shard.items():
-                    directory = self.root / SHARDS_DIR / name
-                    self._write_index(
-                        _Shard(directory,
-                               directory / SHARD_INDEX_NAME,
-                               directory / SHARD_LOCK_NAME), index)
-                # Even an empty migration must leave the marker so the
-                # layout survives reopening.
-                (self.root / SHARDS_DIR).mkdir(exist_ok=True)
-                if flat.index_path.exists():
-                    flat.index_path.unlink()
-        return moved
+        moved = dropped = 0
+        with self._lock, locked_file(self.root / LOCK_NAME):
+            flat_index = self.root / INDEX_NAME
+            try:
+                entries = dict(json.loads(
+                    flat_index.read_text(encoding="utf-8"))["traces"])
+            except FileNotFoundError:
+                entries = {}
+            except (ValueError, KeyError, TypeError) as exc:
+                raise ValueError(f"corrupt store index {flat_index}: "
+                                 f"{exc!r}") from None
+            file_to_key = {e["file"]: k for k, e in entries.items()}
+            for path in sorted(self.root.glob("*" + _SUFFIX)):
+                key = file_to_key.get(path.name) or self._key_of(path)
+                if key is not None and key not in entries:
+                    entries[key] = {"file": path.name, "tags": []}
+            by_shard: dict[_Shard, list] = {}
+            for key, entry in sorted(entries.items()):
+                if (self.root / entry["file"]).exists():
+                    by_shard.setdefault(self._shard_for(key), []).append(
+                        (key, entry))
+            for shard, items in by_shard.items():
+                shard.directory.mkdir(parents=True, exist_ok=True)
+                with locked_file(shard.lock_path):
+                    index = self._read_index(shard)
+                    held = {key for key in self._keys(shard, index)
+                            if self._path_for(key, index).exists()}
+                    for key, entry in items:
+                        source = self.root / entry["file"]
+                        if key in held:
+                            source.unlink()
+                            dropped += 1
+                            continue
+                        target = self._entry_for(index, key, shard)
+                        target["tags"] = sorted(
+                            set(target["tags"]) | set(entry["tags"]))
+                        os.replace(source, shard.directory / target["file"])
+                        moved += 1
+                    self._write_index(shard, index)
+            (self.root / SHARDS_DIR).mkdir(exist_ok=True)
+            flat_index.unlink(missing_ok=True)
+        return {"moved": moved, "dropped": dropped}
 
     # -- format migration ----------------------------------------------------
 

@@ -20,9 +20,9 @@ with two tiers:
   so a million-entry cache never piles up one directory), the path
   conventionally ``<trace store>/diffcache`` (atomic write-to-temp +
   ``os.replace``; prune/clear serialise through the store layer's
-  :func:`~repro.api.store.locked_file` discipline).  Entries at the
-  flat root, written by older caches, stay readable and are counted
-  by ``stats``/``prune``/``clear``.
+  :func:`~repro.api.store.locked_file` discipline).  Entries that
+  older caches wrote at the directory root are misses; ``stats``,
+  ``prune`` and ``clear`` still count them, so they age out.
   A truncated or hand-edited entry reads as a *miss*, never an error.
 
 Correctness rests on two contracts, both documented at their homes:
@@ -249,23 +249,16 @@ class DiffCache:
     def _entry_path(self, key: str) -> Path:
         return self.path / key[:2] / (key + ENTRY_SUFFIX)
 
-    def _read_wire(self, path: Path, key: str) -> dict | None:
+    def _disk_read(self, key: str) -> dict | None:
+        if self.path is None:
+            return None
         try:
-            wire = json.loads(path.read_text(encoding="utf-8"))
+            wire = json.loads(
+                self._entry_path(key).read_text(encoding="utf-8"))
         except (OSError, ValueError):
             return None  # absent, truncated, or garbled: a plain miss
         if not isinstance(wire, dict) or wire.get("key") != key:
             return None
-        return wire
-
-    def _disk_read(self, key: str) -> dict | None:
-        if self.path is None:
-            return None
-        wire = self._read_wire(self._entry_path(key), key)
-        if wire is None:
-            # Entries from caches that wrote flat sit at the root; they
-            # stay readable rather than recomputed.
-            wire = self._read_wire(self.path / (key + ENTRY_SUFFIX), key)
         return wire
 
     def _disk_write(self, key: str, wire: dict) -> None:
@@ -290,8 +283,9 @@ class DiffCache:
             pass
 
     def _disk_entries(self) -> list[Path]:
-        """Every entry file: the ``<hh>/`` shards plus any flat-root
-        entries left by caches that wrote flat."""
+        """Every entry file: the ``<hh>/`` shards plus any root
+        entries left by older caches (never read, but counted and
+        removed by maintenance so they age out)."""
         if self.path is None or not self.path.is_dir():
             return []
         return sorted(

@@ -61,7 +61,7 @@ DOCUMENT_1725 = """
 </catalog>
 """
 
-#: Inputs for the RPrism scenario driver: (stylesheet, document).
+#: Inputs for the scenario driver: (stylesheet, document).
 REGRESSING_INPUT_1725 = (STYLESHEET_1725, DOCUMENT_1725)
 CORRECT_INPUT_1725 = (STYLESHEET_1725_SAFE, DOCUMENT_1725)
 

@@ -35,7 +35,7 @@ def run_request(version_module, request_spec: tuple[str, str]) -> str:
     return response.output
 
 
-#: Version entry points taking just the request (for RPrism scenarios).
+#: Version entry points taking just the request (for scenario drivers).
 run_old_version = partial(run_request, version_old)
 run_new_version = partial(run_request, version_new)
 

@@ -3,6 +3,7 @@ mirroring the paper's motivating example (Figs. 1, 2, 13)."""
 
 from __future__ import annotations
 
+import json
 from contextlib import contextmanager
 from pathlib import Path
 from unittest import mock
@@ -133,3 +134,23 @@ LEGACY_FIXTURES = {version: Path(__file__).parent / "data" /
 #: ``forked_trace().content_digest()``, pinned when the fixtures were
 #: written.
 LEGACY_DIGEST = "5e1b2d1785c7c7b899106b035a3cbe33"
+
+
+def write_flat_store(root, traces: dict, tags: dict | None = None) -> Path:
+    """A store directory as versions before the sharded layout wrote
+    it: one trace file per key and a ``store.json`` tag index, all at
+    the root.  ``traces`` maps key -> trace, ``tags`` key -> tags."""
+    from repro.analysis.serialize import save_trace
+    root = Path(root)
+    root.mkdir(parents=True, exist_ok=True)
+    index = {}
+    for key, trace in traces.items():
+        name = key.replace("/", "__") + ".jsonl"
+        save_trace(trace, root / name, extra_metadata={
+            "store_key": key, "digest": trace.content_digest()})
+        index[key] = {"file": name,
+                      "tags": sorted((tags or {}).get(key, ()))}
+    (root / "store.json").write_text(
+        json.dumps({"version": 1, "traces": index}, indent=1,
+                   sort_keys=True) + "\n", encoding="utf-8")
+    return root

@@ -1,13 +1,13 @@
 """Tests for the analysis layer: serialisation, segmentation, reporting,
-and the RPrism facade."""
+and the Sec. 4 workflow driven through a Session."""
 
 import pytest
 
 from repro.analysis import (load_trace, render_diff_report,
                             render_trace_tree, save_trace)
-from repro.analysis.rprism import RPrism
 from repro.analysis.serialize import (dumps_trace_bytes, loads_trace,
                                       read_header)
+from repro.api import Session
 from repro.capture import TraceFilter, traced
 from repro.capture.segments import (SegmentedTraceWriter, load_segments,
                                     segment_trace)
@@ -181,8 +181,11 @@ def new_version(data):
 
 
 class TestRPrism:
+    """The RPRISM workflow (trace, diff, the Sec. 4 scenario) through
+    :class:`Session`."""
+
     def test_trace_and_diff(self):
-        tool = RPrism(filter=MODULE_FILTER)
+        tool = Session(filter=MODULE_FILTER)
         old = tool.trace_call(old_version, [1, 2], name="old")
         new = tool.trace_call(new_version, [1, 2], name="new")
         result = tool.diff(old, new)
@@ -190,15 +193,15 @@ class TestRPrism:
         assert result.num_diffs() > 0
 
     def test_lcs_algorithm_selectable(self):
-        tool = RPrism(filter=MODULE_FILTER)
+        tool = Session(filter=MODULE_FILTER)
         old = tool.trace_call(old_version, [1], name="old")
         new = tool.trace_call(new_version, [1], name="new")
-        result = tool.diff(old, new, algorithm="optimized")
+        result = tool.diff(old, new, engine="optimized")
         assert result.algorithm == "lcs-optimized"
 
     def test_full_scenario(self):
-        tool = RPrism(filter=MODULE_FILTER)
-        outcome = tool.analyze_regression_scenario(
+        tool = Session(filter=MODULE_FILTER)
+        outcome = tool.run_scenario(
             old_version, new_version,
             regressing_input=[1, 2, 3], correct_input=[0, 0])
         assert outcome.report.size_a >= outcome.report.size_d
@@ -209,15 +212,15 @@ class TestRPrism:
         assert "suspected diff" in text
 
     def test_scenario_without_correct_input(self):
-        tool = RPrism(filter=MODULE_FILTER)
-        outcome = tool.analyze_regression_scenario(
+        tool = Session(filter=MODULE_FILTER)
+        outcome = tool.run_scenario(
             old_version, new_version, regressing_input=[1])
         assert outcome.expected is None
         assert outcome.regression is None
         assert outcome.report.size_d == outcome.report.size_a
 
     def test_web_helper(self):
-        tool = RPrism(filter=MODULE_FILTER)
+        tool = Session(filter=MODULE_FILTER)
         trace = tool.trace_call(old_version, [1], name="t")
         web = tool.web(trace)
         assert web.counts()["total"] > 0

@@ -4,7 +4,6 @@ import threading
 
 import pytest
 
-from repro import RPrism
 from repro.api import Session, SessionResult, TraceStore
 from repro.api.session import run_capture_tasks
 from repro.capture.filters import TraceFilter
@@ -283,38 +282,3 @@ class TestRunScenario:
                                       [1, 2], engine="optimized")
         assert result.engine == "optimized"
         assert result.suspected.algorithm == "lcs-optimized"
-
-
-class TestRPrismShim:
-    def test_same_candidates_as_session(self):
-        tool = RPrism(filter=MODULE_FILTER)
-        session = Session().with_filter(MODULE_FILTER)
-        via_shim = tool.analyze_regression_scenario(
-            old_version, new_version, [1, 2, 3], [0])
-        via_session = session.run_scenario(old_version, new_version,
-                                           [1, 2, 3], [0])
-        assert isinstance(via_shim, SessionResult)
-        assert (via_shim.report.set_sizes()
-                == via_session.report.set_sizes())
-
-    def test_legacy_surface_still_works(self):
-        tool = RPrism(filter=MODULE_FILTER)
-        old = tool.trace_call(old_version, [1, 2], name="old")
-        new = tool.trace_call(new_version, [1, 2], name="new")
-        result = tool.diff(old, new)
-        assert result.num_diffs() > 0
-        assert tool.diff(old, new, algorithm="dp").algorithm == "lcs-dp"
-        assert tool.web(old).counts()["total"] > 0
-        report = tool.analyze(result)
-        assert report.candidates
-        assert tool.config.window == ViewDiffConfig().window
-        assert tool.filter is MODULE_FILTER
-
-    def test_record_fields_passthrough(self):
-        tool = RPrism(filter=MODULE_FILTER, record_fields=True)
-        assert tool.record_fields is True
-        # Writing through the legacy attribute must reach the session
-        # the shim delegates to, not land on a dead shadow attribute.
-        tool.record_fields = False
-        assert tool.session.record_fields is False
-        assert RPrism(record_fields=False).record_fields is False

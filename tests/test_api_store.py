@@ -1,9 +1,11 @@
 """Tests for the persistent trace store."""
 
+import re
+
 import pytest
 
 from repro.analysis.serialize import save_trace
-from repro.api.store import TraceStore, _stem_for
+from repro.api.store import SHARDS_DIR, TraceStore, _stem_for, shard_of
 from repro.core.view_diff import view_diff
 
 from helpers import myfaces_trace, simple_trace
@@ -51,8 +53,7 @@ class TestRoundTrip:
         store.save(simple_trace([1, 2, 3], name="second"), key="a__b")
         assert store.load("a/b").name == "first"
         assert store.load("a__b").name == "second"
-        assert (store.get("a/b").path.name
-                != store.get("a__b").path.name)
+        assert store.get("a/b").path != store.get("a__b").path
         store.save(simple_trace([7], name="one"), key="a b")
         store.save(simple_trace([8], name="two"), key="a:b")
         assert store.load("a b").name == "one"
@@ -74,33 +75,57 @@ class TestListing:
         assert len(store) == 3
 
     def test_loose_files_are_discovered(self, store):
+        # A file dropped at the root moves into its shard when the
+        # store is next opened.
         trace = simple_trace([1, 2], name="loose")
         save_trace(trace, store.root / "dropped.jsonl")
+        store = TraceStore(store.root)
+        assert not (store.root / "dropped.jsonl").exists()
         assert "dropped" in store.keys()
         assert store.load("dropped").name == "loose"
 
     def test_copied_store_without_index_resolves_colliding_keys(
             self, store, tmp_path):
-        # A store directory copied without its store.json must still
-        # route colliding keys to the right files (store_key headers
-        # are authoritative, not the sanitised stem).
+        # A store copied without its shard indexes must still route
+        # colliding keys to the right files (store_key headers are
+        # authoritative, not the sanitised stem).
         store.save(simple_trace([1], name="dunder"), key="a__b")
         store.save(simple_trace([2, 3], name="slash"), key="a/b")
         copy = TraceStore(tmp_path / "copy")
-        for path in store.root.glob("*.jsonl"):
-            (copy.root / path.name).write_bytes(path.read_bytes())
+        for path in store.root.glob(f"{SHARDS_DIR}/*/*.jsonl"):
+            target = copy.root / path.relative_to(store.root)
+            target.parent.mkdir(exist_ok=True)
+            target.write_bytes(path.read_bytes())
         assert copy.keys() == ["a/b", "a__b"]
         assert copy.load("a/b").name == "slash"
         assert copy.load("a__b").name == "dunder"
 
     def test_junk_files_do_not_break_listing(self, store):
         store.save(simple_trace([1], name="good"))
-        (store.root / "empty.jsonl").write_text("", encoding="utf-8")
-        (store.root / "junk.jsonl").write_text("not json\n",
-                                              encoding="utf-8")
+        shard = store.root / SHARDS_DIR / shard_of("good")
+        for directory in (store.root, shard):
+            (directory / "empty.jsonl").write_text("", encoding="utf-8")
+            (directory / "junk.jsonl").write_text("not json\n",
+                                                  encoding="utf-8")
+        store = TraceStore(store.root)
         assert store.keys() == ["good"]
         assert [r.key for r in store.records()] == ["good"]
         assert len(store) == 1
+
+    def test_corrupt_shard_index_names_its_path(self, tmp_path):
+        root = tmp_path / "store"
+        (root / SHARDS_DIR).mkdir(parents=True)
+        store = TraceStore(root)
+        store.save(simple_trace([1], name="a"), key="a")
+        index = root / SHARDS_DIR / shard_of("a") / "shard.json"
+        index.write_text(index.read_text(encoding="utf-8")[:12],
+                         encoding="utf-8")
+        calls = (store.keys, store.records, lambda: store.load("a"),
+                 lambda: store.get("a"),
+                 lambda: store.save(simple_trace([2], name="a"), key="a"))
+        for call in calls:
+            with pytest.raises(ValueError, match=re.escape(str(index))):
+                call()
 
     def test_missing_key(self, store):
         with pytest.raises(KeyError):

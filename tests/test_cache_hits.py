@@ -114,7 +114,7 @@ class TestHitCost:
     def test_hits_build_only_differing_entries(self, pairs, name,
                                                tmp_path, builds,
                                                pair_tables):
-        store = TraceStore(tmp_path / "store", layout="sharded")
+        store = TraceStore(tmp_path / "store")
         for side, trace in zip(("old", "new"), pairs[name]):
             store.save(trace, key=f"{name}/{side}")
         keys = (f"{name}/old", f"{name}/new")

@@ -9,7 +9,7 @@ from repro.analysis.serialize import load_trace, save_trace
 from repro.core.view_diff import ViewDiffConfig, view_diff
 from repro.core.views import ViewType
 
-from helpers import myfaces_trace, simple_trace
+from helpers import myfaces_trace, simple_trace, write_flat_store
 
 
 @pytest.fixture()
@@ -66,7 +66,7 @@ class TestDiff:
 
     def test_lcs_algorithm(self, trace_files, capsys):
         old_path, new_path = trace_files
-        main(["diff", old_path, new_path, "--algorithm", "optimized"])
+        main(["diff", old_path, new_path, "--engine", "optimized"])
         out = capsys.readouterr().out
         assert "lcs-optimized" in out
 
@@ -461,6 +461,15 @@ class TestCacheCli:
         assert "cleared 1" in capsys.readouterr().out
         assert main(["cache", "stats", str(populated_store)]) == 0
         assert "0 entr(ies)" in capsys.readouterr().out
+
+    def test_cache_clear_on_an_unopened_flat_store(self, tmp_path, capsys):
+        # store.json marks a store, so the command must target its
+        # diffcache and leave the index alone.
+        root = write_flat_store(tmp_path / "flat",
+                                {"a": simple_trace([1], name="a")})
+        assert main(["cache", "clear", str(root)]) == 0
+        assert "cleared 0" in capsys.readouterr().out
+        assert (root / "store.json").exists()
 
     def test_cache_prune_needs_a_criterion(self, populated_store):
         with pytest.raises(SystemExit, match="--keep"):

@@ -1,5 +1,5 @@
 """The persistent trace catalog (:mod:`repro.index`) and the sharded
-store layout it rides on.
+store layout it rides on, including the conversion of flat stores.
 
 The acceptance bar for queries is *index-only reads*: catalog lookups
 on a 1k-trace store must never open a trace file, which the tests
@@ -7,17 +7,19 @@ assert by poisoning every trace-file reader the store layer knows.
 """
 
 import json
+import threading
 import time
 
 import pytest
 
+from repro.analysis.cli import main
 from repro.api.session import Session
 from repro.api.store import SHARDS_DIR, TraceStore, shard_of
 from repro.cache import DiffCache
 from repro.index import (SKETCH_SIZE, TraceIndex, TraceIndexRecord,
                          sketch_overlap, trace_sketch)
 
-from helpers import simple_trace
+from helpers import simple_trace, write_flat_store
 
 
 def _record(key, digest="d0", fingerprint="f0", tags=(), scenario="",
@@ -303,7 +305,7 @@ class TestStoreCatalogMaintenance:
 
 class TestShardedLayout:
     def test_sharded_roundtrip(self, tmp_path):
-        store = TraceStore(tmp_path / "store", layout="sharded")
+        store = TraceStore(tmp_path / "store")
         trace = simple_trace([1, 2, 3], name="ns/key")
         store.save(trace, key="ns/key", tags=("x",))
         expected_dir = (store.root / SHARDS_DIR / shard_of("ns/key"))
@@ -316,66 +318,142 @@ class TestShardedLayout:
         assert store.keys() == []
 
     def test_auto_detection_on_reopen(self, tmp_path):
-        TraceStore(tmp_path / "store", layout="sharded")
-        reopened = TraceStore(tmp_path / "store")
-        assert reopened.sharded
+        # A fresh directory is sharded at once and reopens as it is.
+        root = tmp_path / "store"
+        assert TraceStore(root).migration is None
+        assert [p.name for p in root.iterdir()] == [SHARDS_DIR]
+        assert TraceStore(root).migration is None
+        assert [p.name for p in root.iterdir()] == [SHARDS_DIR]
+
+    def test_sharded_layout_still_accepted(self, tmp_path):
+        store = TraceStore(tmp_path / "store", layout="sharded")
+        assert (store.root / SHARDS_DIR).is_dir()
 
     def test_flat_layout_on_sharded_store_refused(self, tmp_path):
-        TraceStore(tmp_path / "store", layout="sharded")
         with pytest.raises(ValueError, match="sharded"):
             TraceStore(tmp_path / "store", layout="flat")
+        assert not (tmp_path / "store").exists()
 
     def test_unknown_layout_refused(self, tmp_path):
-        with pytest.raises(ValueError, match="layout"):
-            TraceStore(tmp_path / "store", layout="bogus")
+        for layout in ("auto", "bogus"):
+            with pytest.raises(ValueError, match="layout"):
+                TraceStore(tmp_path / "store", layout=layout)
 
     def test_migration_moves_files_and_keeps_tags(self, tmp_path):
-        root = tmp_path / "store"
-        flat = TraceStore(root)
-        for n in range(8):
-            flat.save(simple_trace([n], name=f"t{n}"), key=f"t{n}",
-                      tags=(f"tag{n}",))
-        migrated = TraceStore(root, layout="sharded")
-        assert migrated.sharded
-        assert len(list(root.glob("*.jsonl"))) == 0  # no flat remnants
-        assert set(migrated.keys()) == {f"t{n}" for n in range(8)}
-        for n in range(8):
-            record = migrated.get(f"t{n}")
-            assert record.tags == (f"tag{n}",)
-            assert migrated.load(f"t{n}").name == f"t{n}"
+        traces = {key: simple_trace([n], name=key) for n, key in
+                  enumerate(["ns/key"] + [f"t{n}" for n in range(8)])}
+        tags = {key: (f"tag-{key}",) for key in traces}
+        root = write_flat_store(tmp_path / "store", traces, tags)
+        migrated = TraceStore(root)
+        assert migrated.migration == {"moved": 9, "dropped": 0}
+        assert not (root / "store.json").exists()
+        assert list(root.glob("*.jsonl")) == []  # no flat remnants
+        assert set(migrated.keys()) == set(traces)
+        for key, trace in traces.items():
+            record = migrated.get(key)
+            assert record.tags == tags[key]
+            assert record.path.parent == root / SHARDS_DIR / shard_of(key)
+            assert migrated.load(key).content_digest() == \
+                trace.content_digest()
 
     def test_migration_is_idempotent(self, tmp_path):
-        root = tmp_path / "store"
-        flat = TraceStore(root)
-        flat.save(simple_trace([1], name="a"), key="a")
-        sharded = TraceStore(root, layout="sharded")
-        assert sharded.migrate_to_sharded() == 0  # nothing left to move
-        assert sharded.keys() == ["a"]
+        root = write_flat_store(tmp_path / "store",
+                                {"a": simple_trace([1], name="a")})
+        store = TraceStore(root)
+        assert store.migrate_to_sharded() == {"moved": 0, "dropped": 0}
+        assert TraceStore(root).migration is None
+        assert store.keys() == ["a"]
 
     def test_flat_remnants_resolve_and_are_adopted(self, tmp_path):
-        # A crashed migration leaves files at the flat root; reads must
-        # still resolve them and mutations adopt them into their shard.
-        root = tmp_path / "store"
-        flat = TraceStore(root)
-        flat.save(simple_trace([1], name="a"), key="a", tags=("x",))
-        flat.save(simple_trace([2], name="b"), key="b")
-        (root / SHARDS_DIR).mkdir()  # "migration" that moved nothing
+        # A crashed migration leaves files at the root beside shards.d;
+        # the next open moves them into their shards.
+        root = write_flat_store(tmp_path / "store",
+                                {"a": simple_trace([1], name="a"),
+                                 "b": simple_trace([2], name="b")},
+                                tags={"a": ("x",)})
+        (root / SHARDS_DIR).mkdir()
         store = TraceStore(root)
-        assert store.sharded
+        assert store.migration == {"moved": 2, "dropped": 0}
         assert set(store.keys()) == {"a", "b"}
         assert store.load("a").name == "a"
-        store.tag("a", "y")  # adoption: the file moves into its shard
         assert store._path_for("a").parent == \
             root / SHARDS_DIR / shard_of("a")
-        assert set(store.get("a").tags) >= {"y"}
+        assert store.get("a").tags == ("x",)
+
+    def test_deleted_remnant_key_is_gone_from_every_listing(self,
+                                                            tmp_path):
+        root = write_flat_store(tmp_path / "store",
+                                {"a": simple_trace([1], name="a")})
+        (root / SHARDS_DIR).mkdir()
+        store = TraceStore(root)
+        store.delete("a")
+        assert "a" not in store
+        assert store.keys() == [] and len(store) == 0
+        assert TraceStore(root).keys() == []
+
+    def test_rerun_migration_keeps_the_newer_shard_copy(self, tmp_path,
+                                                        capsys):
+        # shards.d beside flat files is a crashed migration; a save
+        # made since then is newer than the root copy of its key.
+        root = tmp_path / "store"
+        (root / SHARDS_DIR).mkdir(parents=True)
+        new = simple_trace([4, 5], name="new")
+        TraceStore(root).save(new, key="a", tags=("fresh",))
+        write_flat_store(root, {"a": simple_trace([1, 2, 3], name="old")},
+                         tags={"a": ("stale",)})
+        assert main(["store", "migrate", str(root)]) == 0
+        store = TraceStore(root)
+        assert store.load("a").content_digest() == new.content_digest()
+        assert store.get("a").tags == ("fresh",)
+        assert list(root.glob("*.jsonl")) == []
+        assert "1 stale root cop(ies) dropped" in capsys.readouterr().out
+
+    def test_migration_index_write_holds_the_shard_lock(self, tmp_path,
+                                                        monkeypatch):
+        # A tag on another key of the shard being migrated lands
+        # between the migration's index read and its write: it must
+        # wait for the write, not be overwritten by it.
+        root = tmp_path / "store"
+        (root / SHARDS_DIR).mkdir(parents=True)
+        neighbour = next(key for key in (f"b{n}" for n in range(4096))
+                         if shard_of(key) == shard_of("a"))
+        tagger = TraceStore(root)
+        tagger.save(simple_trace([2], name="b"), key=neighbour)
+        write_flat_store(root, {"a": simple_trace([1], name="a")})
+
+        read_index = TraceStore._read_index
+        tagged = threading.Event()
+        racers = []
+
+        def tag():
+            tagger.tag(neighbour, "kept")
+            tagged.set()
+
+        def racing_read(store, shard):
+            index = read_index(store, shard)
+            if store is not tagger and not racers:
+                racers.append(threading.Thread(target=tag))
+                racers[0].start()
+                # Returns as soon as the tag lands; under the shard
+                # lock it cannot, and this times out instead.
+                tagged.wait(timeout=1.0)
+            return index
+
+        monkeypatch.setattr(TraceStore, "_read_index", racing_read)
+        TraceStore(root).migrate_to_sharded()
+        assert racers, "the migration never read the shard index"
+        racers[0].join(timeout=10)
+        assert not racers[0].is_alive()
+        monkeypatch.undo()
+        store = TraceStore(root)
+        assert store.get(neighbour).tags == ("kept",)
+        assert store.load("a").name == "a"
 
     def test_session_cache_shards_with_the_store(self, tmp_path):
-        for layout in ("sharded", "flat"):
-            store = TraceStore(tmp_path / layout, layout=layout)
-            session = Session(store=store, cache=True)
-            session.cache.put_wire("abcdef", {})
-            assert (store.root / "diffcache" / "ab"
-                    / "abcdef.json").exists()
+        store = TraceStore(tmp_path / "store")
+        session = Session(store=store, cache=True)
+        session.cache.put_wire("abcdef", {})
+        assert (store.root / "diffcache" / "ab" / "abcdef.json").exists()
 
 
 def write_flat_entry(cache_dir, key, result):
@@ -395,11 +473,13 @@ class TestShardedDiffCache:
         wire = cache._disk_read("abcdef")
         assert wire["key"] == "abcdef" and wire["result"] == {"w": 1}
 
-    def test_flat_entries_stay_readable_after_sharding(self, tmp_path):
+    def test_flat_root_entries_are_misses(self, tmp_path):
         write_flat_entry(tmp_path / "cache", "deadbeef", {"x": 2})
-        wire = DiffCache(tmp_path / "cache")._disk_read("deadbeef")
-        assert wire["key"] == "deadbeef"
-        assert wire["result"] == {"x": 2}
+        cache = DiffCache(tmp_path / "cache")
+        assert cache._disk_read("deadbeef") is None
+        assert cache.stats().disk_entries == 1
+        assert cache.clear() == 1
+        assert not (tmp_path / "cache" / "deadbeef.json").exists()
 
     def test_stats_and_clear_cover_both_layouts(self, tmp_path):
         write_flat_entry(tmp_path / "cache", "11aa", {})
@@ -420,7 +500,7 @@ class TestIndexOnlyQueries:
     TRACES = 1000
 
     def test_queries_never_open_trace_files(self, tmp_path, monkeypatch):
-        store = TraceStore(tmp_path / "store", layout="sharded")
+        store = TraceStore(tmp_path / "store")
         digests = {}
         for n in range(self.TRACES):
             trace = simple_trace([n % 13, n], name=f"t{n:04d}")

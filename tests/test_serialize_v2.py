@@ -18,7 +18,7 @@ from repro.analysis.cli import main
 from repro.analysis.serialize import (iter_entries, load_trace, loads_trace,
                                       read_header, read_key_table,
                                       save_trace)
-from repro.api.store import TraceStore
+from repro.api.store import SHARDS_DIR, TraceStore
 from repro.core.entries import entries_equal
 from repro.core.keytable import KeyTable
 from repro.core.view_diff import view_diff
@@ -207,19 +207,23 @@ class TestFormatV2:
 
 
 def seed_legacy_store(root):
-    """A flat store holding both fixtures as loose files, tagged."""
-    store = TraceStore(root)
+    """Both fixtures, tagged, in a flat store as older versions wrote
+    it: the files and a ``store.json`` index at the root."""
+    root.mkdir(parents=True)
     for path in FIXTURES.values():
-        shutil.copy(path, store.root / path.name)
-    store.tag("legacy_v1", "one")
-    store.tag("legacy_v2", "two", "text")
-    return store
+        shutil.copy(path, root / path.name)
+    tags = {"legacy_v1": ["one"], "legacy_v2": ["text", "two"]}
+    (root / "store.json").write_text(json.dumps({"version": 1, "traces": {
+        key: {"file": f"{key}.jsonl", "tags": tags[key]} for key in tags}}),
+        encoding="utf-8")
+    return root
 
 
 class TestMigrate:
     def test_store_migrate_rewrites_text_as_v3(self, tmp_path, capsys):
-        root = tmp_path / "store"
-        store = seed_legacy_store(root)
+        root = seed_legacy_store(tmp_path / "store")
+        store = TraceStore(root)  # opening converts the flat layout
+        assert store.migration == {"moved": 2, "dropped": 0}
         before = {r.key: (r.tags, store.load(r.key).content_digest())
                   for r in store.records()}
         assert before == {"legacy_v1": (("one",), LEGACY_DIGEST),
@@ -230,10 +234,11 @@ class TestMigrate:
 
         assert main(["store", "migrate", str(root)]) == 0
         out = capsys.readouterr().out
-        assert "to the sharded layout (2 trace(s) moved)" in out
+        assert "already sharded" in out
         assert "format v3: 2 rewritten, 0 already current, 0 failed" in out
         migrated = TraceStore(root)
-        assert migrated.sharded
+        assert (root / SHARDS_DIR).is_dir()
+        assert list(root.glob("*.json*")) == []  # no flat residue
         assert {r.key: r.format for r in migrated.records()} == \
             {"legacy_v1": 3, "legacy_v2": 3}
         after = {r.key: (r.tags, migrated.load(r.key).content_digest())
@@ -246,16 +251,22 @@ class TestMigrate:
         out = capsys.readouterr().out
         assert "v3" in out and "v1" not in out and "v2" not in out
 
-        # Both steps are idempotent: a second run skips every file.
+        # Idempotent: a second run skips every file.
         assert main(["store", "migrate", str(root)]) == 0
         out = capsys.readouterr().out
-        assert "already sharded (0 remnant(s) adopted)" in out
+        assert "already sharded" in out
         assert "format v3: 0 rewritten, 2 already current, 0 failed" in out
 
+        # Run on a flat store, it reports what opening it moved.
+        copy = seed_legacy_store(tmp_path / "copy")
+        assert main(["store", "migrate", str(copy)]) == 0
+        out = capsys.readouterr().out
+        assert "to the sharded layout (2 trace(s) moved, 0 stale root " \
+            "cop(ies) dropped)" in out
+        assert "format v3: 2 rewritten, 0 already current, 0 failed" in out
+
     def test_migrate_reports_unreadable_files(self, tmp_path, capsys):
-        root = tmp_path / "store"
-        seed_legacy_store(root)
-        TraceStore(root).migrate_to_sharded()
+        root = seed_legacy_store(tmp_path / "store")
         store = TraceStore(root)
         victim = store.get("legacy_v1").path
         lines = victim.read_text(encoding="utf-8").splitlines()
@@ -273,8 +284,9 @@ class TestMixedStore:
         store = TraceStore(tmp_path / "store")
         new_style = myfaces_trace(name="new-style")
         store.save(new_style, key="pair/new")
-        # A v1 file dropped in by an older tool, picked up as loose.
+        # A v1 file dropped in by an older tool, picked up on reopen.
         shutil.copy(FIXTURES[1], store.root / "legacy.jsonl")
+        store = TraceStore(store.root)
 
         keys = store.keys()
         assert "pair/new" in keys and "legacy" in keys

@@ -200,6 +200,7 @@ class TestStoreFormats:
     def test_mixed_format_store_diffs(self, tmp_path):
         store = TraceStore(tmp_path / "store")
         shutil.copy(LEGACY_FIXTURES[2], store.root / "old.jsonl")
+        store = TraceStore(store.root)
         new = two_thread_trace([1, 2], [3], name="new")
         store.save(new)
         formats = {r.key: r.format for r in store.records()}
@@ -212,6 +213,7 @@ class TestStoreFormats:
         store = TraceStore(tmp_path / "store")
         for version, path in LEGACY_FIXTURES.items():
             shutil.copy(path, store.root / f"t{version}.jsonl")
+        store = TraceStore(store.root)
         store.save(two_thread_trace([1], [2], name="t3"))
         before = {r.key: store.load(r.key).content_digest()
                   for r in store.records()}

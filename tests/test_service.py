@@ -242,7 +242,7 @@ class TestConcurrentDiffAcceptance:
     REQUESTS = 32
 
     def test_32_concurrent_diffs_bit_identical(self, tmp_path):
-        store = TraceStore(tmp_path / "store", layout="sharded")
+        store = TraceStore(tmp_path / "store")
         session = Session(store=store, cache=False)
         pairs = []
         for n in range(self.PAIRS):

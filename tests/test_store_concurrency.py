@@ -12,14 +12,14 @@ import threading
 
 import pytest
 
-from repro.api.store import INDEX_NAME, LOCK_NAME, TraceStore
+from repro.api.store import (SHARD_INDEX_NAME, SHARD_LOCK_NAME, SHARDS_DIR,
+                              TraceStore, shard_of)
 
 from helpers import simple_trace
 
 
 def _no_temp_litter(root):
-    return [p.name for p in root.iterdir()
-            if p.name.endswith(".tmp")] == []
+    return list(root.rglob("*.tmp")) == []
 
 
 def _write_burst(root, writer_id, keys_per_writer):
@@ -51,7 +51,8 @@ class TestAtomicWrites:
         store = TraceStore(tmp_path / "store")
         store.save(simple_trace([1]), key="a")
         store.tag("a", "x")  # takes the flock, creating the lock file
-        assert (store.root / LOCK_NAME).exists()
+        assert (store.root / SHARDS_DIR / shard_of("a")
+                / SHARD_LOCK_NAME).exists()
         assert store.keys() == ["a"]
 
     def test_overwrite_is_atomic_for_readers(self, tmp_path):
@@ -93,8 +94,11 @@ class TestConcurrentWriters:
         expected = {f"w{w}/t{k}" for w in range(self.WRITERS)
                     for k in range(self.KEYS_EACH)}
         assert set(store.keys()) == expected
-        index = json.loads((root / INDEX_NAME).read_text(encoding="utf-8"))
-        assert set(index["traces"]) == expected
+        indexed = set()
+        for path in root.glob(f"{SHARDS_DIR}/*/{SHARD_INDEX_NAME}"):
+            indexed |= set(json.loads(path.read_text(encoding="utf-8"))
+                           ["traces"])
+        assert indexed == expected
         for key in expected:
             record = store.get(key)
             assert record.tags == (f"writer-{key[1]}",)
@@ -166,7 +170,7 @@ class TestPortableLockFallback:
         store.tag("a", "y")
         assert set(store.get("a").tags) == {"x", "y"}
         # The sidecar lock is released (no .held file left behind).
-        assert not (store.root / (LOCK_NAME + ".held")).exists()
+        assert list(store.root.rglob("*.held")) == []
 
     def test_lock_excludes_and_releases(self, no_fcntl, tmp_path):
         from repro.api.store import locked_file

@@ -72,7 +72,7 @@ def run_threads(workers: int, task) -> list:
 
 @pytest.fixture()
 def store(tmp_path):
-    store = TraceStore(tmp_path / "store", layout="sharded")
+    store = TraceStore(tmp_path / "store")
     store.save(simple_trace([1, 2, 3], name="a1"), key="a")
     store.save(simple_trace([4, 5], name="b1"), key="b")
     return store

@@ -1,6 +1,6 @@
 """Tests for the MyFaces motivating-example workload."""
 
-from repro.analysis.rprism import RPrism
+from repro.api import Session
 from repro.capture import TraceFilter
 from repro.core.regression import evaluate_against_truth
 from repro.workloads.myfaces.common import (HttpRequest, Logger,
@@ -58,8 +58,7 @@ class TestVersionBehaviour:
 
 class TestRegressionAnalysis:
     def test_cause_identified_with_few_candidates(self):
-        tool = RPrism(filter=FILTER)
-        outcome = tool.analyze_regression_scenario(
+        outcome = Session(filter=FILTER).run_scenario(
             run_old_version, run_new_version,
             regressing_input=REGRESSING_REQUEST,
             correct_input=CORRECT_REQUEST)
@@ -75,8 +74,7 @@ class TestRegressionAnalysis:
     def test_expected_set_is_small(self):
         # On the correct input both versions behave the same; only the
         # refactoring shows up.
-        tool = RPrism(filter=FILTER)
-        outcome = tool.analyze_regression_scenario(
+        outcome = Session(filter=FILTER).run_scenario(
             run_old_version, run_new_version,
             regressing_input=REGRESSING_REQUEST,
             correct_input=CORRECT_REQUEST)
@@ -85,8 +83,7 @@ class TestRegressionAnalysis:
             len(outcome.suspected.sequences)
 
     def test_logger_activity_not_in_candidates(self):
-        tool = RPrism(filter=FILTER)
-        outcome = tool.analyze_regression_scenario(
+        outcome = Session(filter=FILTER).run_scenario(
             run_old_version, run_new_version,
             regressing_input=REGRESSING_REQUEST,
             correct_input=CORRECT_REQUEST)
