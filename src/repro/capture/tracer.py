@@ -74,8 +74,10 @@ class Tracer:
     """Records an execution trace of the code run within the context.
 
     ``key_table`` interns every recorded entry's ``=e`` key at capture
-    time (the ingest half of the interned data layer): the finished
-    trace carries its id column, so diffing it never rebuilds a key.
+    time (the ingest half of the interned data layer): the builder
+    interns into a dict of its own while recording and merges it into
+    ``key_table`` when the trace is built, so the finished trace
+    carries its id column and diffing it never rebuilds a key.
 
     Cost model: ``sys.settrace`` calls :meth:`_trace` for every Python
     frame, and Python code that runs outside a trace callback runs

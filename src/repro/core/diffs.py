@@ -376,7 +376,7 @@ def build_sequences(left: Trace, right: Trace,
         if l_eid in pos_l and r_eid in pos_r:
             boundaries.append((pos_l[l_eid], pos_r[r_eid]))
     boundaries.append((len(eids_l), len(eids_r)))
-    return gap_sequences(boundaries,
+    return gap_sequences(zip(boundaries, boundaries[1:]),
                          _gap_reader(left.entries, eids_l, similar_left),
                          _gap_reader(right.entries, eids_r, similar_right))
 
@@ -389,17 +389,18 @@ def _gap_reader(entries, eids, similar: set[int]):
     return take
 
 
-def gap_sequences(boundaries: list[tuple[int, int]], left_gap, right_gap,
-                  ) -> list[DifferenceSequence]:
+def gap_sequences(frames, left_gap, right_gap) -> list[DifferenceSequence]:
     """The difference sequences between consecutive matched rows.
 
-    ``boundaries`` lists the matched (left row, right row) positions in
-    order, framed by ``(-1, -1)`` and ``(len(left rows), len(right
-    rows))``.  ``left_gap(lo, hi)`` / ``right_gap(lo, hi)`` return the
-    differing entries among rows ``lo..hi-1`` of their side.
+    ``frames`` yields, in order, the ``((left row, right row), (left
+    row, right row))`` positions of two matches with no match between
+    them; the first frame starts at ``(-1, -1)`` and the last ends at
+    ``(len(left rows), len(right rows))``.  ``left_gap(lo, hi)`` /
+    ``right_gap(lo, hi)`` return the differing entries among rows
+    ``lo..hi-1`` of their side.
     """
     sequences: list[DifferenceSequence] = []
-    for (prev_l, prev_r), (next_l, next_r) in zip(boundaries, boundaries[1:]):
+    for (prev_l, prev_r), (next_l, next_r) in frames:
         if next_l - prev_l <= 1 and next_r - prev_r <= 1:
             continue  # adjacent matches: no gap on either side
         left = left_gap(prev_l + 1, next_l)

@@ -11,7 +11,12 @@ of walking tuple structure.
 Sharing model: one table per diff *pair* is the baseline — both traces
 interned against the same table get directly comparable ids.  Tables may
 also be longer-lived (a capture session interning at ingest, a v2 trace
-file carrying its table); :meth:`KeyTable.ids_for` bridges the cases by
+file carrying its table).  A capture interns into a dict of its own and
+merges it into the session's table once, when the trace is built
+(:meth:`~repro.core.traces.TraceBuilder.build`, through
+:meth:`KeyTable.intern_keys`), so recording an entry takes no lock and
+a serial capture gets the ids entry-by-entry interning would have
+given.  :meth:`KeyTable.ids_for` bridges the cases by
 reusing a carried column when the trace was interned against *this*
 table, translating it (one intern per *distinct* key, not per entry)
 when it was interned against another, and interning entry by entry only
@@ -74,16 +79,23 @@ class KeyTable:
             self._keys.append(key)
         return kid
 
-    def intern_key(self, key) -> int:
-        """Intern one freshly built entry key (the ingest-time hook):
-        counts one key construction and takes the lock once."""
+    def intern_keys(self, keys: Iterable, constructions: int = 0,
+                    ) -> list[int]:
+        """The ids of ``keys``, interned in order under one lock.
+
+        ``constructions`` counts entry keys the caller built to get
+        ``keys`` (a :class:`~repro.core.traces.TraceBuilder` merging
+        its capture-local keys passes one per recorded entry)."""
+        with self._lock:
+            self.key_constructions += constructions
+            return [self._intern_locked(key) for key in keys]
+
+    def intern_entry(self, entry: "TraceEntry") -> int:
+        """Intern one entry's ``=e`` key (one key construction)."""
+        key = entry.key()
         with self._lock:
             self.key_constructions += 1
             return self._intern_locked(key)
-
-    def intern_entry(self, entry: "TraceEntry") -> int:
-        """Intern one entry's ``=e`` key."""
-        return self.intern_key(entry.key())
 
     def intern_entries(self, entries: Iterable["TraceEntry"]) -> array:
         """Intern a whole entry sequence into an id column."""
@@ -119,16 +131,13 @@ class KeyTable:
     def translate(self, keys: Sequence, column: Sequence[int]) -> array:
         """Re-express a foreign id ``column`` (whose ids index ``keys``)
         in this table's id space: one intern per distinct key *used by
-        the column* — a small trace never drags a big foreign table's
-        unrelated keys into this one."""
-        mapping: dict[int, int] = {}
-        out = array("I")
-        for kid in column:
-            nid = mapping.get(kid)
-            if nid is None:
-                nid = mapping[kid] = self.intern(keys[kid])
-            out.append(nid)
-        return out
+        the column*, in order of first use and under one lock — a small
+        trace never drags a big foreign table's unrelated keys into
+        this one."""
+        used = list(dict.fromkeys(column))
+        mapping = dict(zip(used, self.intern_keys([keys[kid]
+                                                   for kid in used])))
+        return array("I", map(mapping.__getitem__, column))
 
     def ids_for(self, trace: "Trace") -> array:
         """The interned id column of ``trace``.

@@ -165,6 +165,14 @@ def lcs_dp(a: Sequence, b: Sequence, key: Callable | None = None,
     that way under the textbook tie rule (up when ``table[i-1][j] >=
     table[i][j-1]``), so the matched pairs are those of the scalar
     table (:func:`repro.core.kernels.scalar.dp_table`).
+
+    The traceback starts at ``(n, m)`` and takes a match first, so it
+    walks a common suffix diagonally whatever the table holds: the
+    suffix is peeled before the table is filled, and equal sides need
+    no table at all.  A common *prefix* may not be peeled — against
+    ``[x, y]``, ``[x, x, y]`` pairs the left ``x`` with the right
+    *second* ``x``.  The budget request and the compare credit are
+    those of the whole table.
     """
     a_keys = _keys(a, key)
     b_keys = _keys(b, key)
@@ -175,10 +183,18 @@ def lcs_dp(a: Sequence, b: Sequence, key: Callable | None = None,
         return LcsResult()
     if counter is not None:
         counter.bump(n * m)
+    i, j = n, m
+    tail = None
+    if a_keys[-1] == b_keys[-1]:
+        suffix = bitvector.common_run_back(a_keys, b_keys, n, m, min(n, m))
+        i, j = n - suffix, m - suffix
+        tail = list(zip(range(i, n), range(j, m)))
+        if i == 0 or j == 0:
+            return LcsResult(tail)
+        a_keys, b_keys = a_keys[:i], b_keys[:j]
     rows = bitvector.bit_rows(a_keys, b_keys)
     pairs: list[tuple[int, int]] = []
-    i, j = n, m
-    row = rows[n]
+    row = rows[i]
     cell = row.bit_count()  # table[i][j]
     while i > 0 and j > 0:
         if a_keys[i - 1] == b_keys[j - 1]:
@@ -198,6 +214,8 @@ def lcs_dp(a: Sequence, b: Sequence, key: Callable | None = None,
             j -= 1
             cell = left
     pairs.reverse()
+    if tail:
+        pairs.extend(tail)
     return LcsResult(pairs)
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 from array import array
+from itertools import islice
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 from repro.core.entries import TraceEntry
@@ -455,8 +456,14 @@ class TraceBuilder:
         self.name = name
         self.registry = ObjectRegistry()
         self.key_table = key_table
+        #: Capture-local interning: key -> local id (in order of first
+        #: appearance), the local id of every row, and the shared
+        #: table's id of each local id merged so far (see build).
+        self._local_ids: dict = {}
         self._key_ids: array | None = None if key_table is None \
             else array("I")
+        self._shared_ids: list[int] = []
+        self._merged_rows = 0
         self._rows: list[tuple] = []
         #: tid -> open frames, innermost last.
         self._stacks: dict[int, list[tuple]] = {}
@@ -505,16 +512,23 @@ class TraceBuilder:
         ``key`` is the event's ``=e`` key when the caller has already
         built it from the representations it holds (the capture layer
         does); it must equal the event's ``key()``, which is used
-        otherwise.  It is interned exactly once here and compared as an
-        int everywhere downstream.
+        otherwise.  With a key table it is interned exactly once, into
+        the builder's own dict (callers serialise recording, so no lock
+        is taken); :meth:`build` merges those keys into the shared
+        table.  Downstream it is compared as an int everywhere.
         """
         stack = self._stacks[tid]
         row = (tid, stack[-1] if stack else None, code, target, b, c)
         rows = self._rows
         rows.append(row)
         if self._key_ids is not None:
-            self._key_ids.append(self.key_table.intern_key(
-                _row_event(row).key() if key is None else key))
+            if key is None:
+                key = _row_event(row).key()
+            ids = self._local_ids
+            kid = ids.get(key)
+            if kid is None:
+                kid = ids[key] = len(ids)
+            self._key_ids.append(kid)
         return len(rows) - 1
 
     # -- object creation ----------------------------------------------------
@@ -599,11 +613,24 @@ class TraceBuilder:
         return len(self._rows)
 
     def build(self, metadata: dict | None = None) -> Trace:
-        """A trace over a snapshot of the rows recorded so far."""
+        """A trace over a snapshot of the rows recorded so far.
+
+        With a key table, the local keys not merged yet go into it
+        under one lock, in order of first appearance, and the local id
+        column is translated once: without concurrent interning into
+        the same table, the ids are those of interning each entry as
+        it was recorded.
+        """
         entries = LazyEntrySequence(_Rows(list(self._rows)),
                                     len(self._rows))
         if self._key_ids is None:
             return Trace(entries, name=self.name, metadata=metadata)
+        shared = self._shared_ids
+        shared.extend(self.key_table.intern_keys(
+            islice(self._local_ids, len(shared), None),
+            constructions=len(self._rows) - self._merged_rows))
+        self._merged_rows = len(self._rows)
         return Trace(entries, name=self.name, metadata=metadata,
                      key_table=self.key_table,
-                     key_ids=array("I", self._key_ids))
+                     key_ids=array("I", map(shared.__getitem__,
+                                            self._key_ids)))

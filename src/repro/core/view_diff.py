@@ -17,7 +17,14 @@ Each pair of correlated thread views is evaluated in lock step:
 The implementation is linear in time and space: windows are constant-size,
 each (view-pair, window) is explored at most once, and the
 next-correspondence search's overshoot is bounded by the distance actually
-skipped.
+skipped.  Nothing is done twice that is known to repeat: a NOMATCH step
+generates no candidate that repeats a bucket it has already seen (per
+right view only the first slot of each window bucket, and a left
+``(type, view, bucket)`` group already expanded in the step adds only
+its same-distance candidate); the window LCS
+(:func:`~repro.core.lcs.lcs_dp`) peels the common suffix; and the
+pending anchors are a heap, so the next-correspondence search reads the
+nearest one instead of re-filtering a list.
 
 The engine runs on integer columns.  Each trace's view index
 (:mod:`repro.core.web`, built once per trace and view type) places
@@ -40,6 +47,7 @@ import time
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from operator import itemgetter
 
 from repro.core.anchors import AnchorConfig, select_anchor_runs
@@ -187,9 +195,15 @@ class _ThreadPairDiffer:
         # bucket is ``view position // max(omega, 1)``.
         self._explored: set[tuple] = set()
         self._bucket = max(config.window, 1)
-        # Anchored positions (in the two thread views) found by secondary
-        # view exploration and still ahead of the scan.
-        self._pending_anchors: list[tuple[int, int]] = []
+        self.runs: list[tuple[int, int, int]] = []
+        # Anchored positions (apl, apr) in the two thread views found by
+        # secondary view exploration: this step's, in the order found,
+        # and the earlier steps' still ahead of the scan, as a heap of
+        # (apl + apr, insertion seq, (apl, apr)) holding each pair once
+        # (see _next_correspondence).
+        self._new_anchors: list[tuple[int, int]] = []
+        self._pending_anchors: list[tuple[int, int, tuple[int, int]]] = []
+        self._anchors_seen: set[tuple[int, int]] = set()
         # Anchored evaluation: (run start left, run start right) ->
         # run length, bulk-matched compare-free when the scan lands on
         # a start exactly aligned (see ViewDiffConfig.anchored).
@@ -221,12 +235,15 @@ class _ThreadPairDiffer:
 
     def run(self) -> list[tuple[int, int]]:
         """Evaluate the pair, returning the monotonic match pairs
-        (left position, right position)."""
+        (left position, right position).  The same matches, as runs
+        ``(left, right, length)`` of thread-view positions in scan
+        order, are left in ``self.runs``."""
         lkeys, rkeys = self.lkeys, self.rkeys
         indices_l, indices_r = self.lidx, self.ridx
         similar_left, similar_right = self.similar_left, self.similar_right
         n, m = len(lkeys), len(rkeys)
         match_pairs: list[tuple[int, int]] = []
+        runs = self.runs
         anchor_starts = self._anchor_starts
         diag_starts = self._diag_starts
         common_run = bitvector.common_run
@@ -245,6 +262,7 @@ class _ThreadPairDiffer:
                     similar_left.update(left_run)
                     similar_right.update(right_run)
                     match_pairs.extend(zip(left_run, right_run))
+                    runs.append((i, j, run_length))
                     i += run_length
                     j += run_length
                     continue
@@ -276,6 +294,7 @@ class _ThreadPairDiffer:
                 similar_left.update(left_run)
                 similar_right.update(right_run)
                 match_pairs.extend(zip(left_run, right_run))
+                runs.append((i, j, run))
                 i += run
                 j += run
                 continue
@@ -306,6 +325,7 @@ class _ThreadPairDiffer:
             self.similar_left.add(left)
             self.similar_right.add(right)
             match_pairs.append((left, right))
+            self.runs.append((i + wi, j + wj, 1))
 
     # -- LinkedSimilarEntries (SIMILAR-FROM-LINKED-VIEWS) ----------------------
 
@@ -320,13 +340,20 @@ class _ThreadPairDiffer:
         entries sit at the same distance from the heads.  Each
         (view pair, window bucket) is explored at most once per thread
         pair; a repeat is not counted against ``max_secondary_pairs``.
+
+        Explorations run in (tau_5, tau_6, view type) order and the cap
+        is checked before each tau_6 slot, but candidates known to
+        repeat an earlier bucket of this step are never generated: per
+        right view only the first slot of each window bucket is a
+        correlated candidate, and a left (type, view, bucket) group
+        already expanded at an earlier tau_5 adds only its
+        same-distance candidate.
         """
         config = self.config
         secondary = self.plan.secondary()
         lidx, ridx = self.lidx, self.ridx
         radius = config.radius
         cap = config.max_secondary_pairs
-        relaxed = config.relaxed
         width = self._bucket
         explored = self._explored
         explored_now = 0
@@ -334,39 +361,65 @@ class _ThreadPairDiffer:
         hi_l = min(len(lidx), i + radius + 1)
         lo_r = max(0, j - radius)
         hi_r = min(len(ridx), j + radius + 1)
-        # tau_6's (view id, view position) per secondary type, for every
-        # right candidate, resolved once rather than once per tau_5.
+        # Per secondary type: tau_6's (view id, view position) per right
+        # slot, and right view id -> [(slot, view position)] holding the
+        # first slot of each of that view's window buckets.
         right = []
-        for pr in range(lo_r, hi_r):
-            p6 = ridx[pr]
-            right.append((pr - j, [(sec.view_of_r[p6], sec.position_r[p6])
-                                   for sec in secondary]))
+        for sec in secondary:
+            view_of_r, position_r = sec.view_of_r, sec.position_r
+            slots = []
+            firsts: dict[int, list[tuple[int, int]]] = {}
+            buckets = set()
+            for pr in range(lo_r, hi_r):
+                p6 = ridx[pr]
+                vr = view_of_r[p6]
+                pos_r = position_r[p6]
+                slots.append((vr, pos_r))
+                if vr >= 0 and (vr, pos_r // width) not in buckets:
+                    buckets.add((vr, pos_r // width))
+                    firsts.setdefault(vr, []).append((pr, pos_r))
+            right.append((slots, firsts))
+        # Left (type, view, bucket) groups already expanded this step.
+        expanded = set()
+        relaxed = config.relaxed
         for pl in range(lo_l, hi_l):
             p5 = lidx[pl]
-            # tau_5's views, one per secondary type it belongs to.
-            views_l = []
+            # The same-distance slot, when the relaxed rule applies.
+            same = j + pl - i
+            if not relaxed or not lo_r <= same < hi_r:
+                same = -1
+            candidates = []
             for k, sec in enumerate(secondary):
                 vl = sec.view_of_l[p5]
-                if vl >= 0:
-                    views_l.append((k, sec, vl, sec.partner[vl],
-                                    sec.position_l[p5]))
-            if not views_l:
-                continue
-            for distance, views_r in right:
-                if explored_now >= cap:
-                    return
-                same_distance = relaxed and pl - i == distance
-                for k, sec, vl, partner, pos_l in views_l:
-                    vr, pos_r = views_r[k]
-                    if vr < 0 or (partner != vr and not same_distance):
-                        continue
-                    bucket = (sec.tag, vl, vr, pos_l // width,
-                              pos_r // width)
-                    if bucket in explored:
-                        continue
-                    explored.add(bucket)
-                    self._explore_view_pair(sec, vl, vr, pos_l, pos_r)
-                    explored_now += 1
+                if vl < 0:
+                    continue
+                pos_l = sec.position_l[p5]
+                partner = sec.partner[vl]
+                slots, firsts = right[k]
+                group = (k, vl, pos_l // width)
+                if group not in expanded:
+                    expanded.add(group)
+                    for pr, pos_r in firsts.get(partner, ()):
+                        candidates.append((pr, k, vl, partner, pos_l,
+                                           pos_r))
+                if same >= 0:
+                    vr, pos_r = slots[same - lo_r]
+                    if vr >= 0 and vr != partner:
+                        candidates.append((same, k, vl, vr, pos_l, pos_r))
+            candidates.sort()
+            slot = -1
+            for pr, k, vl, vr, pos_l, pos_r in candidates:
+                if pr != slot:
+                    if explored_now >= cap:
+                        return
+                    slot = pr
+                sec = secondary[k]
+                bucket = (sec.tag, vl, vr, pos_l // width, pos_r // width)
+                if bucket in explored:
+                    continue
+                explored.add(bucket)
+                self._explore_view_pair(sec, vl, vr, pos_l, pos_r)
+                explored_now += 1
 
     def _explore_view_pair(self, sec: _Secondary, vl: int, vr: int,
                            pos_l: int, pos_r: int) -> None:
@@ -379,20 +432,21 @@ class _ThreadPairDiffer:
         index_r, keys_r = plan.window(sec.tag, vr, sec.members_r[vr],
                                       pos_r, plan.keys_r,
                                       plan.window_keys_r)
-        lcs = lcs_dp(keys_l, keys_r, counter=self.counter)
+        pairs = lcs_dp(keys_l, keys_r, counter=self.counter).pairs
+        lefts = [index_l[wi] for wi, _ in pairs]
+        rights = [index_r[wj] for _, wj in pairs]
+        self.similar_left.update(lefts)
+        self.similar_right.update(rights)
+        self.anchor_pairs.extend(zip(lefts, rights))
+        # Pairs of entries that both live in the main thread views
+        # become correspondence candidates.
         thread_of_l, thread_of_r = self._thread_of_l, self._thread_of_r
+        thread_pos_l, thread_pos_r = self._thread_pos_l, self._thread_pos_r
         lvid, rvid = self.lvid, self.rvid
-        for wi, wj in lcs.pairs:
-            left = index_l[wi]
-            right = index_r[wj]
-            self.similar_left.add(left)
-            self.similar_right.add(right)
-            self.anchor_pairs.append((left, right))
-            # If both anchored entries live in the main thread views,
-            # they become correspondence candidates.
-            if thread_of_l[left] == lvid and thread_of_r[right] == rvid:
-                self._pending_anchors.append(
-                    (self._thread_pos_l[left], self._thread_pos_r[right]))
+        self._new_anchors.extend([
+            (thread_pos_l[left], thread_pos_r[right])
+            for left, right in zip(lefts, rights)
+            if thread_of_l[left] == lvid and thread_of_r[right] == rvid])
 
     # -- next point of correspondence -----------------------------------------
 
@@ -405,15 +459,26 @@ class _ThreadPairDiffer:
         n, m = len(lkeys), len(rkeys)
         best: tuple[int, int] | None = None
         best_cost: int | None = None
-        # Anchor candidates strictly ahead of (i, j).
-        kept_anchors = []
-        for apl, apr in self._pending_anchors:
-            if apl >= i and apr >= j:
-                kept_anchors.append((apl, apr))
-                cost = (apl - i) + (apr - j)
-                if best_cost is None or cost < best_cost:
-                    best, best_cost = (apl, apr), cost
-        self._pending_anchors = kept_anchors
+        # The nearest anchor candidate at or ahead of (i, j), the first
+        # found on a tie.  The scan only moves forward, so an anchor
+        # behind it is dropped for good: this step's anchors join the
+        # heap only when ahead and not already in it, and the heap top
+        # is popped until it is ahead.
+        heap = self._pending_anchors
+        if self._new_anchors:
+            seen = self._anchors_seen
+            for anchor in self._new_anchors:
+                if anchor[0] >= i and anchor[1] >= j and anchor not in seen:
+                    seen.add(anchor)
+                    heappush(heap, (anchor[0] + anchor[1], len(seen),
+                                    anchor))
+            self._new_anchors.clear()
+        while heap:
+            cost, _seq, anchor = heap[0]
+            if anchor[0] >= i and anchor[1] >= j:
+                best, best_cost = anchor, cost - i - j
+                break
+            heappop(heap)
         # Forward scan over left positions, bisecting into right positions.
         limit = n
         if self.config.scan_limit is not None:
@@ -461,6 +526,9 @@ class PairMarks:
     match_pairs: list[tuple[int, int]] = field(default_factory=list)
     anchor_pairs: list[tuple[int, int]] = field(default_factory=list)
     compares: int = 0
+    #: The matches as runs ``(left, right, length)`` of thread-view
+    #: positions, in scan order: sequences are cut between runs.
+    runs: list[tuple[int, int, int]] = field(default_factory=list)
 
 
 class ViewDiffPlan:
@@ -569,6 +637,7 @@ class ViewDiffPlan:
             self, ltid, rtid, counter, marks.similar_left,
             marks.similar_right, marks.anchor_pairs)
         marks.match_pairs = differ.run()
+        marks.runs = differ.runs
         marks.compares = counter.total
         return marks
 
@@ -606,13 +675,16 @@ class ViewDiffPlan:
         for mark in marks:
             rows_l = threads_l.members[threads_l.by_key[mark.ltid]]
             rows_r = threads_r.members[threads_r.by_key[mark.rtid]]
-            at_l, at_r = threads_l.position, threads_r.position
-            boundaries = [(-1, -1)]
-            boundaries.extend(_map_pairs(mark.match_pairs, at_l.__getitem__,
-                                         at_r.__getitem__))
-            boundaries.append((len(rows_l), len(rows_r)))
+            # Inside a run every match is adjacent to the next, so the
+            # only gaps lie between one run's end and the next's start.
+            ends = [(-1, -1)]
+            ends.extend((i + length - 1, j + length - 1)
+                        for i, j, length in mark.runs)
+            starts = [(i, j) for i, j, _length in mark.runs]
+            starts.append((len(rows_l), len(rows_r)))
             sequences.extend(gap_sequences(
-                boundaries, _differing(entries_l, rows_l, similar_left),
+                zip(ends, starts),
+                _differing(entries_l, rows_l, similar_left),
                 _differing(entries_r, rows_r, similar_right)))
 
         # Uncorrelated threads: every entry is a difference.

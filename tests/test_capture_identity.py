@@ -180,6 +180,65 @@ def test_derby_keys_agree_with_event_keys():
         <= set(trace.event_kinds())
 
 
+# -- capture-local interning ---------------------------------------------------
+
+def test_serial_capture_ids_are_entry_order_interning():
+    """A capture interns into its own dict and merges at build, in order
+    of first appearance: alone on its table it gets exactly the ids of
+    interning the entries one by one."""
+    func, args, trace_filter = role_capture("Xalan-1725/old/regressing")
+    with CAPTURE_LOCK:
+        trace = trace_call(func, *args, filter=trace_filter,
+                           key_table=KeyTable()).trace
+    assert list(trace.key_ids) == \
+        list(KeyTable().intern_entries(trace.entries))
+
+
+def test_foreign_interning_while_a_capture_runs():
+    """Another thread interns into the session's table during the
+    capture (foreign keys, and keys the capture will also record): the
+    merged column still names each entry's own key, and the table
+    counts one key construction per entry."""
+    from repro.api import Session
+    spec = SCENARIOS["Xalan-1725"]
+    func, args, trace_filter = role_capture("Xalan-1725/old/regressing")
+    with CAPTURE_LOCK:
+        known = trace_call(func, *args, filter=trace_filter,
+                           key_table=KeyTable()).trace
+    known_keys = [entry.key() for entry in known.entries[::-1]]
+    table = KeyTable()
+    session = Session(key_table=table).with_filter(
+        include_modules=spec.filter_modules)
+    started, stop = threading.Event(), threading.Event()
+    interned = []
+
+    def intern_foreign():
+        started.wait()
+        count = 0
+        while not stop.is_set():
+            table.intern(("foreign", count))
+            table.intern(known_keys[count % len(known_keys)])
+            count += 1
+        interned.append(count)
+
+    def run(payload):
+        started.set()
+        return spec.run_new(payload)
+
+    worker = threading.Thread(target=intern_foreign)
+    worker.start()
+    try:
+        trace = session.trace_call(run, spec.regressing_input)
+    finally:
+        started.set()
+        stop.set()
+        worker.join()
+    assert interned[0] > 0 and len(trace) > 0
+    assert all(table.key_of(trace.key_ids[p]) == trace[p].key()
+               for p in range(len(trace)))
+    assert table.key_constructions == len(trace)
+
+
 # -- decision caches ----------------------------------------------------------
 
 class Base:

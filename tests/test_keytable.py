@@ -118,6 +118,24 @@ class TestKeyTable:
         assert table.intern_entry(trace[1]) == trace.key_ids[1]
         assert table.key_constructions == 5
 
+    def test_repeated_builds_merge_only_new_rows(self):
+        """Each build merges the keys recorded since the last one: the
+        later snapshot extends the earlier one's ids, and every entry
+        counts one key construction overall."""
+        table = KeyTable()
+        builder = TraceBuilder(key_table=table)
+        tid = builder.main_tid
+        obj = builder.record_init(tid, "A", (), serialization="a")
+        builder.record_set(tid, obj, "f", prim(1))
+        first = builder.build()
+        builder.record_set(tid, obj, "f", prim(2))
+        builder.record_set(tid, obj, "f", prim(1))
+        second = builder.build()
+        assert table.key_constructions == len(second) == 4
+        assert list(second.key_ids[:len(first)]) == list(first.key_ids)
+        assert list(second.key_ids) == \
+            list(KeyTable().intern_entries(second.entries))
+
     def test_for_pair_prefers_common_carried_table(self):
         table = KeyTable()
         left = build_trace([("new",)], "L", key_table=table)

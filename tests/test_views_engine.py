@@ -276,6 +276,43 @@ class TestBitRowLcs:
         assert lcs_dp(a, b).pairs == scalar_traceback(a, b)
 
 
+def assert_peeled_like_the_table(a: list, b: list) -> None:
+    """``lcs_dp`` (which peels the common suffix) against the scalar
+    traceback over the whole table, with the whole table's compare
+    credit and budget request."""
+    counter, budget = OpCounter(), MemoryBudget()
+    assert lcs_dp(a, b, counter=counter, budget=budget).pairs == \
+        scalar_traceback(a, b)
+    assert counter.total == len(a) * len(b)
+    assert budget.peak_cells == (len(a) + 1) * (len(b) + 1)
+
+
+class TestSuffixPeel:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(0, 3), max_size=30))
+    def test_equal_sides(self, a):
+        assert_peeled_like_the_table(a, list(a))
+        assert lcs_dp(a, list(a)).pairs == [(k, k) for k in range(len(a))]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(0, 3), max_size=20),
+           st.lists(st.integers(0, 3), max_size=20),
+           st.lists(st.integers(0, 3), min_size=1, max_size=20))
+    def test_shared_suffix(self, a, b, suffix):
+        assert_peeled_like_the_table(a + suffix, b + suffix)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 3), st.integers(0, 3),
+           st.lists(st.integers(0, 3), max_size=10))
+    def test_repeated_head(self, x, y, tail):
+        """``[x, y]`` against ``[x, x, y]``: the match-first traceback
+        pairs the left ``x`` with the *last* right ``x`` it can reach,
+        which peeling a common prefix would get wrong."""
+        assert_peeled_like_the_table([x, y] + tail, [x, x, y] + tail)
+        if x != y:
+            assert lcs_dp([x, y], [x, x, y]).pairs == [(0, 1), (1, 2)]
+
+
 def renumbered(trace: Trace) -> Trace:
     """A copy of ``trace`` whose eids are its positions."""
     return Trace([dataclasses.replace(entry, eid=pos)
