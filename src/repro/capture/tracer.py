@@ -27,6 +27,7 @@ from typing import NamedTuple
 from repro.capture.filters import TraceFilter
 from repro.capture.objects import GETATTR_HOOK, SETATTR_HOOK
 from repro.capture.values import LiveRegistry, live_value_rep
+from repro.core.collector import collector_paused
 from repro.core.traces import Trace, TraceBuilder
 from repro.core.values import UNIT, ValueRep
 
@@ -89,6 +90,14 @@ class Tracer:
     ``str``/``int`` representations are memoised, objects already seen
     come from the registry's identity map, and each ``=e`` key is built
     from the representations in hand.  All of it dies with the tracer.
+
+    The ``with`` block holds :func:`~repro.core.collector.collector_paused`
+    (an ``__enter__`` that raises takes no hold): the rows are acyclic,
+    so the cyclic collector's passes would find nothing, and the
+    captured program's own cyclic garbage waits until the block ends.
+    Nothing the capture leaves behind refers back to the tracer through
+    a cycle: woven frames clear their ``f_trace`` on return, and a
+    woven thread drops its ``run`` wrapper and the tracer when it ends.
     """
 
     def __init__(self, name: str = "", filter: TraceFilter | None = None,
@@ -120,6 +129,7 @@ class Tracer:
             if _ACTIVE is not None:
                 raise RuntimeError("another Tracer is already active")
             _ACTIVE = self
+        collector_paused().__enter__()
         self._tids[threading.get_ident()] = self.builder.main_tid
         self._previous_trace = sys.gettrace()
         self._original_thread_start = threading.Thread.start
@@ -135,13 +145,16 @@ class Tracer:
             _ACTIVE = None
         # Close any frames left open (e.g. after an exception) and end the
         # main thread.
-        with self._lock:
-            main_tid = self.builder.main_tid
-            while self.builder.stack_depth(main_tid) > 0:
-                self.builder.record_return(main_tid, UNIT)
-            self.builder.record_end(main_tid)
-            self._finished = self.builder.build(
-                metadata={"capture": "settrace"})
+        try:
+            with self._lock:
+                main_tid = self.builder.main_tid
+                while self.builder.stack_depth(main_tid) > 0:
+                    self.builder.record_return(main_tid, UNIT)
+                self.builder.record_end(main_tid)
+                self._finished = self.builder.build(
+                    metadata={"capture": "settrace"})
+        finally:
+            collector_paused().__exit__(None, None, None)
 
     def trace(self) -> Trace:
         """The captured trace (available after the context exits)."""
@@ -189,21 +202,7 @@ class Tracer:
                 return
             with tracer._lock:
                 child_tid = tracer.builder.record_fork(parent_tid)
-            original_run = thread.run
-
-            def run_wrapper():
-                tracer._tids[threading.get_ident()] = child_tid
-                sys.settrace(tracer._trace)
-                try:
-                    original_run()
-                finally:
-                    sys.settrace(None)
-                    with tracer._lock:
-                        while tracer.builder.stack_depth(child_tid) > 0:
-                            tracer.builder.record_return(child_tid, UNIT)
-                        tracer.builder.record_end(child_tid)
-
-            thread.run = run_wrapper
+            thread.run = _woven_run(tracer, thread, child_tid)
             original_start(thread)
 
         return start
@@ -315,6 +314,9 @@ class Tracer:
         """Local trace function of woven frames: records the return."""
         if event != "return":
             return self._return
+        # A returned frame that outlives the call (a traceback a program
+        # keeps) must not keep the tracer alive.
+        frame.f_trace = None
         rep = self.rep(arg)
         tid = self._tid()
         builder = self.builder
@@ -332,13 +334,11 @@ class Tracer:
         """Local trace function of a ``__getattribute__`` wrapper: its
         return value is the attribute read.  A read that raises records
         nothing (the frame stops being traced at the exception)."""
-        if event == "return":
-            if not callable(arg):
-                f_locals = frame.f_locals
-                self._record_field("get", f_locals["self"],
-                                   f_locals["name"], arg)
-        elif event == "exception":
-            frame.f_trace = None
+        frame.f_trace = None
+        if event == "return" and not callable(arg):
+            f_locals = frame.f_locals
+            self._record_field("get", f_locals["self"], f_locals["name"],
+                               arg)
         return None
 
     def _record_field(self, kind: str, obj: object, name: str,
@@ -357,6 +357,32 @@ class Tracer:
                 builder.record_get(tid, obj_rep, name, rep, key)
             else:
                 builder.record_set(tid, obj_rep, name, rep, key)
+
+
+def _woven_run(tracer: Tracer, thread: threading.Thread, tid: int):
+    """``thread.run`` for a thread the capture started: runs the
+    thread's own ``run`` woven as builder thread ``tid`` and closes it
+    in the trace.  When the thread ends it removes itself from
+    ``thread`` and drops the tracer, so a thread object that outlives
+    the capture keeps neither alive."""
+    original_run = thread.run
+
+    def run() -> None:
+        nonlocal tracer, original_run
+        tracer._tids[threading.get_ident()] = tid
+        sys.settrace(tracer._trace)
+        try:
+            original_run()
+        finally:
+            sys.settrace(None)
+            with tracer._lock:
+                while tracer.builder.stack_depth(tid) > 0:
+                    tracer.builder.record_return(tid, UNIT)
+                tracer.builder.record_end(tid)
+            del thread.run
+            tracer = original_run = None
+
+    return run
 
 
 class CaptureResult:
@@ -390,6 +416,8 @@ def trace_call(func, *args, name: str = "",
 
     Exceptions raised by the call are captured in the result rather than
     propagated, so traces of failing (regressing) runs remain available.
+    The call runs with the cyclic collector paused (see :class:`Tracer`),
+    and the captured error's traceback does not keep the tracer alive.
     """
     tracer = Tracer(name=name, filter=filter, record_fields=record_fields,
                     key_table=key_table)
@@ -400,4 +428,9 @@ def trace_call(func, *args, name: str = "",
             result = func(*args, **kwargs)
         except Exception as exc:  # noqa: BLE001 - capture, do not swallow silently
             error = exc
-    return CaptureResult(tracer.trace(), result=result, error=error)
+    try:
+        return CaptureResult(tracer.trace(), result=result, error=error)
+    finally:
+        # ``error.__traceback__`` holds this frame: its locals must not
+        # hold the tracer or the error.
+        del tracer, error, result

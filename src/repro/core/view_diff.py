@@ -52,6 +52,7 @@ from operator import itemgetter
 
 from repro.core.anchors import AnchorConfig, select_anchor_runs
 from repro.core.correlation import ViewCorrelator
+from repro.core.collector import collector_paused
 from repro.core.diffs import DiffResult, DifferenceSequence, gap_sequences
 from repro.core.kernels import bitvector
 from repro.core.keytable import KeyTable
@@ -84,8 +85,9 @@ class ViewDiffConfig:
     scan_limit: int | None = None
     #: Cell cap for aligning the two skipped segments of a NOMATCH step
     #: with a small LCS (recovers equal entries inside the skipped
-    #: region).  Each entry joins at most one such LCS, so the pass stays
-    #: linear; 0 disables it.
+    #: region; only a ``scan_limit`` can leave any there).  Each entry
+    #: joins at most one such LCS, so the pass stays linear; 0 disables
+    #: it.
     skip_lcs_cells: int = 4096
     #: Compare interned key-table ids instead of ``=e`` key tuples.
     #: Interning is a bijection on keys, so the similarity sets are
@@ -310,12 +312,20 @@ class _ThreadPairDiffer:
     def _align_skipped(self, i: int, ni: int, j: int, nj: int,
                        match_pairs: list[tuple[int, int]]) -> None:
         """Recover equal entries inside the skipped NOMATCH region with a
-        small bounded LCS over the two skipped segments."""
+        small bounded LCS over the two skipped segments.
+
+        Without ``scan_limit`` the region holds no equal pair: one would
+        be cheaper than (ni, nj), which :meth:`_next_correspondence`
+        returns as the cheapest ahead.  The LCS is then empty, and only
+        its ``width_l * width_r`` compare credit is taken."""
         cells = self.config.skip_lcs_cells
         width_l = ni - i
         width_r = nj - j
         if cells <= 0 or width_l == 0 or width_r == 0 or \
                 width_l * width_r > cells:
+            return
+        if self.config.scan_limit is None:
+            self.counter.bump(width_l * width_r)
             return
         lcs = lcs_dp(self.lkeys[i:ni], self.rkeys[j:nj],
                      counter=self.counter)
@@ -769,9 +779,15 @@ def view_diff(left: Trace, right: Trace,
     given, the table the traces already carry when it is common to both,
     a fresh pair table otherwise — and every ``=e`` compare below is an
     int compare.  The similarity sets are identical to the tuple path's.
+
+    Everything (plan, thread pairs, merge, lazy view-index builds) runs
+    under :func:`~repro.core.collector.collector_paused`: the columns,
+    indexes and pairs it builds are acyclic, so the cyclic collector
+    has nothing to find in them.
     """
     started = time.perf_counter()
-    plan = ViewDiffPlan(left, right, config=config, web_left=web_left,
-                        web_right=web_right, key_table=key_table)
-    marks = [plan.run_pair(pair) for pair in plan.pairs]
-    return plan.merge(marks, counter=counter, started=started)
+    with collector_paused():
+        plan = ViewDiffPlan(left, right, config=config, web_left=web_left,
+                            web_right=web_right, key_table=key_table)
+        marks = [plan.run_pair(pair) for pair in plan.pairs]
+        return plan.merge(marks, counter=counter, started=started)

@@ -26,7 +26,7 @@ from repro.core.diffs import result_signature
 from repro.core.kernels import scalar
 from repro.core.lcs import MemoryBudget, OpCounter, lcs_dp
 from repro.core.traces import Trace
-from repro.core.view_diff import view_diff
+from repro.core.view_diff import ViewDiffConfig, view_diff
 from repro.core.views import KEY_MAPPINGS, ViewType
 from repro.core.web import TypeIndex, ViewWeb, view_index
 from repro.workloads.harness import SCENARIOS, capture_scenario_trace
@@ -101,6 +101,35 @@ class TestPinnedCaseStudies:
         digest, compares = PINNED[(case, which)]
         assert result.counter.total == compares
         assert signature_digest(result) == digest
+
+
+class TestSkippedRegion:
+    def test_no_skip_lcs_without_scan_limit(self, case_traces, monkeypatch):
+        """Without ``scan_limit`` the region a NOMATCH step skips holds no
+        equal pair, so its LCS is never built; a limit no scan reaches
+        runs the same scan with the LCS, and credits the same compares
+        for the same result."""
+        callers = []
+
+        def counted(*args, **kwargs):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return lcs_dp(*args, **kwargs)
+
+        monkeypatch.setattr(sys.modules["repro.core.view_diff"], "lcs_dp",
+                            counted)
+        unreached = ViewDiffConfig(scan_limit=sys.maxsize)
+        skip_lcs_runs = 0
+        for case, which in sorted(PINNED):
+            left, right = diff_pair(case_traces[case], which)
+            callers.clear()
+            default = view_diff(left, right)
+            assert "_align_skipped" not in callers
+            callers.clear()
+            limited = view_diff(left, right, unreached)
+            skip_lcs_runs += callers.count("_align_skipped")
+            assert limited.counter.total == default.counter.total
+            assert signature_digest(limited) == signature_digest(default)
+        assert skip_lcs_runs > 0
 
 
 class TestViewIndex:
