@@ -5,8 +5,8 @@
    LinkedSimilarEntries).
 2. Secondary-view exploration on/off: without it, reordered operations
    are misclassified as differences (the Fig. 13 anchors).
-3. LCS implementations: DP vs Hirschberg vs anchored-fast on identical
-   inputs (exactness and compare cost).
+3. LCS implementations: DP vs Hirschberg vs the pivot-splitting fast
+   differ on identical inputs (exactness and compare cost).
 """
 
 from __future__ import annotations
@@ -82,7 +82,7 @@ def render_lcs_ablation() -> str:
         lines.append(f"{name:>12} {len(result):6} {counter.total:10}")
     lines.append("")
     lines.append("hirschberg trades ~2x compares for linear space "
-                 "(the paper cites exactly this); the anchored differ "
+                 "(the paper cites exactly this); the fast differ "
                  "is exact here because its cores fit the DP limit")
     assert rows[0][1] == rows[1][1] == rows[2][1]
     return "\n".join(lines)

@@ -35,26 +35,10 @@ from pathlib import Path
 RESULTS_DIR = Path(__file__).resolve().parent.parent / "results"
 
 
-def _row(document: dict, name: str) -> dict:
-    for row in document.get("rows", ()):
-        if row.get("row") == name:
-            return row
-    return {}
-
-
 def _kernels(document: dict) -> dict[str, float]:
     ratios = document.get("ratios", {})
     return {f"row_speedup:{backend}": value
             for backend, value in ratios.get("row_speedup", {}).items()}
-
-
-def _anchors(document: dict) -> dict[str, float]:
-    out = {}
-    for inner in ("views", "optimized"):
-        row = _row(document, f"reduction:{inner}")
-        if "reduction" in row:
-            out[f"reduction:{inner}"] = row["reduction"]
-    return out
 
 
 def _service(document: dict) -> dict[str, float]:
@@ -92,7 +76,6 @@ def _static(document: dict) -> dict[str, float]:
 #: results file -> key-ratio extractor (higher is better).
 BUDGETS = {
     "kernels.json": _kernels,
-    "anchors.json": _anchors,
     "serialize.json": _serialize,
     "service.json": _service,
     "static.json": _static,

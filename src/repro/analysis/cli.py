@@ -7,8 +7,7 @@ while the program runs, then analysed later.  This CLI covers that side::
     python -m repro.analysis.cli views trace.jsonl
     python -m repro.analysis.cli engines
     python -m repro.analysis.cli diff  old.jsonl new.jsonl \\
-        [--engine anchored:views] [--anchor-stats] \\
-        [--config window=8 --config relaxed=false]
+        [--engine optimized] [--config window=8 --config relaxed=false]
     python -m repro.analysis.cli analyze --suspected-old old_bad.jsonl \\
         --suspected-new new_bad.jsonl [--expected-old ... --expected-new ...]
         [--regression-left ... --regression-right ...] [--mode intersect]
@@ -40,13 +39,10 @@ in a ``diffcache`` directory beside the store (``--no-cache`` bypasses,
 explicit ``--cache DIR``.
 
 Differencing is routed through the :mod:`repro.api.engines` registry
-(``--engine`` accepts any registered name, including the
-``anchored:<inner>`` meta-engines), and the view-diff knobs of
+(``--engine`` accepts any registered name), and the view-diff knobs of
 :class:`~repro.core.view_diff.ViewDiffConfig` are exposed as repeatable
-``--config KEY=VALUE`` flags (anchor selection included:
-``--config anchor_min_run=4``).  ``engines`` lists every registered
-engine with its capability flags; ``diff --anchor-stats`` prints the
-pair's anchor segmentation alongside the report.
+``--config KEY=VALUE`` flags.  ``engines`` lists every registered
+engine and whether its results are cacheable.
 """
 
 from __future__ import annotations
@@ -58,7 +54,6 @@ import sys
 from pathlib import Path
 
 from repro.api.engines import available_engines, get_engine, is_cacheable
-from repro.core.anchors import AnchorConfig, segment_pair
 from repro.api.pipeline import StoredScenarioJob, run_pipeline
 from repro.api.session import Session
 from repro.api.store import INDEX_NAME, SHARDS_DIR, TraceStore
@@ -77,9 +72,6 @@ _CONFIG_FIELDS = {f.name: f for f in dataclasses.fields(ViewDiffConfig)}
 
 
 def _coerce_config_value(key: str, raw: str):
-    if key == "anchor_method_hints":
-        return tuple(sorted({part.strip() for part in raw.split(",")
-                             if part.strip()}))
     if key == "view_types":
         types = []
         for part in raw.split(","):
@@ -191,17 +183,13 @@ def cmd_views(args) -> int:
 
 
 def cmd_engines(args) -> int:
-    """List registered diff engines with their capability flags
-    (previously only discoverable from Python)."""
+    """List registered diff engines and whether each is cacheable."""
     names = available_engines()
     width = max(len(name) for name in names)
     print(f"{len(names)} registered engine(s):")
     for name in names:
         engine = get_engine(name)
-        flags = ", ".join(flag for flag, on in (
-            ("cacheable", is_cacheable(engine)),
-            ("anchor_aware", getattr(engine, "anchor_aware", False)),
-        ) if on) or "-"
+        flags = "cacheable" if is_cacheable(engine) else "-"
         print(f"  {name:{width}}  {flags}")
     return 0
 
@@ -213,12 +201,6 @@ def cmd_diff(args) -> int:
     result = cached_engine_diff(_resolve_cache(args),
                                 get_engine(_engine_name(args)),
                                 left, right, config=config)
-    if args.anchor_stats:
-        anchor_config = AnchorConfig.from_view_config(
-            config if config is not None else ViewDiffConfig())
-        interned = config.interned if config is not None else True
-        print(segment_pair(left, right, config=anchor_config,
-                           interned=interned).render())
     print(render_diff_report(result, max_sequences=args.limit))
     return 0 if result.num_diffs() == 0 else 1
 
@@ -597,7 +579,7 @@ def build_parser() -> argparse.ArgumentParser:
     views.set_defaults(func=cmd_views)
 
     engines = commands.add_parser(
-        "engines", help="list registered diff engines and capabilities")
+        "engines", help="list registered diff engines")
     engines.set_defaults(func=cmd_engines)
 
     diff = commands.add_parser("diff", help="semantic diff of two traces")
@@ -605,9 +587,6 @@ def build_parser() -> argparse.ArgumentParser:
     diff.add_argument("right")
     _add_engine_options(diff)
     _add_cache_options(diff)
-    diff.add_argument("--anchor-stats", action="store_true",
-                      help="print the pair's =e anchor segmentation "
-                           "(runs, gaps, candidate counts)")
     diff.add_argument("--limit", type=int, default=10)
     diff.set_defaults(func=cmd_diff)
 

@@ -21,10 +21,9 @@ Everything runs in-process.  Captures take turns on the process-wide
 the pipeline's threads overlap diffs and analyses.
 """
 
-from repro.api.engines import (AnchoredEngine, DiffEngine, LcsEngine,
-                               ViewsEngine, available_engines, get_engine,
-                               is_cacheable, register_engine,
-                               unregister_engine)
+from repro.api.engines import (DiffEngine, LcsEngine, ViewsEngine,
+                               available_engines, get_engine, is_cacheable,
+                               register_engine, unregister_engine)
 from repro.cache import CacheStats, DiffCache, cached_engine_diff
 from repro.capture import CAPTURE_LOCK
 from repro.core.keytable import KeyTable
@@ -36,7 +35,7 @@ from repro.api.store import TraceRecord, TraceStore
 from repro.index import TraceIndex, TraceIndexRecord
 
 __all__ = [
-    "AnchoredEngine", "CAPTURE_LOCK", "CacheStats", "DiffCache",
+    "CAPTURE_LOCK", "CacheStats", "DiffCache",
     "DiffEngine", "JobOutcome", "KeyTable", "LcsEngine", "PipelineResult",
     "SCENARIO_ROLES", "ScenarioJob", "ScenarioPipeline", "Session",
     "SessionResult", "StoredScenarioJob", "TraceIndex", "TraceIndexRecord",

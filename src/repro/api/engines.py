@@ -3,8 +3,10 @@
 Differencing is chosen through a small registry: a :class:`DiffEngine`
 is anything with a ``name`` and a ``diff(left, right, ...)`` method
 producing a :class:`repro.core.diffs.DiffResult`, and the built-in
-semantics — the views-based differencing of Sec. 3.3 and every LCS
-baseline of Sec. 3.2 — are pre-registered under stable names.
+semantics are pre-registered under six stable names: ``views`` (the
+views-based differencing of Sec. 3.3) and the five LCS baselines of
+Sec. 3.2 (``optimized``, ``dp``, ``hirschberg``, ``fast``,
+``bitparallel``), each diffing the whole pair in one call.
 
 Drivers (``Session``, the CLI, the workload harness) resolve engines by
 name, so swapping the analysis behind a stable driver API is one
@@ -23,27 +25,15 @@ name, so swapping the analysis behind a stable driver API is one
 
 from __future__ import annotations
 
-import dataclasses
-import functools
 import threading
 from typing import Protocol, runtime_checkable
 
-from repro.core.anchors import AnchorConfig, segmental_diff
 from repro.core.diffs import DiffResult
 from repro.core.keytable import KeyTable
 from repro.core.lcs import MemoryBudget, OpCounter
 from repro.core.lcs_diff import ALGORITHMS, lcs_diff
 from repro.core.traces import Trace
 from repro.core.view_diff import ViewDiffConfig, view_diff
-
-#: Name prefix of the anchored meta-engines (``anchored:<inner>``).
-ANCHORED_PREFIX = "anchored:"
-
-#: Default inner engine for ``anchored:*`` gap segments: the
-#: bit-parallel Myers LCS (hardware-speed on the interned id columns,
-#: pairs and compare counts identical to ``hirschberg``).
-DEFAULT_GAP_INNER = "bitparallel"
-
 
 @runtime_checkable
 class DiffEngine(Protocol):
@@ -92,12 +82,6 @@ class ViewsEngine:
     name = "views"
     #: Pure function of (traces, config): safe to memoise.
     cacheable = True
-    #: Anchoring is implemented *inside* the lock-step evaluation
-    #: (``config.anchored`` bulk-matches aligned runs), so the anchored
-    #: meta-engine delegates instead of segmenting sub-traces — the
-    #: windowed secondary-view exploration needs the full webs.
-    anchor_aware = True
-
     def diff(self, left: Trace, right: Trace, *,
              config: ViewDiffConfig | None = None,
              counter: OpCounter | None = None,
@@ -125,63 +109,9 @@ class LcsEngine:
              budget: MemoryBudget | None = None,
              key_table: KeyTable | None = None) -> DiffResult:
         interned = config.interned if config is not None else True
-        anchors = None
-        if config is not None and config.anchored:
-            anchors = AnchorConfig.from_view_config(config)
         return lcs_diff(left, right, algorithm=self.algorithm,
                         counter=counter, budget=budget,
-                        interned=interned, key_table=key_table,
-                        anchors=anchors)
-
-
-class AnchoredEngine:
-    """Patience-anchored segmental meta-engine (the tentpole of
-    :mod:`repro.core.anchors`).
-
-    Wraps any inner engine under the name ``anchored:<inner>``
-    (:data:`DEFAULT_GAP_INNER` — the bit-parallel LCS — when no inner
-    is named).  For engines that implement anchoring natively (a
-    truthy ``anchor_aware`` attribute — the views engine), the call
-    delegates with ``config.anchored`` forced on.  For everything else
-    the pair is split along its ``=e`` anchor runs and the inner engine
-    runs on each divergent gap
-    (:func:`~repro.core.anchors.segmental_diff`).
-
-    Results are bit-identical to the inner engine's
-    (:func:`~repro.core.diffs.result_identity`); only the ``=e``
-    compare cost drops.
-    """
-
-    def __init__(self, inner: "str | DiffEngine | None" = None):
-        if inner is None:
-            inner = DEFAULT_GAP_INNER
-        self.inner = get_engine(inner)
-        self.name = ANCHORED_PREFIX + self.inner.name
-        #: Purity is inherited: the meta-engine adds no state of its
-        #: own, so its results may be memoised iff the inner's may.
-        self.cacheable = is_cacheable(self.inner)
-
-    def diff(self, left: Trace, right: Trace, *,
-             config: ViewDiffConfig | None = None,
-             counter: OpCounter | None = None,
-             budget: MemoryBudget | None = None,
-             key_table: KeyTable | None = None) -> DiffResult:
-        if config is None:
-            config = ViewDiffConfig()
-        if getattr(self.inner, "anchor_aware", False):
-            return self.inner.diff(
-                left, right,
-                config=dataclasses.replace(config, anchored=True),
-                counter=counter, budget=budget, key_table=key_table)
-        # Gap diffs must not re-anchor (the segmentation already did).
-        gap_config = dataclasses.replace(config, anchored=False)
-        return segmental_diff(
-            left, right,
-            functools.partial(self.inner.diff, config=gap_config),
-            algorithm=self.name,
-            anchors=AnchorConfig.from_view_config(config),
-            interned=config.interned, key_table=key_table,
-            counter=counter, budget=budget)
+                        interned=interned, key_table=key_table)
 
 
 _REGISTRY: dict[str, DiffEngine] = {}
@@ -222,15 +152,6 @@ def get_engine(engine: str | DiffEngine) -> DiffEngine:
         raise TypeError(f"not a diff engine: {engine!r}")
     with _REGISTRY_LOCK:
         found = _REGISTRY.get(engine)
-    if found is None and engine.startswith(ANCHORED_PREFIX):
-        # ``anchored:<anything registered>`` resolves dynamically, so
-        # third-party engines get an anchored variant for free (the
-        # built-in combinations are pre-registered).
-        inner_name = engine[len(ANCHORED_PREFIX):]
-        try:
-            return AnchoredEngine(get_engine(inner_name))
-        except KeyError:
-            pass
     if found is None:
         raise KeyError(f"unknown diff engine {engine!r}; available: "
                        f"{', '.join(available_engines())}")
@@ -250,10 +171,6 @@ def _register_builtins() -> None:
     register_engine(ViewsEngine(), replace=True)
     for algorithm in ALGORITHMS:
         register_engine(LcsEngine(algorithm), replace=True)
-    # The anchored meta-engine over every built-in inner.
-    register_engine(AnchoredEngine("views"), replace=True)
-    for algorithm in ALGORITHMS:
-        register_engine(AnchoredEngine(algorithm), replace=True)
 
 
 _register_builtins()

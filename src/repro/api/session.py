@@ -414,25 +414,13 @@ class Session:
         a bundled ``repro.lang`` scenario name (``static_impact=
         "minidb"``) or ``True`` with ``old_program``/``new_program``
         Program ASTs.  The prediction is cross-validated against the
-        dynamic ImpactReport (``result.static_impact``) and, under an
-        anchored config, its predicted-impacted method names are fed
-        to the differ as ``anchor_method_hints`` — anchors then prefer
-        predicted-stable regions (results are unchanged: hints only
-        bar candidacy).
+        dynamic ImpactReport (``result.static_impact``).
 
         Version callables receive the input as their single argument.
         """
         started = time.perf_counter()
         validation = self._static_validation(static_impact, old_program,
                                              new_program, name)
-        restore_config = None
-        if validation is not None and validation.prediction is not None \
-                and self.config.anchored:
-            hints = validation.prediction.method_hints()
-            if hints:
-                restore_config = self.config
-                self.config = dataclasses.replace(
-                    self.config, anchor_method_hints=hints)
         traces: dict[str, Trace] = {}
         store_keys: list[str] = []
 
@@ -453,20 +441,15 @@ class Session:
                 self._store_required().save(outcome.trace, key=key,
                                             scenario=name or store_prefix)
 
-        try:
-            suspected = self.diff(traces["old/regressing"],
-                                  traces["new/regressing"], engine=engine)
-            expected = None
-            regression = None
-            if correct_input is not None:
-                expected = self.diff(traces["old/correct"],
-                                     traces["new/correct"], engine=engine)
-                regression = self.diff(traces["new/correct"],
-                                       traces["new/regressing"],
-                                       engine=engine)
-        finally:
-            if restore_config is not None:
-                self.config = restore_config
+        suspected = self.diff(traces["old/regressing"],
+                              traces["new/regressing"], engine=engine)
+        expected = None
+        regression = None
+        if correct_input is not None:
+            expected = self.diff(traces["old/correct"],
+                                 traces["new/correct"], engine=engine)
+            regression = self.diff(traces["new/correct"],
+                                   traces["new/regressing"], engine=engine)
 
         report = self.analyze(suspected, expected=expected,
                               regression=regression, mode=mode)

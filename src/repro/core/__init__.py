@@ -1,9 +1,6 @@
 """Core library: the paper's trace model, views, differencing semantics,
 and regression-cause analysis."""
 
-from repro.core.anchors import (AnchorConfig, AnchorRun, Gap, Segmentation,
-                                merge_segment_results, segment_pair,
-                                segment_sequences, select_anchor_runs)
 from repro.core.correlation import ViewCorrelator, ancestry_similarity
 from repro.core.diffs import DiffResult, DifferenceSequence, build_sequences
 from repro.core.entries import EOF, TraceEntry, entries_equal
@@ -30,13 +27,12 @@ from repro.core.web import ObjectInfo, ThreadInfo, ViewWeb
 
 __all__ = [
     "ACCURACY_BINS", "SPEEDUP_BINS", "EOF", "MODE_INTERSECT", "MODE_SUBTRACT",
-    "AnchorConfig", "AnchorRun",
     "Call", "CandidateSequence", "DiffResult", "DifferenceSequence", "End",
-    "Event", "FieldGet", "FieldSet", "Fork", "Gap", "Histogram", "Init",
+    "Event", "FieldGet", "FieldSet", "Fork", "Histogram", "Init",
     "KeyTable", "LcsBudgetExceeded", "LcsMemoryError", "LcsResult",
     "MemoryBudget",
     "ObjectInfo", "ObjectRegistry", "OpCounter", "RegressionReport", "Return",
-    "Segmentation", "StackFrame", "ThreadInfo", "Trace", "TraceBuilder",
+    "StackFrame", "ThreadInfo", "Trace", "TraceBuilder",
     "TraceEntry",
     "TruthEvaluation", "UNIT", "ValueRep", "View", "ViewCorrelator",
     "ViewDiffConfig", "ViewName", "ViewType", "ViewWeb",
@@ -44,8 +40,7 @@ __all__ = [
     "ancestry_similarity", "build_sequences", "entries_equal",
     "evaluate_against_truth", "lcs_bitparallel", "lcs_diff", "lcs_dp",
     "lcs_fast", "lcs_hirschberg", "lcs_length", "lcs_optimized",
-    "merge_segment_results", "myers_lcs_length",
-    "prim", "segment_pair", "segment_sequences", "select_anchor_runs",
+    "myers_lcs_length", "prim",
     "speedup", "speedup_histogram", "trim_common", "view_diff",
     "view_names",
 ]

@@ -322,11 +322,10 @@ def result_identity(result: DiffResult) -> tuple:
     comparable value, excluding the cost accounting (compare counters,
     peak cells, timing) and the algorithm label.
 
-    This is what "the anchored engine is bit-identical to its inner
-    engine" means: the two compute the same differences while charging
-    different costs (fewer ``=e`` compares is the anchored path's whole
-    point), so identity is asserted over this tuple rather than
-    :func:`result_signature` (which includes the counters).
+    Two computations that must find the same differences while they
+    may charge different costs (the interned and tuple key paths, the
+    kernel-backed and reference LCS rows) are compared over this tuple
+    rather than :func:`result_signature` (which includes the counters).
     """
     return (tuple(sorted(result.similar_left)),
             tuple(sorted(result.similar_right)),

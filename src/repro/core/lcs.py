@@ -14,8 +14,8 @@ sequences of trace entries compared with the event-equality predicate
   returning the exact LCS *length* cheaply when the inputs are similar.
 * :func:`trim_common` — the common-prefix/suffix optimisation the paper's
   "optimized LCS" baseline applies before the quadratic core.
-* :func:`lcs_fast` — anchored recursive differ: exact DP on small cores,
-  unique-anchor (patience) splitting on large ones.  Exact whenever the
+* :func:`lcs_fast` — recursive differ: exact DP on small cores,
+  unique-key (patience) pivot splitting on large ones.  Exact whenever the
   DP core is reached; an LCS-style approximation otherwise.
 * :func:`lcs_optimized` — the baseline configuration used by the benches:
   trim + DP, with a cell *budget* reproducing the paper's out-of-memory
@@ -338,7 +338,7 @@ def myers_lcs_length(a: Sequence, b: Sequence, key: Callable | None = None,
     raise LcsBudgetExceeded(cap)
 
 
-def _unique_anchor(a_keys: list, b_keys: list) -> tuple[int, int] | None:
+def _unique_pivot(a_keys: list, b_keys: list) -> tuple[int, int] | None:
     """Find a key that occurs exactly once in each sequence, preferring one
     near the middle of ``a`` (patience-diff pivot)."""
     a_counts: dict = {}
@@ -364,11 +364,11 @@ def _unique_anchor(a_keys: list, b_keys: list) -> tuple[int, int] | None:
 def lcs_fast(a: Sequence, b: Sequence, key: Callable | None = None,
              counter: OpCounter | None = None,
              dp_cell_limit: int = 1_000_000) -> LcsResult:
-    """Anchored recursive common-subsequence computation.
+    """Pivot-splitting recursive common-subsequence computation.
 
     Strategy: strip common prefix/suffix; if the remaining core fits in
     ``dp_cell_limit`` DP cells, solve it exactly; otherwise split at a
-    unique common anchor (patience pivot) and recurse.  When no anchor
+    unique common key (patience pivot) and recurse.  When no pivot
     exists the longer side is bisected against the best nearby match.
 
     Exact LCS whenever recursion bottoms out in DP cores (the common
@@ -396,8 +396,8 @@ def _lcs_fast(a_keys: list, b_keys: list, a_off: int, b_off: int,
             for i, j in core.pairs:
                 out.append((a_off + prefix + i, b_off + prefix + j))
         else:
-            anchor = _unique_anchor(core_a, core_b)
-            if anchor is None:
+            pivot = _unique_pivot(core_a, core_b)
+            if pivot is None:
                 # No unique pivot: bisect ``a`` and align the split point
                 # to the nearest equal key in ``b`` (greedy).
                 i = a_mid // 2
@@ -416,7 +416,7 @@ def _lcs_fast(a_keys: list, b_keys: list, a_off: int, b_off: int,
                               a_off + prefix + i + 1, b_off + prefix + j + 1,
                               counter, cell_limit, out)
             else:
-                i, j = anchor
+                i, j = pivot
                 _lcs_fast(core_a[:i], core_b[:j], a_off + prefix,
                           b_off + prefix, counter, cell_limit, out)
                 out.append((a_off + prefix + i, b_off + prefix + j))
@@ -450,7 +450,7 @@ def lcs_optimized(a: Sequence, b: Sequence, key: Callable | None = None,
 
     The middle region runs through the quadratic DP when it fits in
     ``dp_cell_limit`` cells (counting real compares); otherwise the fast
-    anchored differ computes the alignment and the DP compare cost
+    pivot-splitting differ computes the alignment and the DP compare cost
     (``mid_a * mid_b``) is *charged* to the counter, so speedup metrics
     reflect the modelled quadratic baseline.  ``budget`` bounds the middle
     region as if the DP table were allocated, reproducing the paper's

@@ -7,8 +7,12 @@ The correspondence mapping produced by the LCS lets each contiguous run of
 differences be read as an insertion, deletion, or modification.
 
 ``lcs_diff`` implements this directly: rather than literally stepping the
-small-step rules one entry at a time, the LCS is computed once and the
-similarity set read off it — observably the same ``sigma``.
+small-step rules one entry at a time, the LCS is computed once over the
+whole pair and the similarity set read off it — observably the same
+``sigma``.  ``dp``, ``hirschberg`` and ``bitparallel`` always return a
+longest common subsequence; ``optimized`` does whenever its trimmed
+core fits ``dp_cell_limit``, and ``fast`` whenever its recursion
+bottoms out in DP cores.
 
 By default the key sequences are *interned* through a
 :class:`~repro.core.keytable.KeyTable` shared by the pair, so every
@@ -20,10 +24,8 @@ tuple-key path.
 
 from __future__ import annotations
 
-import functools
 import time
 
-from repro.core.anchors import AnchorConfig, segmental_diff
 from repro.core.diffs import DiffResult, build_sequences
 from repro.core.keytable import KeyTable
 from repro.core.lcs import (LcsResult, MemoryBudget, OpCounter,
@@ -40,14 +42,13 @@ def lcs_diff(left: Trace, right: Trace, algorithm: str = "optimized",
              budget: MemoryBudget | None = None,
              dp_cell_limit: int = 4_000_000,
              interned: bool = True,
-             key_table: KeyTable | None = None,
-             anchors: AnchorConfig | None = None) -> DiffResult:
+             key_table: KeyTable | None = None) -> DiffResult:
     """Difference two traces with the LCS-based semantics of Fig. 11.
 
     ``algorithm`` selects the LCS implementation: ``"optimized"`` is the
     paper's baseline (common-prefix/suffix trimming + quadratic core);
     ``"dp"`` the untrimmed dynamic program; ``"hirschberg"`` the
-    linear-space variant; ``"fast"`` the anchored recursive differ;
+    linear-space variant; ``"fast"`` the pivot-splitting recursive differ;
     ``"bitparallel"`` names the same Hirschberg alignment over the
     bit-parallel Myers/Hyyrö row kernel (:mod:`repro.core.kernels`)
     under its own result label.
@@ -60,27 +61,11 @@ def lcs_diff(left: Trace, right: Trace, algorithm: str = "optimized",
     (``key_table`` supplies the pair's shared table; one is derived
     from the traces otherwise).
 
-    ``anchors`` enables anchored segmental evaluation
-    (:mod:`repro.core.anchors`): the pair is split along patience-style
-    ``=e`` anchor runs and this very algorithm runs on each divergent
-    gap independently, the per-gap results merged into one full-trace
-    result.  On mostly-identical pairs this replaces one huge O(n·m)
-    problem with a chain of tiny ones — including under a memory
-    ``budget``, where each gap requests only its own DP table.
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown LCS algorithm: {algorithm!r}")
     if counter is None:
         counter = OpCounter()
-    if anchors is not None:
-        return segmental_diff(
-            left, right,
-            functools.partial(lcs_diff, algorithm=algorithm,
-                              dp_cell_limit=dp_cell_limit,
-                              interned=interned),
-            algorithm=f"anchored-lcs-{algorithm}", anchors=anchors,
-            interned=interned, key_table=key_table, counter=counter,
-            budget=budget)
     started = time.perf_counter()
     if interned:
         table = key_table if key_table is not None \

@@ -50,7 +50,6 @@ from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from operator import itemgetter
 
-from repro.core.anchors import AnchorConfig, select_anchor_runs
 from repro.core.correlation import ViewCorrelator
 from repro.core.collector import collector_paused
 from repro.core.diffs import DiffResult, DifferenceSequence, gap_sequences
@@ -93,28 +92,6 @@ class ViewDiffConfig:
     #: Interning is a bijection on keys, so the similarity sets are
     #: identical either way; ``False`` restores the tuple path.
     interned: bool = True
-    #: Anchored evaluation (:mod:`repro.core.anchors`): precompute
-    #: patience-style ``=e`` anchor runs per correlated thread pair and
-    #: bulk-match them without per-entry compares whenever the
-    #: lock-step scan reaches a run start exactly aligned.  The scan's
-    #: state trajectory — and therefore sigma, the matched pairs, the
-    #: anchors, and the sequences — is identical to the unanchored
-    #: evaluation; only the compare count drops.
-    anchored: bool = False
-    #: Anchor runs shorter than this are not trusted
-    #: (:attr:`~repro.core.anchors.AnchorConfig.min_run`).
-    anchor_min_run: int = 2
-    #: Occurrence cap for anchor candidate keys
-    #: (:attr:`~repro.core.anchors.AnchorConfig.max_occurrence`).
-    anchor_max_occurrence: int = 1
-    #: Method names predicted unstable (typically
-    #: ``PredictedImpact.method_hints()`` from
-    #: :mod:`repro.static.impact`): with ``anchored``, entries of these
-    #: methods are barred from anchor candidacy so anchors land in
-    #: predicted-stable regions.  Results are identical either way
-    #: (anchored evaluation is trajectory-preserving); only anchor
-    #: placement and compare counts shift.
-    anchor_method_hints: tuple[str, ...] = ()
 
 
 _first = itemgetter(0)
@@ -140,17 +117,6 @@ class _Secondary:
     members_r: list[array]
     #: left view id -> correlated right view id, or -1.
     partner: list[int]
-
-
-def _in_methods(web: ViewWeb, rows, methods: set[str]) -> set[int]:
-    """Indices into ``rows`` (trace positions) of the entries whose
-    method is in ``methods``, read off the method-view columns."""
-    columns = web.columns(ViewType.METHOD)
-    hinted = {vid for vid, method in enumerate(columns.keys)
-              if method in methods}
-    view_of = columns.view_of
-    return {index for index, position in enumerate(rows)
-            if view_of[position] in hinted}
 
 
 class _ThreadPairDiffer:
@@ -198,7 +164,7 @@ class _ThreadPairDiffer:
         self._explored: set[tuple] = set()
         self._bucket = max(config.window, 1)
         self.runs: list[tuple[int, int, int]] = []
-        # Anchored positions (apl, apr) in the two thread views found by
+        # Anchor positions (apl, apr) in the two thread views found by
         # secondary view exploration: this step's, in the order found,
         # and the earlier steps' still ahead of the scan, as a heap of
         # (apl + apr, insertion seq, (apl, apr)) holding each pair once
@@ -206,32 +172,6 @@ class _ThreadPairDiffer:
         self._new_anchors: list[tuple[int, int]] = []
         self._pending_anchors: list[tuple[int, int, tuple[int, int]]] = []
         self._anchors_seen: set[tuple[int, int]] = set()
-        # Anchored evaluation: (run start left, run start right) ->
-        # run length, bulk-matched compare-free when the scan lands on
-        # a start exactly aligned (see ViewDiffConfig.anchored).
-        self._anchor_starts: dict[tuple[int, int], int] = {}
-        # Run starts per diagonal (right - left), sorted by left
-        # position: the bulk lock-step scan must stop exactly where
-        # the scalar trajectory would take the anchor fast path.
-        self._diag_starts: dict[int, list[int]] = {}
-        if config.anchored:
-            exclude_l = exclude_r = None
-            if config.anchor_method_hints:
-                hinted = set(config.anchor_method_hints)
-                exclude_l = _in_methods(plan.web_l, self.lidx, hinted)
-                exclude_r = _in_methods(plan.web_r, self.ridx, hinted)
-            runs = select_anchor_runs(
-                self.lkeys, self.rkeys,
-                AnchorConfig.from_view_config(config), counter=counter,
-                exclude_left=exclude_l,
-                exclude_right=exclude_r)
-            self._anchor_starts = {(run.left, run.right): run.length
-                                   for run in runs}
-            for run in runs:
-                self._diag_starts.setdefault(
-                    run.right - run.left, []).append(run.left)
-            for starts in self._diag_starts.values():
-                starts.sort()
 
     # -- driver --------------------------------------------------------------
 
@@ -246,46 +186,17 @@ class _ThreadPairDiffer:
         n, m = len(lkeys), len(rkeys)
         match_pairs: list[tuple[int, int]] = []
         runs = self.runs
-        anchor_starts = self._anchor_starts
-        diag_starts = self._diag_starts
         common_run = bitvector.common_run
         i = j = 0
         while i < n and j < m:
-            if anchor_starts:
-                # Anchored fast path: an aligned common run is matched
-                # wholesale, exactly as L consecutive STEP-VIEW-MATCH
-                # steps would — minus their L entry compares.  The
-                # bookkeeping is bulk slice/zip work, O(1) compare
-                # credit (zero: the run was verified at selection).
-                run_length = anchor_starts.get((i, j))
-                if run_length:
-                    left_run = indices_l[i:i + run_length].tolist()
-                    right_run = indices_r[j:j + run_length].tolist()
-                    similar_left.update(left_run)
-                    similar_right.update(right_run)
-                    match_pairs.extend(zip(left_run, right_run))
-                    runs.append((i, j, run_length))
-                    i += run_length
-                    j += run_length
-                    continue
             self.counter.bump()
             if lkeys[i] == rkeys[j]:
                 # STEP-VIEW-MATCH, bulk-extended: the whole equal run
-                # is consumed through the kernel scan.  The scan may
-                # not cross the next anchor start on this diagonal —
-                # the scalar trajectory would bulk-match there with
-                # zero compares — and is credited one compare per
-                # matched entry, exactly the per-step bumps; the
-                # stopping mismatch (or anchor/bounds check) is
-                # re-examined by the next loop iteration, which bumps
-                # it when (and only when) the scalar loop would.
+                # is consumed through the kernel scan, credited one
+                # compare per matched entry, exactly the per-step
+                # bumps; the stopping mismatch is re-examined by the
+                # next loop iteration, which bumps it.
                 limit = n - i if n - i <= m - j else m - j
-                if diag_starts:
-                    starts = diag_starts.get(j - i)
-                    if starts:
-                        at = bisect_left(starts, i + 1)
-                        if at < len(starts) and starts[at] - i < limit:
-                            limit = starts[at] - i
                 run = 1 + common_run(lkeys, rkeys, i + 1, j + 1,
                                      limit - 1)
                 self.counter.bump(run - 1)

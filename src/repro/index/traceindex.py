@@ -26,10 +26,10 @@ time without touching any trace file.
 
 Similarity ("find traces similar to X") rests on a **min-hash
 sketch**: the :data:`SKETCH_SIZE` smallest hashes over the trace's
-*unique* ``=e`` keys — exactly the keys
-:func:`repro.core.anchors.anchor_candidates` would pair at
-``max_occurrence=1`` — so sketch overlap estimates how much anchor
-material two traces share without loading either.
+*unique* ``=e`` keys (a key that occurs once in each of two traces
+pins down one unambiguous match between them), so sketch overlap
+estimates how much of that material two traces share without loading
+either.
 """
 
 from __future__ import annotations
@@ -79,7 +79,7 @@ def trace_sketch(trace: "Trace", size: int = SKETCH_SIZE
                  ) -> tuple[str, ...]:
     """The min-hash sketch of a trace's unique ``=e`` keys.
 
-    Unique keys are the trace's anchor-candidate material (see the
+    Unique keys are the trace's unambiguous match material (see the
     module docstring); keeping the ``size`` smallest of their hashes is
     the classic bottom-k sketch, so two sketches' overlap estimates the
     Jaccard similarity of the underlying key sets.  Uses the interned
@@ -443,7 +443,7 @@ class TraceIndex:
         Score = the sketches' bottom-k Jaccard estimate, plus 1.0 for
         an identical content digest and 0.5 for an identical shape
         fingerprint — so exact duplicates rank first, shape twins
-        next, then anchor-material overlap.
+        next, then unique-key overlap.
         """
         digest = fingerprint = ""
         exclude = None

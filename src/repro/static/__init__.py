@@ -11,7 +11,7 @@ Layers:
 * :mod:`repro.static.dataflow` — CFG dataflow behind
   ``check_program(strict=True)``;
 * :mod:`repro.static.impact` — static change-impact prediction over two
-  program versions, feeding anchor hints to ``anchored:*`` engines;
+  program versions;
 * :mod:`repro.static.validate` — cross-validation of predictions
   against the dynamic :class:`ImpactReport`;
 * :mod:`repro.static.scenarios` — the bundled old/new language

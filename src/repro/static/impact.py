@@ -15,9 +15,7 @@ from the seeds over the union call graph of both versions:
 Scores combine by max; propagation stops below the threshold, so the
 result is a finite ranked :class:`PredictedImpact`.  The prediction is
 cross-validated against the dynamic :class:`repro.analysis.impact
-.ImpactReport` (see :mod:`repro.static.validate`) and feeds
-``anchored:*`` diffing as method-name hints: anchors are steered away
-from predicted-impacted methods toward predicted-stable regions.
+.ImpactReport` (see :mod:`repro.static.validate`).
 """
 
 from __future__ import annotations
@@ -66,18 +64,6 @@ class PredictedImpact:
         """Node names predicted impacted (score >= threshold)."""
         return {name for name, score in self.scores.items()
                 if score >= self.threshold}
-
-    def method_hints(self) -> tuple[str, ...]:
-        """Trace-method names for anchor biasing: predicted-impacted
-        nodes, translated to the names the interpreter records (spawn
-        bodies and ``<main>`` both trace as the root method;
-        constructor pseudo-nodes have no trace name)."""
-        hints = set()
-        for name in self.predicted():
-            dynamic = dynamic_method_name(name)
-            if dynamic is not None:
-                hints.add(dynamic)
-        return tuple(sorted(hints))
 
     def to_json(self) -> dict:
         return {

@@ -90,7 +90,8 @@ def workload_loc(package: str) -> int:
     root = Path(repro.__file__).parent / "workloads" / package
     total = 0
     for path in sorted(root.glob("*.py")):
-        total += sum(1 for _ in path.open())
+        with path.open() as lines:
+            total += sum(1 for _ in lines)
     return total
 
 
@@ -131,9 +132,8 @@ def run_scenario(spec: ScenarioSpec,
 
     Both semantics are resolved through the :mod:`repro.api.engines`
     registry: the views side runs ``views_engine`` (``views`` by
-    default; ``anchored:views`` skips ``=e`` compares over patience
-    anchor runs while producing the identical result), the
-    baseline side runs ``lcs_engine`` (any registered LCS variant).
+    default), the baseline side runs ``lcs_engine`` (any registered
+    LCS variant).
     ``cache`` memoises the three *views* diffs through a
     :class:`~repro.cache.DiffCache`: warm hits credit the compare
     counter with the cold run's totals (so the Table 1 compare and
@@ -205,7 +205,7 @@ def run_scenario(spec: ScenarioSpec,
         result.lcs.memory_bytes = budget.peak_bytes()
         # Speedup on the paper's metric: entry compare operations (the
         # baseline's count includes the DP-equivalent charge when the
-        # anchored differ stood in for the quadratic core).
+        # fast recursive differ stood in for the quadratic core).
         if result.views.compares:
             result.speedup = result.lcs.compares / result.views.compares
     except LcsMemoryError as failure:

@@ -25,6 +25,10 @@ class TestRegistry:
         for algorithm in ALGORITHMS:
             assert algorithm in names
 
+    def test_registry_is_views_plus_the_five_baselines(self):
+        assert available_engines() == (
+            "views", "bitparallel", "dp", "fast", "hirschberg", "optimized")
+
     def test_unknown_engine(self):
         with pytest.raises(KeyError, match="available"):
             get_engine("nope")

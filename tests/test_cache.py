@@ -49,16 +49,15 @@ class TestCanonicalConfig:
         assert canonical_config(None) == DEFAULT_CONFIG_TEXT
 
     def test_non_default_text_pinned(self):
-        config = ViewDiffConfig(window=9, anchored=True)
+        config = ViewDiffConfig(window=9, relaxed=False)
         assert canonical_config(config) == DEFAULT_CONFIG_TEXT.replace(
-            '"anchored":false', '"anchored":true').replace(
+            '"relaxed":true', '"relaxed":false').replace(
             '"window":12', '"window":9')
 
 
 #: ``canonical_config(None)``, byte for byte.
 DEFAULT_CONFIG_TEXT = (
-    '{"anchor_max_occurrence":1,"anchor_method_hints":[],'
-    '"anchor_min_run":2,"anchored":false,"interned":true,'
+    '{"interned":true,'
     '"max_secondary_pairs":4,"radius":4,"relaxed":true,'
     '"scan_limit":null,"skip_lcs_cells":4096,'
     '"view_types":["METHOD","TARGET_OBJECT","ACTIVE_OBJECT"],'
@@ -75,7 +74,7 @@ class TestCacheKey:
         left = simple_trace([1, 2, 3, 9, 4, 5, 6], name="old")
         right = simple_trace([1, 2, 3, 8, 8, 4, 5, 6], name="new")
         assert cache_key(left, right, "views", None) == \
-            "c5d99cc18e3bde52b279676b08e7f5a5"
+            "5caa08f1cf8f0b65c7ef7cfbb76f81af"
 
     def test_order_engine_and_config_matter(self, pair):
         left, right = pair

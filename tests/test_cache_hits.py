@@ -14,15 +14,10 @@ differences, not to the traces' length:
 ``result_signature`` is built straight from the result; it must equal
 the wire round-trip formula it replaced, value and JSON text, on every
 kind of eid column a trace can carry.
-
-The anchored paths on the same pairs are pinned by signature digest and
-compare total: each ``anchored:*`` engine, ``lcs_diff(anchors=)``, and
-an ``anchored:optimized`` session.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import random
 
@@ -32,14 +27,12 @@ from repro.analysis import serialize
 from repro.api import (DiffCache, Session, TraceStore, available_engines,
                        get_engine)
 from repro.capture import TraceFilter, trace_call
-from repro.core.anchors import AnchorConfig
 from repro.core.diffs import (RESULT_WIRE_VERSION, DifferenceSequence,
                               result_from_wire, result_signature,
                               result_to_wire)
 from repro.core.entries import EOF
 from repro.core.keytable import KeyTable
 from repro.core.lcs import OpCounter
-from repro.core.lcs_diff import lcs_diff
 from repro.core.traces import Trace
 from repro.workloads.harness import SCENARIOS
 
@@ -237,7 +230,9 @@ class TestResultSignature:
         assert back.sequences[0].right_entries[-2:] == [EOF, EOF]
 
     def test_anchored_views_result(self, pairs):
-        result = get_engine("anchored:views").diff(*pairs["xalan-1802"])
+        # A views result with Fig. 13's anchors: the pairs the
+        # secondary-view exploration found.
+        result = get_engine("views").diff(*pairs["xalan-1802"])
         assert result.anchor_pairs
         assert_signature_unchanged(result)
 
@@ -246,65 +241,3 @@ class TestResultSignature:
             *pairs["myfaces"]))
         assert len(signature) == 7
         assert signature[-1][-1] == ("version", RESULT_WIRE_VERSION)
-
-
-# -- anchored identity pins ---------------------------------------------------
-
-def signature_digest(result) -> str:
-    return hashlib.sha256(
-        signature_text(result_signature(result)).encode("utf-8")).hexdigest()
-
-
-#: (pair, anchored path) -> (result_signature digest, compare total).
-ANCHORED_PINNED = {
-    ("myfaces", "anchored:optimized"): (
-        "98d45afe269c7a3ea509059ca8949496348e9922e8526445fe7dafc5631172c2",
-        9406),
-    ("myfaces", "anchored:bitparallel"): (
-        "f9c9fa91914731f556fdd945117146df646f322b9a1f87c61a72e3a4c88dcea2",
-        18614),
-    ("myfaces", "anchored:views"): (
-        "c14fd3f4892688dbdefe1e577af491c86b3b5cb7ae5b637797c9b9ae65f197c2",
-        96668),
-    ("myfaces", "lcs_diff-anchors"): (
-        "3ece4fbc68d4cc7594c057afe4703e5acfba6dd5c7906e436ad948f0f5692623",
-        9406),
-    ("xalan-1802", "anchored:optimized"): (
-        "fed5b3733ba7105798f0e7e094abe1bd0d8df909103a7f562b8f531912a3df2a",
-        8863),
-    ("xalan-1802", "anchored:bitparallel"): (
-        "245b81f940b5604e299f9c442343901b5048ef27d484cf23282b8695302fc3b3",
-        13723),
-    ("xalan-1802", "anchored:views"): (
-        "d36bdfaa3cf929a191518b5701f7d8adeab1bad15685dcc37c12690f6ad64e9f",
-        51769),
-    ("xalan-1802", "lcs_diff-anchors"): (
-        "db1943cf3a2db0ac972c784646b6fa9513ce95f8c1abcea6578292326ecb31b7",
-        8863),
-}
-
-
-def assert_pinned(result, name: str, path: str) -> None:
-    assert (signature_digest(result), result.counter.total) == \
-        ANCHORED_PINNED[(name, path)], (name, path)
-
-
-class TestAnchoredIdentityPins:
-    @pytest.mark.parametrize("engine", ["anchored:optimized",
-                                        "anchored:bitparallel",
-                                        "anchored:views"])
-    @pytest.mark.parametrize("name", ["myfaces", "xalan-1802"])
-    def test_anchored_engines(self, pairs, name, engine):
-        assert_pinned(get_engine(engine).diff(*pairs[name]), name, engine)
-
-    @pytest.mark.parametrize("name", ["myfaces", "xalan-1802"])
-    def test_lcs_diff_anchors(self, pairs, name):
-        result = lcs_diff(*pairs[name], algorithm="optimized",
-                          anchors=AnchorConfig())
-        assert_pinned(result, name, "lcs_diff-anchors")
-
-    def test_session_diff(self, pairs):
-        session = Session(engine="anchored:optimized")
-        for name in ("myfaces", "xalan-1802"):
-            assert_pinned(session.diff(*pairs[name]), name,
-                          "anchored:optimized")

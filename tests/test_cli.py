@@ -499,38 +499,43 @@ class TestEngines:
         main(["engines"])
         out = capsys.readouterr().out
         assert "cacheable" in out
-        assert "anchor_aware" in out
+        assert "anchor" not in out
         assert "accepts_" not in out
+
+    def test_six_rows_each_cacheable(self, capsys):
+        main(["engines"])
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "6 registered engine(s):"
+        rows = [line.split() for line in lines[1:]]
+        assert [row[0] for row in rows] == [
+            "views", "bitparallel", "dp", "fast", "hirschberg", "optimized"]
+        assert all(row[1:] == ["cacheable"] for row in rows)
 
 
 class TestAnchoredDiff:
-    def test_anchored_engine_matches_inner(self, trace_files, capsys):
+    """Patience anchoring is gone: its engine, knob and flag each end
+    in a clean usage error, not a traceback."""
+
+    def test_anchored_engine_rejected(self, trace_files, capsys):
         old_path, new_path = trace_files
-        assert main(["diff", old_path, new_path,
-                     "--engine", "views"]) == 1
-        plain = capsys.readouterr().out
-        assert main(["diff", old_path, new_path,
-                     "--engine", "anchored:views"]) == 1
-        anchored = capsys.readouterr().out
-        assert "_minCharRange" in anchored
-        # Same differences, same sequence report.
-        assert anchored == plain
+        with pytest.raises(SystemExit) as exit_info:
+            main(["diff", old_path, new_path, "--engine", "anchored:views"])
+        assert exit_info.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
+    def test_anchor_knobs_via_config_flags(self, trace_files):
+        old_path, new_path = trace_files
+        for knob in ("anchored=true", "anchor_min_run=4",
+                     "anchor_max_occurrence=2",
+                     "anchor_method_hints=Db.insert"):
+            name = knob.partition("=")[0]
+            with pytest.raises(SystemExit,
+                               match=f"unknown view-diff knob '{name}'"):
+                main(["diff", old_path, new_path, "--config", knob])
 
     def test_anchor_stats_flag(self, trace_files, capsys):
         old_path, new_path = trace_files
-        main(["diff", old_path, new_path, "--engine", "anchored:views",
-              "--anchor-stats"])
-        out = capsys.readouterr().out
-        assert "anchors:" in out
-        assert "candidates:" in out
-        assert "gaps:" in out
-
-    def test_anchor_knobs_via_config_flags(self, trace_files, capsys):
-        old_path, new_path = trace_files
-        status = main(["diff", old_path, new_path,
-                       "--engine", "anchored:optimized",
-                       "--config", "anchor_min_run=4",
-                       "--config", "anchor_max_occurrence=2",
-                       "--anchor-stats"])
-        assert status == 1
-        assert "anchors:" in capsys.readouterr().out
+        with pytest.raises(SystemExit) as exit_info:
+            main(["diff", old_path, new_path, "--anchor-stats"])
+        assert exit_info.value.code == 2
+        assert "--anchor-stats" in capsys.readouterr().err

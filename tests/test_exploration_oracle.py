@@ -16,8 +16,7 @@ below asserts equal ``result_signature``s, compares included:
 * the twelve Table 1 case-study pairs (Derby-1633 over the database
   prefix the end-to-end benchmark uses), default configuration;
 * the Fig. 13 MyFaces pair and one Table 1 pair over a grid of
-  ``radius``, ``max_secondary_pairs``, ``relaxed``, ``window`` and
-  ``anchored``;
+  ``radius``, ``max_secondary_pairs``, ``relaxed`` and ``window``;
 * generated multi-thread pairs (a base program and an edited copy),
   one grid point per example.
 """
@@ -133,7 +132,7 @@ class OracleDiffer(_ThreadPairDiffer):
             self.similar_left.add(left)
             self.similar_right.add(right)
             self.anchor_pairs.append((left, right))
-            # If both anchored entries live in the main thread views,
+            # If both anchor entries live in the main thread views,
             # they become correspondence candidates.
             if thread_of_l[left] == lvid and thread_of_r[right] == rvid:
                 self._pending_anchors.append(
@@ -210,18 +209,17 @@ def assert_agrees(left, right, config: ViewDiffConfig) -> None:
     assert result_signature(view_diff(left, right, config)) == expected
 
 
-#: radius x max_secondary_pairs x relaxed x window x anchored.
+#: radius x max_secondary_pairs x relaxed x window.
 GRID = [ViewDiffConfig(radius=radius, max_secondary_pairs=cap,
-                       relaxed=relaxed, window=window, anchored=anchored)
-        for radius, cap, relaxed, window, anchored in itertools.product(
-            (1, 4, 8), (1, 4, 16), (True, False), (4, 12), (True, False))]
+                       relaxed=relaxed, window=window)
+        for radius, cap, relaxed, window in itertools.product(
+            (1, 4, 8), (1, 4, 16), (True, False), (4, 12))]
 
 
 
 def grid_id(config: ViewDiffConfig) -> str:
     return (f"r{config.radius}-cap{config.max_secondary_pairs}"
-            f"-w{config.window}{'-relaxed' * config.relaxed}"
-            f"{'-anchored' * config.anchored}")
+            f"-w{config.window}{'-relaxed' * config.relaxed}")
 
 
 CASES = ("Daikon", "Xalan-1725", "Xalan-1802", "Derby-1633")

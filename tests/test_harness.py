@@ -1,5 +1,8 @@
 """Tests for the Table 1/2 scenario harness (one full scenario run)."""
 
+import gc
+import warnings
+
 import pytest
 
 from repro.workloads.harness import (SCENARIOS, ScenarioSpec,
@@ -14,6 +17,14 @@ class TestSpecs:
     def test_workload_loc_positive(self):
         for spec in SCENARIOS.values():
             assert workload_loc(spec.package) > 100
+
+    def test_workload_loc_closes_its_files(self):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert workload_loc("minixslt") > 100
+            gc.collect()
+        assert not [w for w in caught
+                    if issubclass(w.category, ResourceWarning)]
 
     def test_specs_runnable(self):
         for spec in SCENARIOS.values():

@@ -22,8 +22,7 @@ from hypothesis import strategies as st
 import repro
 from repro.analysis.cli import main
 from repro.analysis.serialize import save_trace
-from repro.api.engines import (DEFAULT_GAP_INNER, AnchoredEngine,
-                               available_engines, get_engine)
+from repro.api.engines import available_engines, get_engine
 from repro.cache.diffcache import canonical_config
 from repro.core.diffs import result_identity
 from repro.core.kernels import bitvector, scalar
@@ -113,20 +112,7 @@ class TestBitvectorAgainstScalar:
 class TestEngineWiring:
     def test_bitparallel_algorithm_registered(self):
         assert "bitparallel" in available_engines()
-        assert "anchored:bitparallel" in available_engines()
         assert get_engine("bitparallel").name == "bitparallel"
-
-    def test_anchored_default_inner_is_bitparallel(self):
-        assert DEFAULT_GAP_INNER == "bitparallel"
-        assert AnchoredEngine().name == "anchored:bitparallel"
-
-    def test_anchored_engine_default_inner(self):
-        left = simple_trace([1, 2, 3, 9, 4, 5, 6], name="old")
-        right = simple_trace([1, 2, 3, 8, 8, 4, 5, 6], name="new")
-        defaulted = AnchoredEngine().diff(left, right)
-        explicit = AnchoredEngine(get_engine(DEFAULT_GAP_INNER)).diff(
-            left, right)
-        assert result_identity(defaulted) == result_identity(explicit)
 
     def test_bitparallel_engine_matches_hirschberg(self):
         left = myfaces_trace(min_range=32, name="old")
@@ -148,9 +134,9 @@ class TestKernelNeutrality:
                                 in dataclasses.fields(ViewDiffConfig)}
 
     def test_view_diff_bit_identical_across_kernels(self):
-        # The lock-step scans and the anchor extension run the bitvector
-        # scans; swapping in the scalar loops changes nothing, compare
-        # counts included.  The long pair has equal runs beyond the
+        # The lock-step scans run the bitvector scans, on interned ids
+        # and on key tuples; swapping in the scalar loops changes
+        # nothing, compare counts included.  The long pair has equal runs beyond the
         # scan cutoff and the slice chunk.
         values = [k % 50 for k in range(3 * SCAN_CHUNK)]
         changed = list(values)
@@ -161,7 +147,7 @@ class TestKernelNeutrality:
                  (simple_trace(values, name="old"),
                   simple_trace(changed, name="new"))]
         for (left, right), config in itertools.product(
-                pairs, (ViewDiffConfig(), ViewDiffConfig(anchored=True))):
+                pairs, (ViewDiffConfig(), ViewDiffConfig(interned=False))):
             signatures = []
             for oracle in (False, True):
                 counter = OpCounter()

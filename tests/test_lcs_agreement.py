@@ -38,7 +38,7 @@ ALGO_FUNCS = {
 }
 
 # Interned-id sequences: small alphabets force repeats (the interesting
-# LCS structure), larger ones exercise the unique-anchor path.
+# LCS structure), larger ones exercise the unique-key pivot path.
 ids = st.lists(st.integers(0, 6), max_size=40)
 wide_ids = st.lists(st.integers(0, 1000), max_size=40)
 
@@ -197,7 +197,7 @@ class TestEdgeCases:
         assert len(lcs_dp([1, 1, 1], [1, 1]).pairs) == 2
 
     def test_fast_small_cell_limit_still_common_subsequence(self):
-        # Below the DP budget the anchored differ approximates; the
+        # Below the DP budget the pivot-splitting differ approximates; the
         # result must still be a valid common subsequence.
         a = [i % 5 for i in range(30)]
         b = [(i * 3) % 5 for i in range(30)]

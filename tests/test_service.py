@@ -145,6 +145,34 @@ class TestEndpoints:
         assert (store["loads"], store["reuses"], store["traces"]) == \
             (2, 2, 2), "the repeat diff reuses both decoded traces"
 
+    def test_diff_engine_parameter(self, service):
+        svc, client = service
+        left = simple_trace([1, 2, 3, 4], name="l")
+        right = simple_trace([1, 9, 3, 4], name="r")
+        client.wait(client.submit_capture(trace=left, key="l"))
+        client.wait(client.submit_capture(trace=right, key="r"))
+        result = client.wait(client.submit_diff(
+            "l", "r", engine="optimized"))["result"]
+        assert result["engine"] == "lcs-optimized"
+        direct = Session(store=svc.store).diff("l", "r", engine="optimized")
+        assert result["signature"] == json.dumps(
+            result_signature(direct), sort_keys=True, default=list)
+
+    def test_unregistered_engine_fails_the_job(self, service):
+        _svc, client = service
+        client.wait(client.submit_capture(
+            trace=simple_trace([1, 2], name="l"), key="l"))
+        client.wait(client.submit_capture(
+            trace=simple_trace([1, 3], name="r"), key="r"))
+        job = client.submit_diff("l", "r", engine="anchored:views")
+        with pytest.raises(ServiceError, match="available: views, "
+                           "bitparallel, dp, fast, hirschberg, optimized"):
+            client.wait(job)
+        assert client.job(job)["state"] == "error"
+        after = client.wait(client.submit_diff("l", "r"))
+        assert after["state"] == "done"
+        assert after["result"]["engine"] == "views"
+
     def test_diff_missing_key_errors_the_job(self, service):
         _svc, client = service
         with pytest.raises(ServiceError):

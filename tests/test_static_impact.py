@@ -1,6 +1,6 @@
 """Tests for static change-impact prediction: the structural program
 diff, score propagation, cross-validation against the dynamic
-ImpactReport, the anchor-hint feedback loop, and the CLI surface."""
+ImpactReport, and the CLI surface."""
 
 import json
 
@@ -8,8 +8,6 @@ import pytest
 
 from repro.analysis.cli import main
 from repro.api import Session
-from repro.core.view_diff import ViewDiffConfig, view_diff
-from repro.lang.interp import run_program
 from repro.lang.parser import parse_program
 from repro.static import (cross_validate, diff_programs, get_scenario,
                           predict_impact, validate_scenario)
@@ -61,9 +59,9 @@ class TestPredictImpact:
         assert scores["Table.insert"] == 1.0
         # Callers decay less than callees.
         assert scores["Db.insertMany"] > scores["Table.size"]
-        assert prediction.method_hints() == (
-            "<main>", "Db.insertMany", "Db.report", "Table.insert",
-            "Table.size")
+        assert sorted(prediction.predicted()) == [
+            "<main>", "<main>.spawn[0]", "Db.<init>", "Db.insertMany",
+            "Db.report", "Table.<init>", "Table.insert", "Table.size"]
 
     def test_dynamic_method_name_folding(self):
         assert dynamic_method_name("Db.insertMany") == "Db.insertMany"
@@ -96,28 +94,6 @@ class TestCrossValidation:
             "static_seconds", "dynamic_seconds"}
 
 
-class TestAnchorHints:
-    def test_hints_preserve_anchored_results(self):
-        scenario = get_scenario("minidb")
-        old, new = scenario.old_program(), scenario.new_program()
-        hints = predict_impact(old, new).method_hints()
-        left = run_program(old, name="old")
-        right = run_program(new, name="new")
-        base = view_diff(left, right, ViewDiffConfig(anchored=True))
-        hinted = view_diff(left, right, ViewDiffConfig(
-            anchored=True, anchor_method_hints=hints))
-        assert hinted.num_diffs() == base.num_diffs()
-        assert hinted.left_diff_eids() == base.left_diff_eids()
-        assert hinted.right_diff_eids() == base.right_diff_eids()
-
-    def test_hints_participate_in_cache_keys(self):
-        from repro.cache.diffcache import canonical_config
-        plain = canonical_config(ViewDiffConfig(anchored=True))
-        hinted = canonical_config(ViewDiffConfig(
-            anchored=True, anchor_method_hints=("Db.insertMany",)))
-        assert plain != hinted
-
-
 def _run(n):
     total = 0
     for i in range(n):
@@ -127,15 +103,12 @@ def _run(n):
 
 class TestSessionIntegration:
     def test_run_scenario_with_bundled_pair(self):
-        session = Session(config=ViewDiffConfig(anchored=True))
-        result = session.run_scenario(_run, _run, 4, 2,
-                                      static_impact="minidb")
+        result = Session().run_scenario(_run, _run, 4, 2,
+                                        static_impact="minidb")
         assert result.static_impact is not None
         assert result.static_impact.scenario == "minidb"
         assert result.static_impact.recall >= 0.9
         assert "static impact" in result.render()
-        # The hint-augmented config is scoped to the scenario call.
-        assert session.config.anchor_method_hints == ()
 
     def test_run_scenario_with_explicit_programs(self):
         scenario = get_scenario("minijs")

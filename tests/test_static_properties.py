@@ -85,4 +85,4 @@ def test_identity_impact_is_empty(source):
     program = parse_program(source)
     prediction = predict_impact(program, program)
     assert prediction.is_empty()
-    assert prediction.method_hints() == ()
+    assert prediction.predicted() == set()

@@ -180,8 +180,8 @@ class TestConfig:
 
 
 class TestDegeneratePairs:
-    """Hardening for the degenerate shapes segmentation exposes: empty
-    traces, all-common pairs, and single-gap pairs (ISSUE 5)."""
+    """Degenerate shapes: empty traces, all-common pairs, and
+    single-gap pairs."""
 
     def test_empty_vs_empty(self):
         from repro.core.traces import Trace
@@ -204,20 +204,16 @@ class TestDegeneratePairs:
     def test_all_common_pair_matches_everything(self, values):
         left = simple_trace(values, name="l")
         right = simple_trace(values, name="r")
-        for config in (None, ViewDiffConfig(anchored=True)):
-            result = view_diff(left, right, config=config)
-            assert result.num_diffs() == 0
-            assert len(result.match_pairs) == len(left)
+        result = view_diff(left, right)
+        assert result.num_diffs() == 0
+        assert len(result.match_pairs) == len(left)
 
-    def test_single_gap_pair_anchored_and_plain(self):
+    def test_single_gap_pair(self):
         left = simple_trace([1, 2, 3, 4, 5], name="l")
         right = simple_trace([1, 2, 9, 4, 5], name="r")
-        plain = view_diff(left, right)
-        anchored = view_diff(left, right,
-                             config=ViewDiffConfig(anchored=True))
-        assert plain.num_diffs() == anchored.num_diffs() == 2
-        assert [s.kind for s in plain.sequences] == ["modify"]
-        assert [s.kind for s in anchored.sequences] == ["modify"]
+        result = view_diff(left, right)
+        assert result.num_diffs() == 2
+        assert [s.kind for s in result.sequences] == ["modify"]
 
 
 def _signature(result):

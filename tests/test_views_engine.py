@@ -394,14 +394,3 @@ class TestSlicedTraces:
               [e.eid + shift for e in s.right_entries])
              for s in dense.sequences]
         assert result.counter.total == dense.counter.total
-
-    def test_anchored_hints_on_a_slice(self, sliced):
-        from repro.core.view_diff import ViewDiffConfig
-        left, right = sliced
-        methods = sorted({e.method for e in left.entries})[:3]
-        config = ViewDiffConfig(anchored=True,
-                                anchor_method_hints=tuple(methods))
-        plain = view_diff(left, right)
-        hinted = view_diff(left, right, config=config)
-        assert hinted.similar_left == plain.similar_left
-        assert hinted.match_pairs == plain.match_pairs
