@@ -77,7 +77,7 @@ def _run_pass(url: str, pairs, label: str) -> tuple[dict, list]:
         return seconds, (left, right), record["result"]
 
     started = time.perf_counter()
-    with ThreadPoolExecutor(max_workers=CLIENTS) as pool:
+    with ThreadPoolExecutor(CLIENTS) as pool:
         outcomes = list(pool.map(one_request, range(REQUESTS)))
     wall = time.perf_counter() - started
 

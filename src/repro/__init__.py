@@ -21,8 +21,8 @@ Typical use (the :mod:`repro.api` session layer)::
 Lower-level pieces remain directly importable: ``session.capture`` /
 ``session.diff`` drive individual steps, ``repro.api.TraceStore``
 persists traces for offline analysis (one sharded directory layout),
-and ``repro.api.ScenarioPipeline`` batches scenarios across a thread
-pool.
+and a batch of scenarios is a plain loop over sessions (``repro batch``
+on the command line).
 """
 
 from repro.core import (DiffResult, DifferenceSequence, OpCounter,

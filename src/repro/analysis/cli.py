@@ -15,8 +15,7 @@ while the program runs, then analysed later.  This CLI covers that side::
     python -m repro.analysis.cli store diff DIR KEY1 [KEY2] \\
         [--against-baseline TAG] [--engine ...]
     python -m repro.analysis.cli store migrate DIR
-    python -m repro.analysis.cli batch scenarios.json --store DIR \\
-        [--jobs 4]
+    python -m repro.analysis.cli batch scenarios.json --store DIR
     python -m repro.analysis.cli cache stats|prune|clear DIR ...
     python -m repro.analysis.cli index build|stats|compact DIR
     python -m repro.analysis.cli query DIR [--tag T] [--scenario S] \\
@@ -51,10 +50,10 @@ import argparse
 import dataclasses
 import json
 import sys
+import time
 from pathlib import Path
 
 from repro.api.engines import available_engines, get_engine, is_cacheable
-from repro.api.pipeline import StoredScenarioJob, run_pipeline
 from repro.api.session import Session
 from repro.api.store import INDEX_NAME, SHARDS_DIR, TraceStore
 from repro.cache import DiffCache, cached_engine_diff
@@ -505,12 +504,15 @@ def cmd_serve(args) -> int:
 # -- batch ------------------------------------------------------------------
 
 
-def _jobs_from_spec(spec: dict) -> list[StoredScenarioJob]:
+def _entries_from_spec(spec: dict) -> list[dict]:
+    """The spec's scenario entries as keyword arguments of
+    :meth:`Session.run_stored_scenario`, key pairs checked
+    (``suspected`` required, ``expected``/``regression`` optional)."""
     scenarios = spec.get("scenarios")
     if not isinstance(scenarios, list) or not scenarios:
         raise SystemExit("batch spec must have a non-empty "
                          "'scenarios' list")
-    jobs = []
+    entries = []
     for position, entry in enumerate(scenarios):
         def _pair(key, required=False):
             value = entry.get(key)
@@ -522,7 +524,7 @@ def _jobs_from_spec(spec: dict) -> list[StoredScenarioJob]:
                                  f"be a list of two trace keys")
             return (value[0], value[1])
 
-        jobs.append(StoredScenarioJob(
+        entries.append(dict(
             name=entry.get("name", f"scenario-{position}"),
             suspected=_pair("suspected", required=True),
             expected=_pair("expected"),
@@ -530,7 +532,7 @@ def _jobs_from_spec(spec: dict) -> list[StoredScenarioJob]:
             engine=entry.get("engine"),
             mode=entry.get("mode"),
         ))
-    return jobs
+    return entries
 
 
 def cmd_batch(args) -> int:
@@ -542,19 +544,36 @@ def cmd_batch(args) -> int:
     except json.JSONDecodeError as error:
         raise SystemExit(f"batch spec {args.spec} is not valid JSON: "
                          f"{error}")
-    jobs = _jobs_from_spec(spec)
+    entries = _entries_from_spec(spec)
     cache = _resolve_cache(args, args.store)
     session = Session(store=_open_store(args.store),
                       engine=_engine_name(args),
                       config=parse_config_flags(args.config),
                       cache=cache)
-    result = run_pipeline(jobs, session=session, max_workers=args.jobs)
-    print(result.render())
+    ok = compares = 0
+    started = time.perf_counter()
+    for entry in entries:
+        entry_started = time.perf_counter()
+        try:
+            result = session.run_stored_scenario(**entry)
+        except Exception as exc:  # noqa: BLE001 - entries fail independently
+            print(f"{entry['name']:24} FAILED: {type(exc).__name__}: {exc} "
+                  f"[{time.perf_counter() - entry_started:.3f}s]")
+            continue
+        ok += 1
+        compares += result.compares()
+        sizes = result.report.set_sizes()
+        print(f"{entry['name']:24} engine={result.engine:10} "
+              f"|A|={sizes['A']:<4} |D|={sizes['D']:<4} "
+              f"{result.compares()} compares  "
+              f"{time.perf_counter() - entry_started:.3f}s")
+    print(f"{ok}/{len(entries)} scenarios ok, {compares} compares in "
+          f"{time.perf_counter() - started:.3f}s")
     if cache is not None:
         stats = cache.stats()
         print(f"cache: {stats.hits} hit(s), {stats.misses} miss(es), "
               f"{stats.stores} store(s) at {stats.path}")
-    return 0 if not result.failed() else 1
+    return 0 if ok == len(entries) else 1
 
 
 # -- parser -----------------------------------------------------------------
@@ -771,15 +790,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     batch = commands.add_parser(
         "batch",
-        help="run many stored regression scenarios through the pipeline")
+        help="run many stored regression scenarios, one after another")
     batch.add_argument("spec", help="JSON file with a 'scenarios' list; "
                                     "each entry names suspected/expected/"
                                     "regression store keys")
     batch.add_argument("--store", required=True,
                        help="trace store directory the keys refer to")
-    batch.add_argument("--jobs", type=int, default=None,
-                       help="worker threads (default: one per scenario, "
-                            "capped)")
     _add_engine_options(batch)
     _add_cache_options(batch)
     batch.set_defaults(func=cmd_batch)

@@ -1,6 +1,6 @@
 """``repro.api`` — the composable public surface of the library.
 
-Four pieces, designed to grow independently:
+Three pieces, designed to grow independently:
 
 * :class:`Session` — fluent configuration + explicit lifecycle
   (``capture`` / ``ingest`` / ``diff`` / ``analyze`` /
@@ -12,13 +12,12 @@ Four pieces, designed to grow independently:
   later: the paper's offline workflow) in one sharded directory
   layout, with a queryable catalog sidecar (:class:`TraceIndex` from
   :mod:`repro.index`).
-* :class:`ScenarioPipeline` — batch execution of many regression
-  scenarios over a thread pool, with per-job op/timing/worker
-  aggregation.
 
-Everything runs in-process.  Captures take turns on the process-wide
+A batch of scenarios is a loop over :class:`Session`
+(``repro batch`` runs one over stored traces).  Everything runs
+in-process.  Captures take turns on the process-wide
 :data:`CAPTURE_LOCK` (one ``sys.settrace`` weaver per interpreter);
-the pipeline's threads overlap diffs and analyses.
+the service's ``--workers`` pool is the one place threads overlap.
 """
 
 from repro.api.engines import (DiffEngine, LcsEngine, ViewsEngine,
@@ -27,19 +26,14 @@ from repro.api.engines import (DiffEngine, LcsEngine, ViewsEngine,
 from repro.cache import CacheStats, DiffCache, cached_engine_diff
 from repro.capture import CAPTURE_LOCK
 from repro.core.keytable import KeyTable
-from repro.api.pipeline import (JobOutcome, PipelineResult, ScenarioJob,
-                                ScenarioPipeline, StoredScenarioJob,
-                                run_pipeline)
 from repro.api.session import SCENARIO_ROLES, Session, SessionResult
 from repro.api.store import TraceRecord, TraceStore
 from repro.index import TraceIndex, TraceIndexRecord
 
 __all__ = [
-    "CAPTURE_LOCK", "CacheStats", "DiffCache",
-    "DiffEngine", "JobOutcome", "KeyTable", "LcsEngine", "PipelineResult",
-    "SCENARIO_ROLES", "ScenarioJob", "ScenarioPipeline", "Session",
-    "SessionResult", "StoredScenarioJob", "TraceIndex", "TraceIndexRecord",
-    "TraceRecord", "TraceStore", "ViewsEngine", "available_engines",
-    "cached_engine_diff", "get_engine", "is_cacheable", "register_engine",
-    "run_pipeline", "unregister_engine",
+    "CAPTURE_LOCK", "CacheStats", "DiffCache", "DiffEngine", "KeyTable",
+    "LcsEngine", "SCENARIO_ROLES", "Session", "SessionResult",
+    "TraceIndex", "TraceIndexRecord", "TraceRecord", "TraceStore",
+    "ViewsEngine", "available_engines", "cached_engine_diff",
+    "get_engine", "is_cacheable", "register_engine", "unregister_engine",
 ]

@@ -19,12 +19,12 @@ The full Sec. 4 recipe is one call::
                             regressing_input=bad, correct_input=ok))
     print(result.render())
 
-Everything runs in the calling thread.  Captures are serialised
+Everything runs in the calling thread; a batch of scenarios is a loop
+over sessions (``repro batch`` is one).  Captures are serialised
 process-wide — the ``sys.settrace`` weaver admits a single active
-:class:`~repro.capture.tracer.Tracer` — so concurrent sessions (e.g.
-the pipeline's job threads) take turns on
-:data:`~repro.capture.tracer.CAPTURE_LOCK` while their diffs and
-analyses overlap.
+:class:`~repro.capture.tracer.Tracer` — so sessions on other threads
+(the service's ``--workers`` pool) take turns on
+:data:`~repro.capture.tracer.CAPTURE_LOCK`.
 """
 
 from __future__ import annotations
@@ -66,8 +66,9 @@ def run_capture_tasks(tasks, *, filter: TraceFilter | None = None,
                       ) -> list[CaptureResult]:
     """Capture each ``(name, func, args, kwargs)`` task in order: one
     :func:`~repro.capture.tracer.trace_call` per task, each under
-    :data:`~repro.capture.tracer.CAPTURE_LOCK`.  Every capture a
-    session makes goes through here."""
+    :data:`~repro.capture.tracer.CAPTURE_LOCK`, so captures from
+    several threads take turns.  Every capture a session makes goes
+    through here."""
     results = []
     for name, func, args, kwargs in tasks:
         with CAPTURE_LOCK:
@@ -93,6 +94,9 @@ class SessionResult:
     report: RegressionReport
     traces: dict[str, Trace] = field(default_factory=dict)
     seconds: float = 0.0
+    #: The part of ``seconds`` spent capturing (0 for stored
+    #: scenarios); the rest is diffs, analysis and store writes.
+    capture_seconds: float = 0.0
     engine: str = "views"
     scenario: str = ""
     store_keys: tuple[str, ...] = ()
@@ -149,15 +153,13 @@ class Session:
         #: ``None`` disables caching; ``True`` builds a cache whose
         #: disk tier lives beside the session store (memory-only when
         #: there is no store); a path opens/creates a disk tier there;
-        #: an instance is shared as-is (the pipeline hands one handle
-        #: to every job).
+        #: an instance is shared as-is.
         self.cache = self._as_cache(cache)
         self.engine = get_engine(engine)
         self.mode = mode
         self.record_fields = record_fields
         #: The session's ingest-time ``=e`` symbol table: every capture
         #: interns into it, so any two traces captured by this session
-        #: (or its derived siblings — the pipeline's per-job sessions)
         #: already share one id space when they meet in :meth:`diff`.
         self.key_table = key_table if key_table is not None else KeyTable()
 
@@ -223,27 +225,6 @@ class Session:
         """Select the Sec. 4 set-algebra mode (intersect / subtract)."""
         self.mode = mode
         return self
-
-    def derive(self, *, engine: str | DiffEngine | None = None,
-               config: ViewDiffConfig | None = None,
-               filter: TraceFilter | None = None,
-               mode: str | None = None,
-               cache: "DiffCache | str | Path | bool | None" = None
-               ) -> "Session":
-        """A sibling session sharing this one's store, key table and
-        diff cache (one handle, so every derived job of a batch hits
-        the same memoisation), with overrides (the pipeline gives each
-        job its own derived session)."""
-        return Session(
-            config=config if config is not None else self.config,
-            filter=filter if filter is not None else self.filter,
-            store=self.store,
-            engine=engine if engine is not None else self.engine,
-            mode=mode if mode is not None else self.mode,
-            record_fields=self.record_fields,
-            key_table=self.key_table,
-            cache=cache if cache is not None else self.cache,
-        )
 
     # -- lifecycle: capture / ingest ---------------------------------------
 
@@ -430,9 +411,11 @@ class Session:
         if correct_input is not None:
             roles.append(("old/correct", old_version, correct_input))
             roles.append(("new/correct", new_version, correct_input))
+        capture_started = time.perf_counter()
         captured = self.capture_batch(
             [(role, runner, (payload,), {})
              for role, runner, payload in roles])
+        capture_seconds = time.perf_counter() - capture_started
         for (role, _runner, _payload), outcome in zip(roles, captured):
             traces[role] = outcome.trace
             if store_prefix is not None:
@@ -461,6 +444,7 @@ class Session:
             report=report,
             traces=traces,
             seconds=time.perf_counter() - started,
+            capture_seconds=capture_seconds,
             engine=backend.name,
             scenario=name,
             store_keys=tuple(store_keys),

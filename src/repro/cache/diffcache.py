@@ -38,9 +38,9 @@ Correctness rests on two contracts, both documented at their homes:
   stateful until they say otherwise.
 
 Thread safety: one lock guards the memory tier and the counters, disk
-writes are atomic, so one handle may be shared by every job thread of
-a pipeline batch or service; separate processes sharing a directory
-meet through the disk tier.
+writes are atomic, so one handle may be shared by every scenario of a
+batch and every worker of the service; separate processes sharing a
+directory meet through the disk tier.
 """
 
 from __future__ import annotations

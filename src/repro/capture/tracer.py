@@ -36,9 +36,9 @@ _ACTIVE: "Tracer | None" = None
 _ACTIVE_LOCK = threading.Lock()
 
 #: Serialises captures process-wide: there is one ``sys.settrace``
-#: weaver per interpreter, so concurrent callers (pipeline jobs, the
-#: harness's scenario threads, service workers) take turns capturing
-#: while their diffs and analyses overlap.  Re-entrant, so a nested
+#: weaver per interpreter, so concurrent callers (the service's
+#: workers) take turns capturing while their diffs and analyses
+#: overlap.  Re-entrant, so a nested
 #: capture attempt still reaches the "already active" diagnostic.
 CAPTURE_LOCK = threading.RLock()
 

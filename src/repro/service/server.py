@@ -132,8 +132,7 @@ class ReproService:
         self._queue = asyncio.Queue(maxsize=self.queue_limit)
         self._shutdown = asyncio.Event()
         self._pool = ThreadPoolExecutor(
-            max_workers=self.workers,
-            thread_name_prefix="repro-service")
+            self.workers, thread_name_prefix="repro-service")
         server = await asyncio.start_server(self._handle, self.host,
                                             self.port)
         self.port = server.sockets[0].getsockname()[1]

@@ -5,7 +5,10 @@ Xalan-1802, Derby-1633 — each pointing at its workload's version entry
 points, test inputs, and ground-truth predicate.  ``run_scenario``
 produces a :class:`ScenarioResult` carrying every column of the paper's
 Table 1 (for both the LCS-based and views-based semantics) and Table 2
-(view counts and A/B/C/D set sizes).
+(view counts and A/B/C/D set sizes).  It runs on
+:meth:`repro.api.Session.run_scenario`, the one four-trace recipe, and
+adds the LCS baseline and the ground-truth scoring; ``run_all_scenarios``
+is a plain loop over the four studies.
 """
 
 from __future__ import annotations
@@ -16,13 +19,15 @@ from pathlib import Path
 from typing import Callable
 
 from repro.api.engines import get_engine
-from repro.cache import DiffCache, cached_engine_diff
+from repro.api.session import SCENARIO_ROLES, Session
+from repro.cache import DiffCache
 from repro.capture import CAPTURE_LOCK, TraceFilter, trace_call
 from repro.core.lcs import LcsMemoryError, MemoryBudget, OpCounter
 from repro.core.regression import (MODE_INTERSECT, analyze_regression,
                                    evaluate_against_truth)
 from repro.core.traces import Trace
 from repro.core.view_diff import ViewDiffConfig
+from repro.core.views import ViewType
 from repro.core.web import ViewWeb
 
 from repro.workloads.invariants import scenario as daikon
@@ -98,19 +103,18 @@ def workload_loc(package: str) -> int:
 def capture_scenario_trace(spec: ScenarioSpec, runner: Callable, payload,
                            name: str) -> Trace:
     """Trace one version/input combination under the scenario's
-    pointcut filter."""
+    pointcut filter (one role of the recipe, for tests and benches
+    that need a single trace)."""
     trace_filter = TraceFilter(include_modules=spec.filter_modules)
-    # One sys.settrace weaver per process: serialise captures so the
-    # parallel batch runner can overlap everything else.
     with CAPTURE_LOCK:
         return trace_call(runner, payload, filter=trace_filter,
                           name=name).trace
 
 
-def _analyze(spec: ScenarioSpec, suspected, expected, regression,
-             row: SemanticsRow) -> dict[str, int]:
-    report = analyze_regression(suspected, expected=expected,
-                                regression=regression, mode=spec.mode)
+def _score(spec: ScenarioSpec, suspected, report,
+           row: SemanticsRow) -> dict[str, int]:
+    """Fill ``row`` from a Sec. 4 report scored against the study's
+    ground truth; returns the A/B/C/D set sizes."""
     evaluation = evaluate_against_truth(report, spec.is_cause_entry,
                                         expected_cause_marks=spec.cause_marks)
     row.num_diffs = suspected.num_diffs()
@@ -130,58 +134,56 @@ def run_scenario(spec: ScenarioSpec,
                  static_impact: bool = False) -> ScenarioResult:
     """Everything the paper measures for one case study.
 
-    Both semantics are resolved through the :mod:`repro.api.engines`
-    registry: the views side runs ``views_engine`` (``views`` by
-    default), the baseline side runs ``lcs_engine`` (any registered
-    LCS variant).
+    The four traces and the three views diffs come from
+    :meth:`Session.run_scenario` (filter and mode from ``spec``,
+    engine ``views_engine``, plus ``config`` and ``cache``).  The
+    harness adds the LCS side (``lcs_engine``, any registered LCS
+    variant, over the same four traces), the ground-truth scoring and
+    the Table 1/2 columns.
     ``cache`` memoises the three *views* diffs through a
-    :class:`~repro.cache.DiffCache`: warm hits credit the compare
-    counter with the cold run's totals (so the Table 1 compare and
-    speedup columns match cold runs), but the views *timing* column
-    then measures cache lookups, not differencing.  The LCS baseline
-    is never cached — it always runs under a memory budget, and a
-    budget bypasses the cache so the paper's out-of-memory failure and
-    peak-cell numbers are re-measured every run.  ``static_impact``
-    additionally cross-validates the static change-impact prediction of
-    the scenario's ``lang_scenario`` model against its interpreted
-    ground truth (``result.static_impact``).
+    :class:`~repro.cache.DiffCache`: warm hits carry the cold run's
+    compare totals (so the Table 1 compare and speedup columns match
+    cold runs), but the views *timing* column then measures cache
+    lookups, not differencing.  The LCS baseline is never cached — it
+    always runs under a memory budget, so the paper's out-of-memory
+    failure and peak-cell numbers are re-measured every run.
+    ``static_impact`` additionally cross-validates the static
+    change-impact prediction of the scenario's ``lang_scenario`` model
+    against its interpreted ground truth (``result.static_impact``).
     """
-    started = time.perf_counter()
-    old_bad, new_bad, old_ok, new_ok = (
-        capture_scenario_trace(spec, runner, payload, f"{spec.name}/{role}")
-        for runner, payload, role in (
-            (spec.run_old, spec.regressing_input, "old/regressing"),
-            (spec.run_new, spec.regressing_input, "new/regressing"),
-            (spec.run_old, spec.correct_input, "old/correct"),
-            (spec.run_new, spec.correct_input, "new/correct")))
-    tracing_seconds = time.perf_counter() - started
-
+    session = Session(config=config, engine=views_engine, mode=spec.mode,
+                      cache=cache,
+                      filter=TraceFilter(include_modules=spec.filter_modules))
+    outcome = session.run_scenario(spec.run_old, spec.run_new,
+                                   spec.regressing_input, spec.correct_input,
+                                   name=spec.name)
+    old_bad, new_bad, old_ok, new_ok = (outcome.traces[role]
+                                        for role in SCENARIO_ROLES)
     result = ScenarioResult(
         name=spec.name,
         workload_loc=workload_loc(spec.package),
         trace_entries=len(old_bad) + len(new_bad),
-        tracing_seconds=tracing_seconds,
+        tracing_seconds=outcome.capture_seconds,
     )
 
-    # -- views-based differencing + analysis --------------------------------
-    views_backend = get_engine(views_engine)
-    views_counter = OpCounter()
-    views_started = time.perf_counter()
-    suspected_v = cached_engine_diff(cache, views_backend, old_bad, new_bad,
-                                     config=config, counter=views_counter)
-    expected_v = cached_engine_diff(cache, views_backend, old_ok, new_ok,
-                                    config=config, counter=views_counter)
-    regression_v = cached_engine_diff(cache, views_backend, new_ok, new_bad,
-                                      config=config, counter=views_counter)
-    result.set_sizes = _analyze(spec, suspected_v, expected_v,
-                                regression_v, result.views)
-    result.views.analysis_seconds = time.perf_counter() - views_started
-    result.views.compares = views_counter.total
-    # Views memory: the webs' index lists (4 bytes/index modelled).
+    # -- views-based scoring ------------------------------------------------
+    scoring_started = time.perf_counter()
+    result.set_sizes = _score(spec, outcome.suspected, outcome.report,
+                              result.views)
+    # Diffs and analysis: the session's time after capture, plus scoring.
+    result.views.analysis_seconds = (
+        outcome.seconds - outcome.capture_seconds
+        + time.perf_counter() - scoring_started)
+    result.views.compares = outcome.compares()
+    # Table 2 view counts and the views memory column (8 bytes per
+    # member index) of the old/regressing trace.  The web is a handle
+    # over the view index the diffs built and cached on the trace; no
+    # View object is materialised.
     web = ViewWeb(old_bad)
     result.view_counts = web.counts()
     result.views.memory_bytes = 8 * sum(
-        len(v.indices) for v in web.all_views())
+        len(members) for vtype in ViewType
+        for members in web.columns(vtype).members)
 
     # -- LCS-based differencing + analysis ------------------------------------
     baseline = get_engine(lcs_engine)
@@ -199,7 +201,9 @@ def run_scenario(spec: ScenarioSpec,
                                    budget=budget)
         regression_l = baseline.diff(new_ok, new_bad, counter=lcs_counter,
                                      budget=budget)
-        _analyze(spec, suspected_l, expected_l, regression_l, result.lcs)
+        report = analyze_regression(suspected_l, expected=expected_l,
+                                    regression=regression_l, mode=spec.mode)
+        _score(spec, suspected_l, report, result.lcs)
         result.lcs.analysis_seconds = time.perf_counter() - lcs_started
         result.lcs.compares = lcs_counter.total
         result.lcs.memory_bytes = budget.peak_bytes()
@@ -270,24 +274,10 @@ SCENARIOS: dict[str, ScenarioSpec] = {
 }
 
 
-def run_all_scenarios(max_workers: int | None = None,
-                      cache: "DiffCache | None" = None,
+def run_all_scenarios(cache: "DiffCache | None" = None,
                       **kwargs) -> list[ScenarioResult]:
-    """All four case studies, optionally across a thread pool.
-
-    With ``max_workers`` > 1 the capture phases still interleave (they
-    take turns on :data:`~repro.capture.tracer.CAPTURE_LOCK`) but
-    differencing and analysis of different scenarios overlap.  Results
-    keep ``SCENARIOS`` order.
-
-    ``cache`` is one :class:`~repro.cache.DiffCache` handle shared by
-    every scenario (thread-safe, so the parallel mode shares it too):
-    re-runs of unchanged scenarios skip their diffs entirely.
-    """
-    specs = list(SCENARIOS.values())
-    if max_workers is None or max_workers <= 1:
-        return [run_scenario(spec, cache=cache, **kwargs) for spec in specs]
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        return list(pool.map(
-            lambda spec: run_scenario(spec, cache=cache, **kwargs), specs))
+    """All four case studies in ``SCENARIOS`` order; ``cache`` is one
+    :class:`~repro.cache.DiffCache` handle shared by every scenario, so
+    re-runs of unchanged scenarios skip their views diffs."""
+    return [run_scenario(spec, cache=cache, **kwargs)
+            for spec in SCENARIOS.values()]

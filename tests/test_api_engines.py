@@ -166,10 +166,3 @@ class TestKeyTablePlumbing:
         assert trace.key_table is session.key_table
         assert trace.key_ids is not None
         assert len(trace.key_ids) == len(trace)
-
-    def test_derived_session_shares_key_table(self):
-        from repro.api.session import Session
-
-        base = Session()
-        derived = base.derive(engine="dp")
-        assert derived.key_table is base.key_table

@@ -72,13 +72,6 @@ class TestFluentConfiguration:
         with pytest.raises(ValueError):
             Session().with_filter(TraceFilter(), include_modules=("x",))
 
-    def test_derive_overrides_engine_keeps_store(self, tmp_path):
-        base = Session(store=tmp_path / "s")
-        derived = base.derive(engine="dp")
-        assert derived.engine.name == "dp"
-        assert derived.store is base.store
-        assert base.engine.name == "views"
-
 
 class TestLifecycle:
     def test_capture_returns_result_and_trace(self):
@@ -127,7 +120,7 @@ class TestLifecycle:
         so each one records exactly its own run."""
         from concurrent.futures import ThreadPoolExecutor
         session = Session().with_filter(MODULE_FILTER)
-        with ThreadPoolExecutor(max_workers=3) as pool:
+        with ThreadPoolExecutor(3) as pool:
             traces = list(pool.map(
                 lambda n: session.capture(old_version, [1, 2],
                                           name=f"r{n}").trace, range(3)))
@@ -218,7 +211,7 @@ class TestRunCaptureTasks:
     def test_threads_serialise_on_the_lock(self):
         from concurrent.futures import ThreadPoolExecutor
         task = ("svc", old_version, ([1, 2, 3],), {})
-        with ThreadPoolExecutor(max_workers=3) as pool:
+        with ThreadPoolExecutor(3) as pool:
             captured = [c for batch in pool.map(
                 lambda _: run_capture_tasks([task], filter=MODULE_FILTER),
                 range(3)) for c in batch]

@@ -8,7 +8,6 @@ import pytest
 
 from repro.api import (Session, available_engines, get_engine, is_cacheable,
                        register_engine, unregister_engine)
-from repro.api.pipeline import StoredScenarioJob, run_pipeline
 from repro.api.store import TraceStore
 from repro.cache import (DiffCache, cache_key, cached_engine_diff,
                          canonical_config)
@@ -392,48 +391,6 @@ class TestSessionCache:
         two = session.diff("l", "r")
         assert session.cache.stats().hits == 1
         assert result_signature(one) == result_signature(two)
-
-    def test_derive_shares_the_handle(self, pair):
-        session = Session(cache=True)
-        assert session.derive().cache is session.cache
-        assert session.derive(cache=False).cache is None
-
-
-class TestPipelineSharedCache:
-    def _stored_jobs(self, tmp_path):
-        store = TraceStore(tmp_path / "store")
-        store.save(myfaces_trace(min_range=32, name="ob"), key="ob")
-        store.save(myfaces_trace(min_range=1, new_version=True,
-                                 name="nb"), key="nb")
-        store.save(myfaces_trace(min_range=32, name="oo"), key="oo")
-        store.save(myfaces_trace(min_range=32, name="no"), key="no")
-        jobs = [StoredScenarioJob(name=f"job-{n}",
-                                  suspected=("ob", "nb"),
-                                  expected=("oo", "no"))
-                for n in range(3)]
-        return store, jobs
-
-    def test_jobs_share_one_cache(self, tmp_path):
-        store, jobs = self._stored_jobs(tmp_path)
-        cache = DiffCache(tmp_path / "cache")
-        session = Session(store=store)
-        first = run_pipeline(jobs, session=session, cache=cache,
-                             max_workers=2)
-        assert not first.failed()
-        warm = run_pipeline(jobs, session=session, cache=cache,
-                            max_workers=2)
-        assert not warm.failed()
-        # Three identical jobs x two diff pairs x two batches = twelve
-        # lookups.  Concurrent first-batch jobs may race to compute the
-        # same pair (both miss, both store — harmless, puts are
-        # idempotent), but the second batch is warm start to finish.
-        stats = cache.stats()
-        assert stats.hits + stats.misses == 12
-        assert stats.misses == stats.stores <= 6
-        assert stats.hits >= 6
-        for cold_job, warm_job in zip(first, warm):
-            assert result_signature(cold_job.result.suspected) == \
-                result_signature(warm_job.result.suspected)
 
 
 class TestHitIdentityProperty:

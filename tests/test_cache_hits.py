@@ -229,7 +229,7 @@ class TestResultSignature:
                                 result.right)
         assert back.sequences[0].right_entries[-2:] == [EOF, EOF]
 
-    def test_anchored_views_result(self, pairs):
+    def test_views_result_with_fig13_anchors(self, pairs):
         # A views result with Fig. 13's anchors: the pairs the
         # secondary-view exploration found.
         result = get_engine("views").diff(*pairs["xalan-1802"])

@@ -227,3 +227,12 @@ class TestThreadCapture:
         assert not [e for e in trace if isinstance(e.event, Fork)]
         assert len(set(trace.thread_ids())) == 1
         assert [type(e.event) for e in trace] == [Call, Return, End]
+
+
+class TestCaptureLock:
+    def test_capture_lock_is_reentrant(self):
+        from repro.capture import CAPTURE_LOCK
+        with CAPTURE_LOCK:
+            acquired = CAPTURE_LOCK.acquire(timeout=0.1)
+            assert acquired
+            CAPTURE_LOCK.release()

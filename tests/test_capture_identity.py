@@ -147,9 +147,9 @@ def test_role_trace_pinned(role):
 
 def test_case_study_roles_pinned_through_a_cold_thread_pool():
     """Every Table 1 role, captured from an un-prewarmed 2-worker pool
-    (the shape of the pipeline and ``run_all_scenarios``), matches its
-    pin: a pool thread spawned while another role's capture runs stays
-    out of that trace."""
+    (the shape of the service's ``--workers`` pool, whose jobs take
+    turns on the capture lock), matches its pin: a pool thread spawned
+    while another role's capture runs stays out of that trace."""
     roles = sorted(role for role in ROLE_DIGESTS
                    if role.partition("/")[0] in SCENARIOS)
 
@@ -160,7 +160,7 @@ def test_case_study_roles_pinned_through_a_cold_thread_pool():
                                key_table=KeyTable(), name=role).trace
         return len(trace), trace.content_digest(), key_digest(trace)
 
-    with ThreadPoolExecutor(max_workers=2) as pool:
+    with ThreadPoolExecutor(2) as pool:
         captured = dict(zip(roles, pool.map(capture, roles)))
     assert len(roles) == 16
     assert captured == {role: ROLE_DIGESTS[role] for role in roles}

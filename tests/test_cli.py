@@ -279,12 +279,82 @@ class TestBatch:
             {"name": "baseline", "suspected": ["ob", "nb"],
              "engine": "optimized"},
         ])
-        assert main(["batch", spec, "--store", str(populated_store),
-                     "--jobs", "2"]) == 0
+        assert main(["batch", spec, "--store", str(populated_store)]) == 0
         out = capsys.readouterr().out
         assert "2/2 scenarios ok" in out
         assert "engine=views" in out
         assert "engine=optimized" in out
+
+    def test_jobs_flag_is_an_argparse_error(self, tmp_path,
+                                            populated_store, capsys):
+        spec = self._spec(tmp_path,
+                          [{"name": "s", "suspected": ["ob", "nb"]}])
+        with pytest.raises(SystemExit) as exit_info:
+            main(["batch", spec, "--store", str(populated_store),
+                  "--jobs", "2"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --jobs" in capsys.readouterr().err
+
+    def test_unknown_entry_engine_is_a_failed_line(self, tmp_path,
+                                                   populated_store,
+                                                   capsys):
+        spec = self._spec(tmp_path, [
+            {"name": "ok", "suspected": ["ob", "nb"]},
+            {"name": "odd", "suspected": ["ob", "nb"],
+             "engine": "no-such-engine"},
+        ])
+        assert main(["batch", spec, "--store", str(populated_store)]) == 1
+        out = capsys.readouterr().out
+        assert "odd" in out and "FAILED: KeyError" in out
+        assert "no-such-engine" in out
+        assert "Traceback" not in out
+        assert "1/2 scenarios ok" in out
+
+    def test_results_in_spec_order(self, tmp_path, populated_store,
+                                   capsys):
+        names = ["zeta", "alpha", "mid", "beta"]
+        spec = self._spec(tmp_path, [
+            {"name": name, "suspected": ["ob", "nb"]} for name in names])
+        assert main(["batch", spec, "--store", str(populated_store)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[0] for line in lines[:4]] == names
+        assert lines[4].startswith("4/4 scenarios ok")
+
+    def test_entry_engine_and_mode_overrides(self, tmp_path,
+                                             populated_store, capsys):
+        full = {"suspected": ["ob", "nb"], "expected": ["oo", "no"],
+                "regression": ["no", "nb"]}
+        spec = self._spec(tmp_path, [
+            dict(full, name="plain"),
+            dict(full, name="subtract", mode="subtract"),
+            dict(full, name="lcs", engine="optimized"),
+        ])
+        assert main(["batch", spec, "--store", str(populated_store)]) == 0
+        plain, subtract, lcs = capsys.readouterr().out.splitlines()[:3]
+        assert "engine=views" in plain and "|D|=2 " in plain
+        assert "engine=views" in subtract and "|D|=0 " in subtract
+        assert "engine=optimized" in lcs
+
+    def test_second_batch_over_one_cache_is_all_hits(self, tmp_path,
+                                                     populated_store,
+                                                     capsys):
+        # Six distinct pairs: the full recipe, then every pair reversed.
+        spec = self._spec(tmp_path, [
+            {"name": "forward", "suspected": ["ob", "nb"],
+             "expected": ["oo", "no"], "regression": ["no", "nb"]},
+            {"name": "reversed", "suspected": ["nb", "ob"],
+             "expected": ["no", "oo"], "regression": ["nb", "no"]},
+        ])
+        args = ["batch", spec, "--store", str(populated_store)]
+        assert main(args) == 0
+        cold = capsys.readouterr().out
+        assert "cache: 0 hit(s), 6 miss(es), 6 store(s)" in cold
+        assert main(args) == 0
+        warm = capsys.readouterr().out
+        assert "cache: 6 hit(s), 0 miss(es), 0 store(s)" in warm
+        # Same rows up to their timing column.
+        assert [line.rsplit(" ", 1)[0] for line in cold.splitlines()[:2]] \
+            == [line.rsplit(" ", 1)[0] for line in warm.splitlines()[:2]]
 
     def test_failing_scenario_sets_exit_code(self, tmp_path,
                                              populated_store, capsys):

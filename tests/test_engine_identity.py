@@ -1,16 +1,14 @@
-"""Checks carried over from the patience-anchoring suite.
+"""Identity checks of the plain engines on the pairs where exactness
+is easiest to lose.
 
-Patience anchoring (``repro.core.anchors``, the ``anchored:<inner>``
-engines and ``ViewDiffConfig.anchored``) has been removed: it made the
-paper's views diffs slower, and its LCS variants could return fewer
-matched pairs than an LCS.  The checks below covered behaviour that the
-anchored paths leaned on and that remains: the plain engines on
-degenerate and near-identical pairs, the interned and tuple key paths,
-the engine registry, budgets and the diff cache's accounting, and the
-views engine, whose results carry Fig. 13's anchor pairs.  They keep
-their names; what each now checks is in its body.
+The LCS baselines on unambiguous, near-identical and degenerate pairs
+and on both key paths (interned ids and ``=e`` tuples); the views
+engine on random threaded pairs, whose results carry Fig. 13's anchor
+pairs; the engine registry; budgets and the diff cache's accounting;
+and every engine on the case-study pairs.  The suite began as the
+patience-anchoring suite, which is why some test names still say
+"anchored"; what each checks is in its body.
 """
-
 from __future__ import annotations
 
 import pytest
@@ -45,7 +43,7 @@ base_edits = st.lists(
     st.tuples(st.integers(0, 79), st.integers(0, 1)), max_size=8)
 
 
-class TestAnchoredLcsIdentity:
+class TestLcsIdentity:
     @given(base_edits, base_edits)
     @settings(max_examples=40, deadline=None)
     def test_bit_identity_on_unambiguous_pairs(self, edits_l, edits_r):
@@ -127,7 +125,7 @@ def build_threaded_trace(program, name=""):
     return builder.build()
 
 
-class TestAnchoredViewsIdentity:
+class TestViewsIdentity:
     """Interning changes no views result — similarity sets, matched
     pairs, Fig. 13 anchor pairs and sequences — over arbitrary random
     multi-threaded pairs, not just friendly ones."""
@@ -171,7 +169,7 @@ class TestAnchoredViewsIdentity:
 # -- the engine registry -----------------------------------------------------
 
 
-class TestAnchoredEngineRegistry:
+class TestEngineRegistry:
     def test_builtin_combinations_registered(self):
         names = available_engines()
         assert names == ("views",) + tuple(sorted(ALGORITHMS))
@@ -259,7 +257,7 @@ class TestSegmentExecution:
         assert result.peak_cells == budget.peak_cells
 
 
-class TestAnchoredCacheAccounting:
+class TestCacheAccounting:
     def test_computed_diff_is_not_a_cache_hit(self, tmp_path):
         """A whole-result miss is computed: it leaves the cache's hit
         count alone and its catalog row reads ``cached=False``, even
@@ -368,8 +366,7 @@ class TestScenarioIdentityMatrix:
     @pytest.mark.parametrize("interned", [True, False])
     @pytest.mark.parametrize("engine", list(ENGINE_SLICES))
     @pytest.mark.parametrize("workload", ["minixslt", "minijs"])
-    def test_bit_identity_single_threaded_workloads(
-            self, scenario_pairs, workload, engine, interned):
+    def test_bit_identity(self, scenario_pairs, workload, engine, interned):
         """The result on one key path equals the other path's, compares
         included; an LCS engine's equals the exact bit-parallel LCS."""
         size = ENGINE_SLICES[engine]

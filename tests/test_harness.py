@@ -1,12 +1,81 @@
-"""Tests for the Table 1/2 scenario harness (one full scenario run)."""
+"""Tests for the Table 1/2 scenario harness (full scenario runs)."""
 
 import gc
 import warnings
 
 import pytest
 
+import repro.api.session as session_module
+from repro.capture.tracer import Tracer
 from repro.workloads.harness import (SCENARIOS, ScenarioSpec,
                                      run_scenario, workload_loc)
+
+#: Whole Table 1/2 rows: trace entries; views and LCS as (diffs,
+#: sequences, regression sequences, FP, FN, compares, memory bytes);
+#: the A/B/C/D set sizes; the Table 2 view counts.
+PINNED_ROWS = {
+    "Xalan-1725": (
+        7_421,
+        (99, 22, 10, 1, 0, 492_754, 118_216),
+        (117, 23, 13, 3, 0, 23_653_008, 55_070_280),
+        {"A": 22, "B": 4, "C": 166, "D": 10},
+        {"total": 126, "thread": 1, "method": 56, "target_object": 35,
+         "active_object": 34}),
+    "Daikon": (
+        12_586,
+        (310, 73, 6, 3, 0, 842_997, 199_040),
+        (318, 74, 7, 3, 0, 114_795_917, 158_407_360),
+        {"A": 73, "B": 59, "C": 308, "D": 6},
+        {"total": 395, "thread": 1, "method": 64, "target_object": 165,
+         "active_object": 165}),
+}
+
+
+def _semantics(row):
+    assert row.failed is None
+    return (row.num_diffs, row.diff_sequences, row.regression_sequences,
+            row.false_positives, row.false_negatives, row.compares,
+            row.memory_bytes)
+
+
+def _row(result):
+    return (result.trace_entries, _semantics(result.views),
+            _semantics(result.lcs), result.set_sizes, result.view_counts)
+
+
+def _counted_run(name):
+    """Run one study, counting every capture (tracer entered) and every
+    capture task handed to ``repro.api.session.run_capture_tasks``."""
+    counts = {"captures": 0, "tasks": 0}
+    enter = Tracer.__enter__
+    run_tasks = session_module.run_capture_tasks
+
+    def counting_enter(tracer):
+        counts["captures"] += 1
+        return enter(tracer)
+
+    def counting_tasks(tasks, **kwargs):
+        tasks = list(tasks)
+        counts["tasks"] += len(tasks)
+        return run_tasks(tasks, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Tracer, "__enter__", counting_enter)
+        patch.setattr(session_module, "run_capture_tasks", counting_tasks)
+        result = run_scenario(SCENARIOS[name])
+    return result, counts
+
+
+@pytest.fixture(scope="module")
+def study_run():
+    """``study_run(name)`` -> (result, capture counts), run once."""
+    runs = {}
+
+    def run(name):
+        if name not in runs:
+            runs[name] = _counted_run(name)
+        return runs[name]
+    return run
 
 
 class TestSpecs:
@@ -38,8 +107,8 @@ class TestScenarioRun:
     """End-to-end harness run on the cheapest study (Xalan-1725)."""
 
     @pytest.fixture(scope="class")
-    def result(self):
-        return run_scenario(SCENARIOS["Xalan-1725"])
+    def result(self, study_run):
+        return study_run("Xalan-1725")[0]
 
     def test_traces_collected(self, result):
         assert result.trace_entries > 1000
@@ -70,3 +139,15 @@ class TestScenarioRun:
     def test_speedup_reported(self, result):
         assert result.speedup is not None
         assert result.speedup > 0
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("name", sorted(PINNED_ROWS))
+class TestPinnedRows:
+    """The Table 1/2 rows of the two cheapest studies, exactly."""
+
+    def test_whole_row(self, study_run, name):
+        assert _row(study_run(name)[0]) == PINNED_ROWS[name]
+
+    def test_four_captures_all_through_the_session(self, study_run, name):
+        assert study_run(name)[1] == {"captures": 4, "tasks": 4}

@@ -297,7 +297,7 @@ class TestConcurrentDiffAcceptance:
                 record = client.wait(job, timeout=120)
                 return (left, right), record["result"]["signature"]
 
-            with ThreadPoolExecutor(max_workers=self.REQUESTS) as pool:
+            with ThreadPoolExecutor(self.REQUESTS) as pool:
                 outcomes = list(pool.map(one_request,
                                          range(self.REQUESTS)))
         assert len(outcomes) == self.REQUESTS

@@ -246,7 +246,7 @@ class TestViewIndex:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            with ThreadPoolExecutor(max_workers=6) as pool:
+            with ThreadPoolExecutor(6) as pool:
                 futures = [pool.submit(view_diff, shared_l, shared_r)
                            for _ in range(6)]
                 results = [future.result(timeout=120) for future in futures]
