@@ -40,7 +40,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 from repro.api.engines import DiffEngine, get_engine
 from repro.api.store import TraceNotFound, TraceStore
-from repro.cache import DiffCache, cached_engine_diff
+from repro.cache import CacheCall, DiffCache, cached_engine_diff
 from repro.capture.filters import TraceFilter
 from repro.capture.tracer import CAPTURE_LOCK, CaptureResult, trace_call
 from repro.core.diffs import DiffResult
@@ -323,22 +323,41 @@ class Session:
         A session with a store also appends one row of diff statistics
         to the store's catalog (``repro query --diffs`` reads them
         back) — best-effort, never failing the diff itself.
+
+        A cache hit may return the very result object an earlier call
+        got; results are immutable by convention.
         """
+        return self.diff_call(left, right, engine=engine,
+                              counter=counter, budget=budget,
+                              use_cache=use_cache)[0]
+
+    def diff_call(self, left: Trace | str | Path,
+                  right: Trace | str | Path, *,
+                  engine: str | DiffEngine | None = None,
+                  counter: OpCounter | None = None,
+                  budget: MemoryBudget | None = None,
+                  use_cache: bool = True,
+                  ) -> "tuple[DiffResult, CacheCall | None]":
+        """:meth:`diff`, also returning the :class:`~repro.cache.CacheCall`
+        it went through (``None`` without a cache or with
+        ``use_cache=False``): its key, and whether the cache answered
+        this call (the service's ``cached`` flag and the catalog
+        row's)."""
         backend = self.engine if engine is None else get_engine(engine)
         left_trace = self.resolve_trace(left)
         right_trace = self.resolve_trace(right)
-        cache = self.cache if use_cache else None
-        hits_before = cache.hits if cache is not None else 0
+        call = CacheCall(self.cache) \
+            if use_cache and self.cache is not None else None
         started = time.perf_counter()
-        result = cached_engine_diff(cache, backend, left_trace,
+        result = cached_engine_diff(call, backend, left_trace,
                                     right_trace, config=self.config,
                                     counter=counter, budget=budget)
         if self.store is not None:
             self._record_diff_stat(
                 left_trace, right_trace, backend.name, result,
                 seconds=time.perf_counter() - started,
-                cached=(cache is not None and cache.hits > hits_before))
-        return result
+                cached=call is not None and call.hit)
+        return result, call
 
     def _record_diff_stat(self, left: Trace, right: Trace, engine: str,
                           result: DiffResult, *, seconds: float,

@@ -11,10 +11,15 @@ canonicalised ViewDiffConfig)``
 
 with two tiers:
 
-* an **in-memory LRU** (wire dicts, not result objects — hits are
-  always rehydrated against the *caller's* traces, so a cached result
-  never pins old trace objects and its sequences reference the very
-  entries the caller holds), and
+* an **in-memory LRU**: each entry keeps its wire dict and the
+  result it last handed out, with the two trace objects that result
+  was built over.  A repeat hit on those very objects returns the held
+  result; any other pair of trace objects (a fresh store handle, a
+  reload) rehydrates the wire against the *caller's* traces, so a
+  hit's sequences always reference the entries the caller holds.  At
+  most ``max_memory_entries`` results and their traces are pinned.
+  Returned hits are shared and must be treated as immutable, like
+  store-loaded traces.  And
 * an optional **persistent disk tier**: one JSON file per entry at
   ``<path>/<hh>/<key>.json`` (``hh`` = the key's first two hex chars,
   so a million-entry cache never piles up one directory), the path
@@ -58,6 +63,7 @@ from pathlib import Path
 
 from repro.core.diffs import DiffResult, result_from_wire, result_to_wire
 from repro.core.keytable import KeyTable
+from repro.core.lcs import OpCounter
 from repro.core.traces import Trace
 from repro.core.view_diff import ViewDiffConfig
 
@@ -135,6 +141,19 @@ class CacheStats:
         return "\n".join(lines)
 
 
+class _Entry:
+    """One memory-tier entry: the wire, the result last handed out for
+    it (``None`` until one is), and scratch space for values derived
+    from that result (see :meth:`DiffCache.memo`)."""
+
+    __slots__ = ("wire", "result", "memo")
+
+    def __init__(self, wire: dict, result: DiffResult | None = None):
+        self.wire = wire
+        self.result = result
+        self.memo: dict = {}
+
+
 class DiffCache:
     """Two-tier memoisation of diff results (see module docstring).
 
@@ -146,7 +165,7 @@ class DiffCache:
                  max_memory_entries: int = DEFAULT_MEMORY_ENTRIES):
         self.path = None if path is None else Path(path)
         self.max_memory_entries = max(1, max_memory_entries)
-        self._memory: "OrderedDict[str, dict]" = OrderedDict()
+        self._memory: "OrderedDict[str, _Entry]" = OrderedDict()
         self._lock = threading.Lock()
         self._hits_memory = 0
         self._hits_disk = 0
@@ -160,7 +179,9 @@ class DiffCache:
     @property
     def hits(self) -> int:
         """Lifetime hit count of this handle (both tiers) — cheap, no
-        disk scan, so callers may delta it around a single lookup."""
+        disk scan.  It is shared by every thread using the handle, so a
+        delta around one lookup does not say whether that lookup hit
+        (:attr:`CacheCall.hit` does)."""
         with self._lock:
             return self._hits_memory + self._hits_disk
 
@@ -173,9 +194,15 @@ class DiffCache:
     # -- lookup --------------------------------------------------------------
 
     def get(self, key: str, left: Trace, right: Trace) -> DiffResult | None:
-        """The cached result under ``key``, rehydrated over the
-        caller's traces; ``None`` on a miss (including corrupt or
-        version-skewed disk entries).
+        """The cached result under ``key`` over the caller's traces;
+        ``None`` on a miss (including corrupt or version-skewed disk
+        entries).
+
+        When the memory entry holds a result built over these very
+        ``left``/``right`` objects, that result is returned as is: a
+        dictionary lookup, shared with every earlier caller.  Otherwise
+        the wire is rehydrated over the caller's traces and the new
+        result replaces the held one.
 
         A stored wire that does not fit the caller's traces
         (``result_from_wire`` raises ``ValueError``) is a counted miss —
@@ -184,12 +211,15 @@ class DiffCache:
         tier.
         """
         with self._lock:
-            wire = self._memory.get(key)
-            if wire is not None:
+            entry = self._memory.get(key)
+            if entry is not None:
                 self._memory.move_to_end(key)
-        from_memory = wire is not None
-        if wire is None:
-            wire = self._disk_read(key)
+                held = entry.result
+                if held is not None and held.left is left \
+                        and held.right is right:
+                    self._hits_memory += 1
+                    return held
+        wire = entry.wire if entry is not None else self._disk_read(key)
         if wire is None:
             with self._lock:
                 self._misses += 1
@@ -202,12 +232,25 @@ class DiffCache:
                 self._misses += 1
             return None
         with self._lock:
-            if from_memory:
+            if entry is not None:
                 self._hits_memory += 1
+                entry.result, entry.memo = result, {}
             else:
                 self._hits_disk += 1
-                self._remember(key, wire)
+                self._remember(key, _Entry(wire, result))
         return result
+
+    def memo(self, key: str, result: DiffResult) -> dict | None:
+        """Scratch space for values derived from ``result`` (the
+        service keeps its signature text here): the dict of the memory
+        entry under ``key`` while that entry holds ``result``, else
+        ``None``.  It leaves with the entry, and a rehydration that
+        replaces the held result starts a fresh one."""
+        with self._lock:
+            entry = self._memory.get(key)
+            if entry is None or entry.result is not result:
+                return None
+            return entry.memo
 
     # -- store ---------------------------------------------------------------
 
@@ -217,15 +260,26 @@ class DiffCache:
 
         ``counter_totals`` is this diff's own ``(compares, charged)``
         cost when ``result.counter`` is a caller's shared accumulator
-        (see :func:`~repro.core.diffs.result_to_wire`)."""
-        self.put_wire(key, result_to_wire(result,
-                                          counter_totals=counter_totals),
-                      engine=result.algorithm)
+        (see :func:`~repro.core.diffs.result_to_wire`); the memory tier
+        then holds a copy of ``result`` carrying those totals, so later
+        bumps of the accumulator never reach a hit."""
+        held = result
+        if counter_totals is not None:
+            held = dataclasses.replace(
+                result, counter=OpCounter(compares=counter_totals[0],
+                                          charged=counter_totals[1]))
+        self._store(key, result_to_wire(result,
+                                        counter_totals=counter_totals),
+                    result.algorithm, held)
 
     def put_wire(self, key: str, result_wire: dict,
                  engine: str = "") -> None:
         """Memoise an already-encoded result wire under ``key`` (the
-        wire-level twin of :meth:`put`)."""
+        wire-level twin of :meth:`put`; the first hit rehydrates it)."""
+        self._store(key, result_wire, engine, None)
+
+    def _store(self, key: str, result_wire: dict, engine: str,
+               held: DiffResult | None) -> None:
         wire = {
             "key": key,
             "engine": engine,
@@ -233,13 +287,13 @@ class DiffCache:
             "result": result_wire,
         }
         with self._lock:
-            self._remember(key, wire)
+            self._remember(key, _Entry(wire, held))
             self._stores += 1
         self._disk_write(key, wire)
 
-    def _remember(self, key: str, wire: dict) -> None:
+    def _remember(self, key: str, entry: _Entry) -> None:
         """Insert into the LRU (caller holds the lock)."""
-        self._memory[key] = wire
+        self._memory[key] = entry
         self._memory.move_to_end(key)
         while len(self._memory) > self.max_memory_entries:
             self._memory.popitem(last=False)
@@ -375,9 +429,49 @@ class DiffCache:
         return removed
 
 
-def cached_engine_diff(cache: "DiffCache | None", engine, left: Trace,
-                       right: Trace, *, config=None, counter=None,
-                       budget=None, key_table=None) -> DiffResult:
+class CacheCall:
+    """One diff's window on a :class:`DiffCache`.
+
+    :func:`cached_engine_diff` takes it in place of the cache: it passes
+    ``key_for``/``get``/``put`` through and remembers the key and
+    whether the cache answered *this* call.  The handle's hit counters
+    are shared by every thread using it, so a delta of them cannot say
+    that.  ``key`` stays ``None`` when the call bypassed the cache
+    (a budget, or an engine that is not cacheable).
+    """
+
+    __slots__ = ("cache", "key", "hit")
+
+    def __init__(self, cache: DiffCache):
+        self.cache = cache
+        self.key: str | None = None
+        self.hit = False
+
+    def key_for(self, left: Trace, right: Trace, engine_name: str,
+                config: ViewDiffConfig | None) -> str:
+        self.key = self.cache.key_for(left, right, engine_name, config)
+        return self.key
+
+    def get(self, key: str, left: Trace, right: Trace) -> DiffResult | None:
+        result = self.cache.get(key, left, right)
+        self.hit = result is not None
+        return result
+
+    def put(self, key: str, result: DiffResult,
+            counter_totals: "tuple[int, int] | None" = None) -> None:
+        self.cache.put(key, result, counter_totals=counter_totals)
+
+    def memo(self, result: DiffResult) -> dict | None:
+        """:meth:`DiffCache.memo` under this call's key."""
+        if self.key is None:
+            return None
+        return self.cache.memo(self.key, result)
+
+
+def cached_engine_diff(cache: "DiffCache | CacheCall | None", engine,
+                       left: Trace, right: Trace, *, config=None,
+                       counter=None, budget=None,
+                       key_table=None) -> DiffResult:
     """Run ``engine.diff`` through ``cache``.
 
     The one choke point every driver (``Session.diff``, the workload
@@ -426,10 +520,9 @@ def cached_engine_diff(cache: "DiffCache | None", engine, left: Trace,
     before = (counter.compares, counter.charged) \
         if counter is not None else None
     result = compute()
+    totals = None  # the engine kept its own (fresh, per-diff) counter
     if before is not None and result.counter is counter:
         totals = (counter.compares - before[0],
                   counter.charged - before[1])
-    else:  # the engine kept its own (fresh, per-diff) counter
-        totals = (result.counter.compares, result.counter.charged)
     cache.put(key, result, counter_totals=totals)
     return result

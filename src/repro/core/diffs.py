@@ -269,6 +269,10 @@ def result_from_wire(wire: dict, left: Trace, right: Trace) -> DiffResult:
     rather than returning a corrupt result.  Eids are checked against
     the traces' eid columns and only the entries the sequences name are
     built, so rehydration costs about as much as the differences.
+
+    :class:`~repro.cache.DiffCache` calls it for a disk hit and for a
+    memory hit on trace objects other than those its held result was
+    built over; a repeat hit on the same objects skips it.
     """
     if not isinstance(wire, dict) \
             or wire.get("version") != RESULT_WIRE_VERSION:

@@ -44,6 +44,7 @@ from urllib.parse import parse_qs, urlsplit
 from repro.analysis.serialize import loads_trace
 from repro.api.session import Session
 from repro.api.store import TraceStore
+from repro.cache import CacheCall
 from repro.core.diffs import result_signature
 from repro.service.jobs import (DONE, ERROR, RUNNING, Job, JobQueueFull,
                                 QUEUED)
@@ -254,15 +255,11 @@ class ReproService:
                 raise KeyError(
                     f"no trace carries tag {baseline_tag!r}")
             right = record.key
-        cache = self.session.cache
-        hits_before = cache.hits if cache is not None else 0
         started = time.perf_counter()
-        result = self.session.diff(
+        result, call = self.session.diff_call(
             left, right, engine=params.get("engine") or None,
             use_cache=bool(params.get("use_cache", True)))
         seconds = time.perf_counter() - started
-        signature = json.dumps(result_signature(result), sort_keys=True,
-                               default=list)
         return {
             "left": left, "right": right,
             "engine": result.algorithm,
@@ -271,9 +268,24 @@ class ReproService:
             "compares": (result.counter.compares
                          if result.counter is not None else 0),
             "seconds": seconds,
-            "cached": cache is not None and cache.hits > hits_before,
-            "signature": signature,
+            "cached": call is not None and call.hit,
+            "signature": self._signature_text(result, call),
         }
+
+    @staticmethod
+    def _signature_text(result, call: "CacheCall | None") -> str:
+        """The result's signature as JSON text.  A result the cache
+        holds encodes once: its text rides the cache entry's memo and
+        leaves with it, so results of ``use_cache=False`` jobs are
+        never retained."""
+        memo = call.memo(result) if call is not None else None
+        text = memo.get("signature") if memo is not None else None
+        if text is None:
+            text = json.dumps(result_signature(result), sort_keys=True,
+                              default=list)
+            if memo is not None:
+                memo["signature"] = text
+        return text
 
     # -- HTTP front end ------------------------------------------------------
 

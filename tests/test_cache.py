@@ -3,9 +3,12 @@ most importantly — that a cache hit is observably identical to the cold
 computation across every registered engine and interning mode."""
 
 import json
+import sys
+import threading
 
 import pytest
 
+from repro.analysis import serialize
 from repro.api import (Session, available_engines, get_engine, is_cacheable,
                        register_engine, unregister_engine)
 from repro.api.store import TraceStore
@@ -126,6 +129,147 @@ class TestMemoryTier:
         assert (stats.misses, stats.stores, stats.hits_memory) == (1, 1, 1)
         assert stats.hits == 1
         assert "hits" in stats.render()
+
+    def test_repeat_get_on_the_same_traces_returns_the_held_result(
+            self, pair):
+        left, right = pair
+        cache = DiffCache()
+        key = cache.key_for(left, right, "views", None)
+        result = cold("views", left, right)
+        cache.put(key, result)
+        hit = cache.get(key, left, right)
+        assert hit is result  # put holds what it computed
+        assert cache.get(key, left, right) is hit
+        assert result_signature(hit) == result_signature(result)
+
+    def test_shared_counter_is_not_held(self, pair):
+        # A shared accumulator keeps running after the diff; the held
+        # result carries this diff's own totals instead.
+        left, right = pair
+        cache = DiffCache()
+        shared = OpCounter()
+        result = cached_engine_diff(cache, get_engine("views"), left,
+                                    right, counter=shared)
+        totals = (shared.compares, shared.charged)
+        shared.bump(1000)
+        hit = cache.get(cache.key_for(left, right, "views", None),
+                        left, right)
+        assert hit.counter is not shared
+        assert (hit.counter.compares, hit.counter.charged) == totals
+        assert hit.sequences is result.sequences
+
+    def test_fresh_store_handle_rehydrates_over_its_own_entries(
+            self, pair, tmp_path):
+        store = TraceStore(tmp_path / "store")
+        store.save(pair[0], key="l")
+        store.save(pair[1], key="r")
+        cache = DiffCache()
+        held = Session(store=store, cache=cache).diff("l", "r")
+        fresh = TraceStore(store.root)
+        left, right = fresh.load("l"), fresh.load("r")
+        assert left is not held.left
+        hit = cache.get(cache.key_for(left, right, "views", None),
+                        left, right)
+        assert hit is not held
+        assert hit.left is left and hit.right is right
+        assert result_signature(hit) == result_signature(held)
+        mine_left = {entry.eid: entry for entry in left}
+        mine_right = {entry.eid: entry for entry in right}
+        assert hit.sequences
+        for seq in hit.sequences:
+            for entry in seq.left_entries:
+                assert entry is mine_left[entry.eid]
+            for entry in seq.right_entries:
+                assert entry is mine_right[entry.eid]
+        # The rehydrated result is now the held one.
+        assert Session(store=fresh, cache=cache).diff("l", "r") is hit
+
+    def test_eviction_prune_and_clear_drop_held_results(self, pair,
+                                                        tmp_path):
+        left, right = pair
+        third = simple_trace([1, 2, 3], name="third")
+        cache = DiffCache(max_memory_entries=1)
+        first = cached_engine_diff(cache, get_engine("views"), left, right)
+        key = cache.key_for(left, right, "views", None)
+        assert cache.memo(key, first) is not None
+        cached_engine_diff(cache, get_engine("views"), left, third)
+        assert cache.memo(key, first) is None
+        assert cache.get(key, left, right) is None  # memory only
+
+        for drop in (DiffCache.prune, DiffCache.clear):
+            cache = DiffCache(tmp_path / drop.__name__)
+            held = cached_engine_diff(cache, get_engine("views"), left,
+                                      right)
+            assert cache.get(key, left, right) is held
+            drop(cache)
+            assert cache.memo(key, held) is None
+            assert cache.get(key, left, right) is not held
+
+    def test_uncached_diff_holds_nothing(self, pair):
+        left, right = pair
+        session = Session(cache=True)
+        uncached = session.diff(left, right, use_cache=False)
+        assert session.cache.stats().memory_entries == 0
+        assert session.diff(left, right) is not uncached
+
+    def test_concurrent_gets_over_two_trace_handles(self, pair):
+        # Two handles of one pair keep replacing each other's held
+        # result; every hit must still be built over its caller's
+        # traces, and no count may be lost.
+        copies = tuple(serialize.loads_trace(serialize.dumps_trace_bytes(t))
+                       for t in pair)
+        cache = DiffCache()
+        key = cache.key_for(*pair, "views", None)
+        cache.put(key, cold("views", *pair))
+        signature = result_signature(cache.get(key, *pair))
+        rounds, failures = 200, []
+
+        def worker(n: int) -> None:
+            left, right = (pair, copies)[n % 2]
+            for _ in range(rounds):
+                hit = cache.get(key, left, right)
+                if hit.left is not left or hit.right is not right:
+                    failures.append(n)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(n,))
+                       for n in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
+        assert cache.stats().hits_memory == 1 + 4 * rounds
+        for trace_pair in (pair, copies):
+            assert result_signature(cache.get(key, *trace_pair)) == \
+                signature
+
+    def test_tier_counts_are_unchanged(self, pair, tmp_path):
+        left, right = pair
+        first = DiffCache(tmp_path / "cache")
+        key = first.key_for(left, right, "views", None)
+        first.get(key, left, right)
+        first.put(key, cold("views", left, right))
+        first.get(key, left, right)
+        first.get(key, left, right)
+        stats = first.stats()
+        assert (stats.misses, stats.hits_memory, stats.hits_disk) == \
+            (1, 2, 0)
+
+        second = DiffCache(tmp_path / "cache")
+        second.get(key, left, right)  # disk, then promoted
+        second.get(key, left, right)  # held
+        copies = [serialize.loads_trace(serialize.dumps_trace_bytes(t))
+                  for t in pair]
+        second.get(key, *copies)  # other objects: rehydrated
+        stats = second.stats()
+        assert (stats.misses, stats.hits_memory, stats.hits_disk) == \
+            (0, 2, 1)
 
 
 class TestDiskTier:

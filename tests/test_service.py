@@ -7,6 +7,7 @@ concurrent submit-diff requests against a *sharded* store must produce
 results bit-identical to direct :meth:`Session.diff` signatures.
 """
 
+import gc
 import json
 import os
 import subprocess
@@ -18,13 +19,16 @@ from pathlib import Path
 
 import pytest
 
+from repro.api.engines import get_engine, register_engine, \
+    unregister_engine
 from repro.api.session import Session
 from repro.api.store import TraceStore
-from repro.core.diffs import result_signature
+from repro.cache import diffcache
+from repro.core.diffs import DiffResult, result_signature
 from repro.service import (ReproService, ServiceClient, ServiceError,
-                           ServiceThread)
+                           ServiceThread, server)
 
-from helpers import simple_trace
+from helpers import myfaces_trace, simple_trace
 
 
 @pytest.fixture()
@@ -303,6 +307,101 @@ class TestConcurrentDiffAcceptance:
         assert len(outcomes) == self.REQUESTS
         for pair, signature in outcomes:
             assert signature == expected[pair], pair
+
+
+def upload_myfaces_pair(client: ServiceClient) -> None:
+    for key, trace in (
+            ("old", myfaces_trace(min_range=32, name="old")),
+            ("new", myfaces_trace(min_range=1, new_version=True,
+                                  name="new"))):
+        client.wait(client.submit_capture(trace=trace, key=key))
+
+
+class _HitMeanwhileEngine:
+    """The views engine, except that each diff first has another
+    worker answer a cache hit, and waits for it."""
+
+    name = "test-hit-meanwhile"
+    cacheable = True
+
+    def __init__(self, client: ServiceClient, pair: tuple[str, str]):
+        self.client = client
+        self.pair = pair
+        self.hits: list[bool] = []
+
+    def diff(self, left, right, **kwargs):
+        record = self.client.wait(self.client.submit_diff(*self.pair))
+        self.hits.append(record["result"]["cached"])
+        return get_engine("views").diff(left, right, **kwargs)
+
+
+class TestHitPath:
+    def test_repeat_hit_serves_the_held_result_and_its_text(
+            self, service, monkeypatch):
+        _svc, client = service
+        upload_myfaces_pair(client)
+        cold = client.wait(client.submit_diff(
+            "old", "new", use_cache=False))["result"]
+        client.wait(client.submit_diff("old", "new"))  # computes, holds
+        calls = []
+
+        def counted(name, func):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return func(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(diffcache, "result_from_wire", counted(
+            "result_from_wire", diffcache.result_from_wire))
+        monkeypatch.setattr(server, "result_signature", counted(
+            "result_signature", server.result_signature))
+        repeat = client.wait(client.submit_diff("old", "new"))["result"]
+        assert repeat["cached"] is True and cold["cached"] is False
+        assert calls == []
+        for field in ("signature", "num_diffs", "sequences", "compares"):
+            assert repeat[field] == cold[field], field
+
+    def test_cached_flag_says_how_this_call_was_answered(self, tmp_path):
+        # A cold diff that overlaps a hit on another worker is still a
+        # miss, in the job result and in the catalog row.
+        svc = ReproService(tmp_path / "store", workers=2)
+        with ServiceThread(svc, timeout=60) as running:
+            client = ServiceClient(running.url)
+            client.wait(client.submit_capture(
+                trace=simple_trace([1, 2, 3], name="a"), key="a"))
+            client.wait(client.submit_capture(
+                trace=simple_trace([1, 9, 3], name="b"), key="b"))
+            client.wait(client.submit_diff("a", "b"))  # primes the cache
+            engine = _HitMeanwhileEngine(client, ("a", "b"))
+            register_engine(engine)
+            try:
+                records = [client.wait(client.submit_diff(
+                    "a", "b", engine=engine.name, use_cache=False))
+                    for _ in range(3)]
+            finally:
+                unregister_engine(engine.name)
+        assert engine.hits == [True] * 3
+        assert [r["result"]["cached"] for r in records] == [False] * 3
+        rows = svc.store.index.diff_stats(engine=engine.name)
+        assert len(rows) == 3
+        assert not any(row.cached for row in rows)
+
+    def test_uncached_jobs_retain_nothing(self, service):
+        svc, client = service
+        upload_myfaces_pair(client)
+
+        def live_results() -> int:
+            gc.collect()
+            return sum(1 for obj in gc.get_objects()
+                       if type(obj) is DiffResult)
+
+        before = live_results()
+        for _ in range(20):
+            result = client.wait(client.submit_diff(
+                "old", "new", use_cache=False))["result"]
+            assert result["cached"] is False
+        assert svc.session.cache.stats().memory_entries == 0
+        assert live_results() == before
 
 
 class TestServeCli:
