@@ -5,15 +5,15 @@
    LinkedSimilarEntries).
 2. Secondary-view exploration on/off: without it, reordered operations
    are misclassified as differences (the Fig. 13 anchors).
-3. LCS implementations: DP vs Hirschberg vs the pivot-splitting fast
-   differ on identical inputs (exactness and compare cost).
+3. LCS implementations: DP vs Hirschberg on identical inputs
+   (exactness and compare cost).
 """
 
 from __future__ import annotations
 
 from conftest import write_result
 
-from repro.core.lcs import OpCounter, lcs_dp, lcs_fast, lcs_hirschberg
+from repro.core.lcs import OpCounter, lcs_dp, lcs_hirschberg
 from repro.core.traces import TraceBuilder
 from repro.core.values import prim
 from repro.core.view_diff import ViewDiffConfig, view_diff
@@ -74,17 +74,15 @@ def render_lcs_ablation() -> str:
     lines = ["=== Ablation: LCS implementations ===",
              f"{'algorithm':>12} {'|LCS|':>6} {'compares':>10}"]
     rows = []
-    for name, func in [("dp", lcs_dp), ("hirschberg", lcs_hirschberg),
-                       ("fast", lcs_fast)]:
+    for name, func in [("dp", lcs_dp), ("hirschberg", lcs_hirschberg)]:
         counter = OpCounter()
         result = func(values_a, values_b, counter=counter)
         rows.append((name, len(result), counter.total))
         lines.append(f"{name:>12} {len(result):6} {counter.total:10}")
     lines.append("")
     lines.append("hirschberg trades ~2x compares for linear space "
-                 "(the paper cites exactly this); the fast differ "
-                 "is exact here because its cores fit the DP limit")
-    assert rows[0][1] == rows[1][1] == rows[2][1]
+                 "(the paper cites exactly this)")
+    assert rows[0][1] == rows[1][1]
     return "\n".join(lines)
 
 

@@ -11,10 +11,9 @@ on the 10k-entry synthetic regression pair from
   pure-Python row fill takes minutes) and its cells/sec extrapolated;
   the bitvector kernel runs the full columns.
 * **Bit-identity**: the bitvector row equals the scalar row on a
-  shared slice, and ``lcs_bitparallel`` returns the same pairs and
-  the same compare/charged counts as ``lcs_hirschberg``.
+  shared slice.
 * **End-to-end**: ``lcs_diff`` wall-clock for the ``optimized``
-  baseline vs. ``algorithm="bitparallel"`` on the full trace pair.
+  baseline vs. ``algorithm="hirschberg"`` on the full trace pair.
 
 One JSON document lands in ``results/kernels.json`` (the CI
 ``kernel-smoke`` job uploads it; ``benchmarks/check_budgets.py``
@@ -46,7 +45,7 @@ from conftest import write_result
 from repro.core.keytable import KeyTable
 from repro.core.kernels import bitvector
 from repro.core.kernels import scalar as scalar_kernel
-from repro.core.lcs import OpCounter, lcs_bitparallel, lcs_hirschberg
+from repro.core.lcs import OpCounter
 from repro.core.lcs_diff import lcs_diff
 
 ENTRIES = int(os.environ.get("BENCH_KERNEL_ENTRIES", "13400"))
@@ -105,17 +104,10 @@ def test_kernel_throughput_and_identity():
         "speedup_vs_scalar": round(row_speedup, 2),
     })
 
-    # --- bitparallel algorithm == hirschberg, pairs and counts -------
-    c_bp, c_hi = OpCounter(), OpCounter()
-    r_bp = lcs_bitparallel(keys_l, keys_r, counter=c_bp)
-    r_hi = lcs_hirschberg(keys_l, keys_r, counter=c_hi)
-    assert r_bp.pairs == r_hi.pairs
-    assert (c_bp.compares, c_bp.charged) == (c_hi.compares, c_hi.charged)
-
-    # --- end-to-end: optimized baseline vs. bitparallel --------------
+    # --- end-to-end: optimized baseline vs. hirschberg ---------------
     end_to_end = []
     results = {}
-    for algorithm in ("optimized", "bitparallel"):
+    for algorithm in ("optimized", "hirschberg"):
         counter = OpCounter()
         results[algorithm] = lcs_diff(left, right, algorithm=algorithm,
                                       counter=counter, key_table=table)
@@ -144,7 +136,7 @@ def test_kernel_throughput_and_identity():
         "end_to_end": end_to_end,
         "ratios": {
             "row_speedup": {"stdlib": round(row_speedup, 2)},
-            "diff_speedup_bitparallel_vs_optimized": round(diff_speedup, 2),
+            "diff_speedup_hirschberg_vs_optimized": round(diff_speedup, 2),
         },
     }
     write_result("kernels.json",

@@ -3,10 +3,10 @@
 Differencing is chosen through a small registry: a :class:`DiffEngine`
 is anything with a ``name`` and a ``diff(left, right, ...)`` method
 producing a :class:`repro.core.diffs.DiffResult`, and the built-in
-semantics are pre-registered under six stable names: ``views`` (the
-views-based differencing of Sec. 3.3) and the five LCS baselines of
-Sec. 3.2 (``optimized``, ``dp``, ``hirschberg``, ``fast``,
-``bitparallel``), each diffing the whole pair in one call.
+semantics are pre-registered under four stable names: ``views`` (the
+views-based differencing of Sec. 3.3) and the three exact LCS baselines
+of Sec. 3.2 (``optimized``, ``dp``, ``hirschberg``), each diffing the
+whole pair in one call.
 
 Drivers (``Session``, the CLI, the workload harness) resolve engines by
 name, so swapping the analysis behind a stable driver API is one

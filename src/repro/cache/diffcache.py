@@ -6,8 +6,8 @@ engine and configuration, always produces the same result.  This module
 turns that determinism into throughput — a :class:`DiffCache` memoises
 :class:`~repro.core.diffs.DiffResult`\\ s keyed by
 
-``(content_digest(left), content_digest(right), engine name,
-canonicalised ViewDiffConfig)``
+``(KEY_FORMAT, content_digest(left), content_digest(right), engine
+name, canonicalised ViewDiffConfig)``
 
 with two tiers:
 
@@ -27,7 +27,8 @@ with two tiers:
   ``os.replace``; prune/clear serialise through the store layer's
   :func:`~repro.api.store.locked_file` discipline).  Entries that
   older caches wrote at the directory root are misses; ``stats``,
-  ``prune`` and ``clear`` still count them, so they age out.
+  ``prune`` and ``clear`` still count them, so they age out.  Entries
+  keyed under an older :data:`KEY_FORMAT` are misses too.
   A truncated or hand-edited entry reads as a *miss*, never an error.
 
 Correctness rests on two contracts, both documented at their homes:
@@ -80,6 +81,12 @@ CACHE_LOCK_NAME = "cache.lock"
 #: enough: one process may write from several threads).
 _TMP_SEQ = count()
 
+#: Version of what a key's result means.  It is part of every key, so
+#: entries written under an older meaning read as misses and are
+#: recomputed.  Format 2: ``optimized`` returns an exact LCS above its
+#: DP cell limit (format-1 caches may hold a shorter one).
+KEY_FORMAT = "2"
+
 
 def canonical_config(config: ViewDiffConfig | None) -> str:
     """A :class:`ViewDiffConfig` as canonical, order-stable text.
@@ -100,8 +107,9 @@ def canonical_config(config: ViewDiffConfig | None) -> str:
 def cache_key(left: Trace, right: Trace, engine_name: str,
               config: ViewDiffConfig | None) -> str:
     """The composite content-addressed key of one diff."""
-    blob = "|".join((left.content_digest(), right.content_digest(),
-                     engine_name, canonical_config(config)))
+    blob = "|".join((KEY_FORMAT, left.content_digest(),
+                     right.content_digest(), engine_name,
+                     canonical_config(config)))
     return hashlib.blake2b(blob.encode("utf-8"),
                            digest_size=16).hexdigest()
 

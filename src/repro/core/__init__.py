@@ -8,9 +8,9 @@ from repro.core.events import (Call, End, Event, FieldGet, FieldSet, Fork,
                                Init, Return, StackFrame)
 from repro.core.keytable import KeyTable
 from repro.core.lcs import (LcsBudgetExceeded, LcsMemoryError, LcsResult,
-                            MemoryBudget, OpCounter, lcs_bitparallel,
-                            lcs_dp, lcs_fast, lcs_hirschberg, lcs_length,
-                            lcs_optimized, myers_lcs_length, trim_common)
+                            MemoryBudget, OpCounter, lcs_dp, lcs_hirschberg,
+                            lcs_length, lcs_optimized, myers_lcs_length,
+                            trim_common)
 from repro.core.lcs_diff import lcs_diff
 from repro.core.regression import (MODE_INTERSECT, MODE_SUBTRACT,
                                    CandidateSequence, RegressionReport,
@@ -38,8 +38,8 @@ __all__ = [
     "ViewDiffConfig", "ViewName", "ViewType", "ViewWeb",
     "accuracy", "accuracy_histogram", "analyze_regression",
     "ancestry_similarity", "build_sequences", "entries_equal",
-    "evaluate_against_truth", "lcs_bitparallel", "lcs_diff", "lcs_dp",
-    "lcs_fast", "lcs_hirschberg", "lcs_length", "lcs_optimized",
+    "evaluate_against_truth", "lcs_diff", "lcs_dp",
+    "lcs_hirschberg", "lcs_length", "lcs_optimized",
     "myers_lcs_length", "prim",
     "speedup", "speedup_histogram", "trim_common", "view_diff",
     "view_names",

@@ -14,15 +14,12 @@ sequences of trace entries compared with the event-equality predicate
   returning the exact LCS *length* cheaply when the inputs are similar.
 * :func:`trim_common` — the common-prefix/suffix optimisation the paper's
   "optimized LCS" baseline applies before the quadratic core.
-* :func:`lcs_fast` — recursive differ: exact DP on small cores,
-  unique-key (patience) pivot splitting on large ones.  Exact whenever the
-  DP core is reached; an LCS-style approximation otherwise.
 * :func:`lcs_optimized` — the baseline configuration used by the benches:
-  trim + DP, with a cell *budget* reproducing the paper's out-of-memory
-  failure and DP-equivalent compare *charging* when the fast path stands
-  in for the quadratic core.
-* :func:`lcs_bitparallel` — the name the ``"bitparallel"`` algorithm
-  exports; it is :func:`lcs_hirschberg` itself.
+  trim, then an exact LCS of the core — :func:`lcs_dp` up to
+  :data:`DP_CELL_LIMIT` cells, :func:`lcs_hirschberg` above — with a
+  cell *budget* reproducing the paper's out-of-memory failure and
+  DP-equivalent compare *charging* when Hirschberg stands in for the
+  quadratic table.
 
 The inner loops run on the bit-parallel kernel
 (:mod:`repro.core.kernels.bitvector`): Hirschberg's length rows advance
@@ -45,6 +42,11 @@ from typing import Callable, Sequence
 
 from repro.core.kernels import bitvector
 
+#: Largest trimmed core :func:`lcs_optimized` hands to :func:`lcs_dp`;
+#: its bit rows then hold at most 2^28 bits (32 MB).  Larger cores run
+#: on :func:`lcs_hirschberg` in linear space.
+DP_CELL_LIMIT = 2 ** 28
+
 
 class LcsMemoryError(MemoryError):
     """Raised when an LCS computation would exceed its cell budget
@@ -63,8 +65,8 @@ class OpCounter:
 
     compares: int = 0
     #: Extra charge registered for compares that the modelled algorithm
-    #: *would* perform (used when the fast differ stands in for the
-    #: quadratic DP baseline; see :func:`lcs_optimized`).
+    #: *would* perform (used when Hirschberg stands in for the quadratic
+    #: DP baseline above its cell limit; see :func:`lcs_optimized`).
     charged: int = 0
 
     def bump(self, amount: int = 1) -> None:
@@ -255,11 +257,6 @@ def lcs_hirschberg(a: Sequence, b: Sequence, key: Callable | None = None,
     return LcsResult(pairs)
 
 
-#: The ``"bitparallel"`` algorithm: Hirschberg over the bit-parallel
-#: rows, which is what :func:`lcs_hirschberg` is.
-lcs_bitparallel = lcs_hirschberg
-
-
 def _hirschberg(a_keys: list, b_keys: list, a_off: int, b_off: int,
                 counter: OpCounter | None,
                 out: list[tuple[int, int]]) -> None:
@@ -338,123 +335,19 @@ def myers_lcs_length(a: Sequence, b: Sequence, key: Callable | None = None,
     raise LcsBudgetExceeded(cap)
 
 
-def _unique_pivot(a_keys: list, b_keys: list) -> tuple[int, int] | None:
-    """Find a key that occurs exactly once in each sequence, preferring one
-    near the middle of ``a`` (patience-diff pivot)."""
-    a_counts: dict = {}
-    for k in a_keys:
-        a_counts[k] = a_counts.get(k, 0) + 1
-    b_counts: dict = {}
-    b_pos: dict = {}
-    for j, k in enumerate(b_keys):
-        b_counts[k] = b_counts.get(k, 0) + 1
-        b_pos[k] = j
-    mid = len(a_keys) // 2
-    best: tuple[int, int] | None = None
-    best_score = None
-    for i, k in enumerate(a_keys):
-        if a_counts[k] == 1 and b_counts.get(k) == 1:
-            score = abs(i - mid)
-            if best_score is None or score < best_score:
-                best_score = score
-                best = (i, b_pos[k])
-    return best
-
-
-def lcs_fast(a: Sequence, b: Sequence, key: Callable | None = None,
-             counter: OpCounter | None = None,
-             dp_cell_limit: int = 1_000_000) -> LcsResult:
-    """Pivot-splitting recursive common-subsequence computation.
-
-    Strategy: strip common prefix/suffix; if the remaining core fits in
-    ``dp_cell_limit`` DP cells, solve it exactly; otherwise split at a
-    unique common key (patience pivot) and recurse.  When no pivot
-    exists the longer side is bisected against the best nearby match.
-
-    Exact LCS whenever recursion bottoms out in DP cores (the common
-    case); otherwise a high-quality common subsequence.
-    """
-    a_keys = _keys(a, key)
-    b_keys = _keys(b, key)
-    pairs: list[tuple[int, int]] = []
-    _lcs_fast(a_keys, b_keys, 0, 0, counter, dp_cell_limit, pairs)
-    return LcsResult(pairs)
-
-
-def _lcs_fast(a_keys: list, b_keys: list, a_off: int, b_off: int,
-              counter: OpCounter | None, cell_limit: int,
-              out: list[tuple[int, int]]) -> None:
-    prefix, a_mid, b_mid = trim_common(a_keys, b_keys, counter)
-    for i in range(prefix):
-        out.append((a_off + i, b_off + i))
-    suffix = len(a_keys) - prefix - a_mid
-    core_a = a_keys[prefix:prefix + a_mid]
-    core_b = b_keys[prefix:prefix + b_mid]
-    if core_a and core_b:
-        if a_mid * b_mid <= cell_limit:
-            core = lcs_dp(core_a, core_b, counter=counter)
-            for i, j in core.pairs:
-                out.append((a_off + prefix + i, b_off + prefix + j))
-        else:
-            pivot = _unique_pivot(core_a, core_b)
-            if pivot is None:
-                # No unique pivot: bisect ``a`` and align the split point
-                # to the nearest equal key in ``b`` (greedy).
-                i = a_mid // 2
-                j = _nearest_match(core_a[i], core_b, b_mid // 2, counter)
-                if j is None:
-                    j = b_mid // 2
-                    _lcs_fast(core_a[:i], core_b[:j], a_off + prefix,
-                              b_off + prefix, counter, cell_limit, out)
-                    _lcs_fast(core_a[i:], core_b[j:], a_off + prefix + i,
-                              b_off + prefix + j, counter, cell_limit, out)
-                else:
-                    _lcs_fast(core_a[:i], core_b[:j], a_off + prefix,
-                              b_off + prefix, counter, cell_limit, out)
-                    out.append((a_off + prefix + i, b_off + prefix + j))
-                    _lcs_fast(core_a[i + 1:], core_b[j + 1:],
-                              a_off + prefix + i + 1, b_off + prefix + j + 1,
-                              counter, cell_limit, out)
-            else:
-                i, j = pivot
-                _lcs_fast(core_a[:i], core_b[:j], a_off + prefix,
-                          b_off + prefix, counter, cell_limit, out)
-                out.append((a_off + prefix + i, b_off + prefix + j))
-                _lcs_fast(core_a[i + 1:], core_b[j + 1:],
-                          a_off + prefix + i + 1, b_off + prefix + j + 1,
-                          counter, cell_limit, out)
-    for i in range(suffix):
-        out.append((a_off + len(a_keys) - suffix + i,
-                    b_off + len(b_keys) - suffix + i))
-
-
-def _nearest_match(target_key, b_keys: list, around: int,
-                   counter: OpCounter | None) -> int | None:
-    """Index of the occurrence of ``target_key`` in ``b_keys`` nearest to
-    position ``around``, or None."""
-    for distance in range(max(around + 1, len(b_keys) - around)):
-        for j in (around - distance, around + distance):
-            if 0 <= j < len(b_keys):
-                if counter is not None:
-                    counter.bump()
-                if b_keys[j] == target_key:
-                    return j
-    return None
-
-
 def lcs_optimized(a: Sequence, b: Sequence, key: Callable | None = None,
                   counter: OpCounter | None = None,
-                  budget: MemoryBudget | None = None,
-                  dp_cell_limit: int = 4_000_000) -> LcsResult:
+                  budget: MemoryBudget | None = None) -> LcsResult:
     """The paper's baseline: exact LCS with common-prefix/suffix trimming.
 
     The middle region runs through the quadratic DP when it fits in
-    ``dp_cell_limit`` cells (counting real compares); otherwise the fast
-    pivot-splitting differ computes the alignment and the DP compare cost
-    (``mid_a * mid_b``) is *charged* to the counter, so speedup metrics
-    reflect the modelled quadratic baseline.  ``budget`` bounds the middle
-    region as if the DP table were allocated, reproducing the paper's
-    memory-exhaustion failure mode on very long traces.
+    :data:`DP_CELL_LIMIT` cells (counting real compares); above that,
+    Hirschberg computes an LCS of it in linear space and the DP compare
+    cost (``mid_a * mid_b``) is *charged* to the counter, so speedup
+    metrics reflect the modelled quadratic baseline either way.
+    ``budget`` bounds the middle region as if the DP table were
+    allocated, reproducing the paper's memory-exhaustion failure mode on
+    very long traces.
     """
     a_keys = _keys(a, key)
     b_keys = _keys(b, key)
@@ -463,11 +356,10 @@ def lcs_optimized(a: Sequence, b: Sequence, key: Callable | None = None,
         budget.request((a_mid + 1) * (b_mid + 1))
     core_a = a_keys[prefix:prefix + a_mid]
     core_b = b_keys[prefix:prefix + b_mid]
-    if a_mid * b_mid <= dp_cell_limit:
+    if a_mid * b_mid <= DP_CELL_LIMIT:
         core = lcs_dp(core_a, core_b, counter=counter)
     else:
-        core = lcs_fast(core_a, core_b, counter=None,
-                        dp_cell_limit=dp_cell_limit)
+        core = lcs_hirschberg(core_a, core_b)
         if counter is not None:
             counter.charge(a_mid * b_mid)
     pairs = [(i, i) for i in range(prefix)]

@@ -9,10 +9,9 @@ differences be read as an insertion, deletion, or modification.
 ``lcs_diff`` implements this directly: rather than literally stepping the
 small-step rules one entry at a time, the LCS is computed once over the
 whole pair and the similarity set read off it — observably the same
-``sigma``.  ``dp``, ``hirschberg`` and ``bitparallel`` always return a
-longest common subsequence; ``optimized`` does whenever its trimmed
-core fits ``dp_cell_limit``, and ``fast`` whenever its recursion
-bottoms out in DP cores.
+``sigma``.  Every algorithm returns a longest common subsequence:
+``optimized`` runs its trimmed core on the DP up to
+:data:`~repro.core.lcs.DP_CELL_LIMIT` cells and on Hirschberg above.
 
 By default the key sequences are *interned* through a
 :class:`~repro.core.keytable.KeyTable` shared by the pair, so every
@@ -29,18 +28,16 @@ import time
 from repro.core.diffs import DiffResult, build_sequences
 from repro.core.keytable import KeyTable
 from repro.core.lcs import (LcsResult, MemoryBudget, OpCounter,
-                            lcs_dp, lcs_fast, lcs_hirschberg,
-                            lcs_optimized)
+                            lcs_dp, lcs_hirschberg, lcs_optimized)
 from repro.core.traces import Trace
 
 #: Selectable baseline algorithms.
-ALGORITHMS = ("optimized", "dp", "hirschberg", "fast", "bitparallel")
+ALGORITHMS = ("optimized", "dp", "hirschberg")
 
 
 def lcs_diff(left: Trace, right: Trace, algorithm: str = "optimized",
              counter: OpCounter | None = None,
              budget: MemoryBudget | None = None,
-             dp_cell_limit: int = 4_000_000,
              interned: bool = True,
              key_table: KeyTable | None = None) -> DiffResult:
     """Difference two traces with the LCS-based semantics of Fig. 11.
@@ -48,10 +45,7 @@ def lcs_diff(left: Trace, right: Trace, algorithm: str = "optimized",
     ``algorithm`` selects the LCS implementation: ``"optimized"`` is the
     paper's baseline (common-prefix/suffix trimming + quadratic core);
     ``"dp"`` the untrimmed dynamic program; ``"hirschberg"`` the
-    linear-space variant; ``"fast"`` the pivot-splitting recursive differ;
-    ``"bitparallel"`` names the same Hirschberg alignment over the
-    bit-parallel Myers/Hyyrö row kernel (:mod:`repro.core.kernels`)
-    under its own result label.
+    linear-space variant.
 
     ``budget`` (DP cell cap) models the memory-exhaustion failures the
     paper reports on traces beyond ~100K entries: exceeding it raises
@@ -78,15 +72,11 @@ def lcs_diff(left: Trace, right: Trace, algorithm: str = "optimized",
 
     if algorithm == "optimized":
         result: LcsResult = lcs_optimized(keys_l, keys_r, counter=counter,
-                                          budget=budget,
-                                          dp_cell_limit=dp_cell_limit)
+                                          budget=budget)
     elif algorithm == "dp":
         result = lcs_dp(keys_l, keys_r, counter=counter, budget=budget)
-    elif algorithm in ("hirschberg", "bitparallel"):
-        result = lcs_hirschberg(keys_l, keys_r, counter=counter)
     else:
-        result = lcs_fast(keys_l, keys_r, counter=counter,
-                          dp_cell_limit=dp_cell_limit)
+        result = lcs_hirschberg(keys_l, keys_r, counter=counter)
 
     eids_l, eids_r = left.eid_column(), right.eid_column()
     match_pairs = [(eids_l[i], eids_r[j]) for i, j in result.pairs]

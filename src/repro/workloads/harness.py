@@ -208,8 +208,8 @@ def run_scenario(spec: ScenarioSpec,
         result.lcs.compares = lcs_counter.total
         result.lcs.memory_bytes = budget.peak_bytes()
         # Speedup on the paper's metric: entry compare operations (the
-        # baseline's count includes the DP-equivalent charge when the
-        # fast recursive differ stood in for the quadratic core).
+        # baseline's count includes the DP-equivalent charge when
+        # Hirschberg stood in for the quadratic core).
         if result.views.compares:
             result.speedup = result.lcs.compares / result.views.compares
     except LcsMemoryError as failure:

@@ -25,9 +25,9 @@ class TestRegistry:
         for algorithm in ALGORITHMS:
             assert algorithm in names
 
-    def test_registry_is_views_plus_the_five_baselines(self):
+    def test_registry_is_views_plus_the_three_baselines(self):
         assert available_engines() == (
-            "views", "bitparallel", "dp", "fast", "hirschberg", "optimized")
+            "views", "dp", "hirschberg", "optimized")
 
     def test_unknown_engine(self):
         with pytest.raises(KeyError, match="available"):

@@ -76,7 +76,7 @@ class TestCacheKey:
         left = simple_trace([1, 2, 3, 9, 4, 5, 6], name="old")
         right = simple_trace([1, 2, 3, 8, 8, 4, 5, 6], name="new")
         assert cache_key(left, right, "views", None) == \
-            "5caa08f1cf8f0b65c7ef7cfbb76f81af"
+            "40934f395972771e912e7c5a772315e6"
 
     def test_order_engine_and_config_matter(self, pair):
         left, right = pair

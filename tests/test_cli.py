@@ -572,13 +572,13 @@ class TestEngines:
         assert "anchor" not in out
         assert "accepts_" not in out
 
-    def test_six_rows_each_cacheable(self, capsys):
+    def test_four_rows_each_cacheable(self, capsys):
         main(["engines"])
         lines = capsys.readouterr().out.splitlines()
-        assert lines[0] == "6 registered engine(s):"
+        assert lines[0] == "4 registered engine(s):"
         rows = [line.split() for line in lines[1:]]
         assert [row[0] for row in rows] == [
-            "views", "bitparallel", "dp", "fast", "hirschberg", "optimized"]
+            "views", "dp", "hirschberg", "optimized"]
         assert all(row[1:] == ["cacheable"] for row in rows)
 
 
@@ -609,3 +609,16 @@ class TestAnchoredDiff:
             main(["diff", old_path, new_path, "--anchor-stats"])
         assert exit_info.value.code == 2
         assert "--anchor-stats" in capsys.readouterr().err
+
+
+class TestRetiredLcsEngines:
+    """``fast`` (the pivot differ) and ``bitparallel`` (a second name
+    for Hirschberg) are gone: each ends in a clean usage error."""
+
+    @pytest.mark.parametrize("engine", ["fast", "bitparallel"])
+    def test_engine_rejected(self, trace_files, capsys, engine):
+        old_path, new_path = trace_files
+        with pytest.raises(SystemExit) as exit_info:
+            main(["diff", old_path, new_path, "--engine", engine])
+        assert exit_info.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err

@@ -241,10 +241,10 @@ def gapped_pair():
 class TestSegmentExecution:
     def test_gap_diffs_identical_to_inner(self, gapped_pair):
         """Each edited stretch is one modify sequence, and the trimmed
-        ``optimized`` engine finds the exact bit-parallel LCS."""
+        ``optimized`` engine finds the exact Hirschberg LCS."""
         left, right = gapped_pair
         result = get_engine("optimized").diff(left, right)
-        reference = get_engine("bitparallel").diff(left, right)
+        reference = get_engine("hirschberg").diff(left, right)
         assert result_identity(result) == result_identity(reference)
         assert [(s.kind, len(s.left_entries)) for s in result.sequences] \
             == [("modify", 2), ("modify", 1), ("modify", 2), ("modify", 1)]
@@ -355,8 +355,8 @@ def scenario_pairs():
 
 #: Slice per engine: sizes at which the quadratic engines reach their
 #: exact DP core and stay quick.
-ENGINE_SLICES = {"views": 4000, "optimized": 1500, "fast": 1500,
-                 "dp": 700, "hirschberg": 700}
+ENGINE_SLICES = {"views": 4000, "optimized": 1500, "dp": 700,
+                 "hirschberg": 700}
 
 
 class TestScenarioIdentityMatrix:
@@ -368,7 +368,7 @@ class TestScenarioIdentityMatrix:
     @pytest.mark.parametrize("workload", ["minixslt", "minijs"])
     def test_bit_identity(self, scenario_pairs, workload, engine, interned):
         """The result on one key path equals the other path's, compares
-        included; an LCS engine's equals the exact bit-parallel LCS."""
+        included; an LCS engine's equals the exact Hirschberg LCS."""
         size = ENGINE_SLICES[engine]
         left, right = scenario_pairs[workload]
         left, right = left[:size], right[:size]
@@ -379,7 +379,7 @@ class TestScenarioIdentityMatrix:
             get_engine(engine).diff(left, right, config=other)), \
             (workload, engine, interned)
         if engine != "views":
-            exact = get_engine("bitparallel").diff(left, right,
+            exact = get_engine("hirschberg").diff(left, right,
                                                    config=other)
             assert result_identity(result) == result_identity(exact), \
                 (workload, engine, interned)
@@ -389,7 +389,7 @@ class TestScenarioIdentityMatrix:
         """Derby's interleaved lock-daemon entries make some LCS ties
         genuinely ambiguous.  Every LCS engine still finds a longest
         common subsequence there — as many matched entries and as few
-        differences as the exact bit-parallel LCS — and views, which is
+        differences as the exact Hirschberg LCS — and views, which is
         not an LCS, matches no more than one; both key paths agree."""
         size = ENGINE_SLICES[engine]
         left, right = scenario_pairs["minidb"]
@@ -398,7 +398,7 @@ class TestScenarioIdentityMatrix:
         tupled = get_engine(engine).diff(
             left, right, config=ViewDiffConfig(interned=False))
         assert result_signature(result) == result_signature(tupled)
-        exact = get_engine("bitparallel").diff(left, right)
+        exact = get_engine("hirschberg").diff(left, right)
         if engine == "views":
             assert len(result.match_pairs) <= len(exact.match_pairs)
         else:

@@ -22,7 +22,6 @@ from hypothesis import strategies as st
 import repro
 from repro.analysis.cli import main
 from repro.analysis.serialize import save_trace
-from repro.api.engines import available_engines, get_engine
 from repro.cache.diffcache import canonical_config
 from repro.core.diffs import result_identity
 from repro.core.kernels import bitvector, scalar
@@ -109,24 +108,6 @@ class TestBitvectorAgainstScalar:
             scalar.common_run_back(base, b, i, i + shift, limit)
 
 
-class TestEngineWiring:
-    def test_bitparallel_algorithm_registered(self):
-        assert "bitparallel" in available_engines()
-        assert get_engine("bitparallel").name == "bitparallel"
-
-    def test_bitparallel_engine_matches_hirschberg(self):
-        left = myfaces_trace(min_range=32, name="old")
-        right = myfaces_trace(min_range=1, new_version=True, name="new")
-        results = {}
-        for name in ("bitparallel", "hirschberg"):
-            counter = OpCounter()
-            result = get_engine(name).diff(left, right, counter=counter)
-            results[name] = (result.similar_left, result.similar_right,
-                             len(result.match_pairs), counter.compares,
-                             counter.charged)
-        assert results["bitparallel"] == results["hirschberg"]
-
-
 class TestKernelNeutrality:
     def test_kernel_not_part_of_cache_key(self):
         assert "kernel" not in json.loads(canonical_config(None))
@@ -193,7 +174,7 @@ class TestCli:
     def test_engines_lists_no_kernel_line(self, capsys):
         assert main(["engines"]) == 0
         out = capsys.readouterr().out
-        assert "bitparallel" in out
+        assert "hirschberg" in out
         assert "kernel" not in out
 
     def test_diff_rejects_unknown_kernel(self, trace_files):

@@ -5,9 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.lcs import (LcsBudgetExceeded, LcsMemoryError, MemoryBudget,
-                            OpCounter, lcs_dp, lcs_fast, lcs_hirschberg,
-                            lcs_length, lcs_optimized, myers_lcs_length,
-                            trim_common)
+                            OpCounter, lcs_dp, lcs_hirschberg, lcs_length,
+                            lcs_optimized, myers_lcs_length, trim_common)
 
 short_seqs = st.lists(st.integers(min_value=0, max_value=5), max_size=18)
 
@@ -112,18 +111,6 @@ class TestEquivalences:
 
     @given(short_seqs, short_seqs)
     @settings(max_examples=200, deadline=None)
-    def test_fast_produces_valid_subsequence(self, a, b):
-        result = lcs_fast(a, b)
-        assert is_common_subsequence(result.pairs, a, b)
-
-    @given(short_seqs, short_seqs)
-    @settings(max_examples=200, deadline=None)
-    def test_fast_exact_when_dp_core_used(self, a, b):
-        # With a generous cell limit the fast differ is exact.
-        assert len(lcs_fast(a, b, dp_cell_limit=10**6)) == len(lcs_dp(a, b))
-
-    @given(short_seqs, short_seqs)
-    @settings(max_examples=200, deadline=None)
     def test_optimized_matches_dp_length(self, a, b):
         assert len(lcs_optimized(a, b)) == len(lcs_dp(a, b))
 
@@ -176,14 +163,17 @@ class TestOptimized:
         with pytest.raises(LcsMemoryError):
             lcs_optimized(a, b, budget=budget)
 
-    def test_charging_when_fast_path_used(self):
+    def test_charging_when_hirschberg_stands_in(self, monkeypatch):
         a = [i % 7 for i in range(300)]
         b = [(i + 3) % 7 for i in range(300)]
+        monkeypatch.setattr("repro.core.lcs.DP_CELL_LIMIT", 10)
         counter = OpCounter()
-        lcs_optimized(a, b, counter=counter, dp_cell_limit=10)
-        # The DP-equivalent cost was charged instead of performed.
+        result = lcs_optimized(a, b, counter=counter)
+        # The DP-equivalent cost was charged instead of performed, and
+        # the core is still an exact LCS.
         assert counter.charged > 0
         assert counter.total >= counter.charged
+        assert len(result) == len(lcs_dp(a, b))
 
 
 class TestOpCounter:

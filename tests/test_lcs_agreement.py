@@ -1,13 +1,13 @@
 """Cross-algorithm LCS agreement over interned-id sequences.
 
-All the baselines must agree on the LCS *length* whenever they are
-exact: ``lcs_dp`` is the reference; ``lcs_hirschberg`` is exact by
+Every baseline is exact, so all must agree on the LCS *length*:
+``lcs_dp`` is the reference; ``lcs_hirschberg`` is exact by
 construction, ``myers_lcs_length`` computes the length directly, and
-``lcs_fast`` / ``lcs_optimized`` are exact whenever their recursion
-bottoms out in DP cores (always true at these sizes and budgets).  The
-sequences are small dense ints — exactly what the interned data layer
-feeds the hot loops — and the edge cases cover trimming overlap and the
-budget/cap failure modes.
+``lcs_optimized`` runs its trimmed core on one of the two — the DP up
+to ``DP_CELL_LIMIT`` cells, Hirschberg above, which the tests reach by
+patching the limit down.  The sequences are small dense ints — exactly
+what the interned data layer feeds the hot loops — and the edge cases
+cover trimming overlap and the budget/cap failure modes.
 
 The suite is also the bit-identity oracle for the bitvector kernel:
 every registered ``lcs_diff`` algorithm must return the same pairs and
@@ -16,29 +16,28 @@ kernel (:func:`helpers.scalar_kernels`) — speed must never change the
 paper's reported metrics.
 """
 
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.lcs import (LcsBudgetExceeded, LcsMemoryError, MemoryBudget,
-                            OpCounter, lcs_bitparallel, lcs_dp, lcs_fast,
-                            lcs_hirschberg, lcs_length, lcs_optimized,
-                            myers_lcs_length, trim_common)
-from repro.core.lcs_diff import ALGORITHMS
+                            OpCounter, lcs_dp, lcs_hirschberg, lcs_length,
+                            lcs_optimized, myers_lcs_length, trim_common)
+from repro.core.lcs_diff import ALGORITHMS, lcs_diff
 
-from helpers import scalar_kernels
+from helpers import scalar_kernels, simple_trace
 
 #: Every registered ``lcs_diff`` algorithm as a key-sequence function.
 ALGO_FUNCS = {
     "dp": lcs_dp,
     "hirschberg": lcs_hirschberg,
-    "fast": lcs_fast,
     "optimized": lcs_optimized,
-    "bitparallel": lcs_bitparallel,
 }
 
 # Interned-id sequences: small alphabets force repeats (the interesting
-# LCS structure), larger ones exercise the unique-key pivot path.
+# LCS structure), larger ones are mostly unique keys.
 ids = st.lists(st.integers(0, 6), max_size=40)
 wide_ids = st.lists(st.integers(0, 1000), max_size=40)
 
@@ -60,9 +59,7 @@ class TestAlgorithmAgreement:
     def test_all_exact_algorithms_agree_with_dp_length(self, a, b):
         reference = len(lcs_dp(a, b).pairs)
         assert len(lcs_hirschberg(a, b).pairs) == reference
-        assert len(lcs_fast(a, b).pairs) == reference
         assert len(lcs_optimized(a, b).pairs) == reference
-        assert len(lcs_bitparallel(a, b).pairs) == reference
         assert myers_lcs_length(a, b) == reference
         assert lcs_length(a, b) == reference
 
@@ -71,8 +68,7 @@ class TestAlgorithmAgreement:
     def test_agreement_on_mostly_unique_ids(self, a, b):
         reference = len(lcs_dp(a, b).pairs)
         assert len(lcs_hirschberg(a, b).pairs) == reference
-        assert len(lcs_fast(a, b).pairs) == reference
-        assert len(lcs_bitparallel(a, b).pairs) == reference
+        assert len(lcs_optimized(a, b).pairs) == reference
         assert myers_lcs_length(a, b) == reference
 
     @given(ids, ids)
@@ -85,9 +81,8 @@ class TestAlgorithmAgreement:
     @settings(max_examples=40, deadline=None)
     def test_identical_sequences_match_fully(self, a):
         assert myers_lcs_length(a, a) == len(a)
-        assert len(lcs_fast(a, a).pairs) == len(a)
         assert len(lcs_optimized(a, a).pairs) == len(a)
-        assert len(lcs_bitparallel(a, a).pairs) == len(a)
+        assert len(lcs_hirschberg(a, a).pairs) == len(a)
 
     @given(st.lists(st.integers(0, 3), max_size=12),
            st.integers(1, 6), st.integers(1, 6))
@@ -99,9 +94,40 @@ class TestAlgorithmAgreement:
         b = [9] * prefix_n + [9] * suffix_n
         reference = len(lcs_dp(a, b).pairs)
         assert myers_lcs_length(a, b) == reference
-        assert len(lcs_fast(a, b).pairs) == reference
         assert len(lcs_optimized(a, b).pairs) == reference
-        assert len(lcs_bitparallel(a, b).pairs) == reference
+        assert len(lcs_hirschberg(a, b).pairs) == reference
+
+    @given(st.lists(st.integers(0, 3), max_size=19),
+           st.lists(st.integers(0, 3), max_size=19))
+    @settings(max_examples=200, deadline=None)
+    def test_optimized_exact_when_hirschberg_runs_the_core(self, a, b):
+        # The limit is patched down to a few cells, so cores that would
+        # run on the DP at full size run on Hirschberg here.  The
+        # result stays an LCS and the compare total stays the DP's
+        # (counted below the limit, charged above it).
+        unpatched = OpCounter()
+        lcs_optimized(a, b, counter=unpatched)
+        counter = OpCounter()
+        with mock.patch("repro.core.lcs.DP_CELL_LIMIT", 4):
+            result = lcs_optimized(a, b, counter=counter)
+        assert len(result.pairs) == len(lcs_dp(a, b).pairs)
+        assert _is_subsequence(result.pairs, a, b)
+        assert counter.total == unpatched.total
+
+
+def test_planted_move_every_engine_finds_the_lcs():
+    """One unique entry moves from the front to the back of a long
+    repetitive trace.  The trimmed core is above the old 4M-cell DP
+    limit, where a patience-pivot split kept only the moved entry; an
+    exact LCS keeps everything else."""
+    body = [i % 7 for i in range(2501)]
+    left = simple_trace([7] + body, name="l")
+    right = simple_trace(body + [7], name="r")
+    exact = len(lcs_diff(left, right, "hirschberg").match_pairs)
+    assert exact == len(body) + 2  # the body plus the init and end entries
+    for algorithm in ALGORITHMS:
+        result = lcs_diff(left, right, algorithm)
+        assert len(result.match_pairs) == exact, algorithm
 
 
 def _with_and_without_oracle(run):
@@ -157,17 +183,6 @@ class TestKernelBackendAgreement:
 
     @given(ids, ids)
     @settings(max_examples=40, deadline=None)
-    def test_bitparallel_is_exactly_hirschberg(self, a, b):
-        assert lcs_bitparallel is lcs_hirschberg
-        c_bp, c_hi = OpCounter(), OpCounter()
-        bp = lcs_bitparallel(a, b, counter=c_bp)
-        hi = lcs_hirschberg(a, b, counter=c_hi)
-        assert bp.pairs == hi.pairs
-        assert (c_bp.compares, c_bp.charged) == (c_hi.compares,
-                                                 c_hi.charged)
-
-    @given(ids, ids)
-    @settings(max_examples=40, deadline=None)
     def test_trim_common_counts_identical_across_backends(self, a, b):
         kernel, oracle = _with_and_without_oracle(
             lambda counter: trim_common(a, b, counter=counter))
@@ -186,7 +201,7 @@ class TestEdgeCases:
         a, b = [1, 2, 3], [4, 5, 6]
         assert len(lcs_dp(a, b).pairs) == 0
         assert myers_lcs_length(a, b) == 0
-        assert len(lcs_fast(a, b).pairs) == 0
+        assert len(lcs_optimized(a, b).pairs) == 0
 
     def test_trim_common_overlap(self):
         # "aaa" vs "aa": prefix claims 2, the suffix scan must not
@@ -195,14 +210,6 @@ class TestEdgeCases:
         assert prefix + (3 - prefix - a_mid) <= 3
         assert a_mid >= 0 and b_mid >= 0
         assert len(lcs_dp([1, 1, 1], [1, 1]).pairs) == 2
-
-    def test_fast_small_cell_limit_still_common_subsequence(self):
-        # Below the DP budget the pivot-splitting differ approximates; the
-        # result must still be a valid common subsequence.
-        a = [i % 5 for i in range(30)]
-        b = [(i * 3) % 5 for i in range(30)]
-        result = lcs_fast(a, b, dp_cell_limit=4)
-        assert _is_subsequence(result.pairs, a, b)
 
     def test_myers_budget_cap_raises(self):
         a = list(range(0, 20))
