@@ -6,9 +6,10 @@ the library writes against the legacy text format it replaced, over
 the same traces:
 
 * **v2** — JSON lines with an interned ``=e`` key table prologue.  The
-  library only *reads* it now; :func:`v2_text_baseline` below is the
-  text encoder kept here as the labelled measurement baseline, and the
-  library's legacy reader decodes its output;
+  library neither writes nor reads it any more; :func:`v2_text_baseline`
+  and :func:`v2_text_loads` below are the text encoder and decoder
+  the library had, kept here verbatim as the labelled measurement
+  baseline;
 * **v3** — the binary columnar frame: packed key table, fixed-layout
   entry rows, side JSON only for rare rich payloads.  Decode is
   **lazy**: ``loads_trace`` returns in O(header + key table) and
@@ -36,17 +37,25 @@ wire.
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import time
+from array import array
 
 from conftest import write_result
 
-from repro.analysis.serialize import (_ancestry_to_json, _local_key_column,
-                                      _plain, _rep_to_json,
-                                      dumps_trace_bytes, loads_trace)
+from repro.analysis.serialize import (_ancestry_from_json, _ancestry_to_json,
+                                      _local_key_column, _plain,
+                                      _rep_from_json, _rep_to_json,
+                                      _untuple, dumps_trace_bytes,
+                                      loads_trace)
+from repro.core.entries import TraceEntry
+from repro.core.events import (Call, End, Event, FieldGet, FieldSet, Fork,
+                               Init, Return)
+from repro.core.keytable import KeyTable
 from repro.core.lcs import OpCounter
-from repro.core.traces import TraceBuilder
+from repro.core.traces import Trace, TraceBuilder
 from repro.core.values import prim
 from repro.core.view_diff import view_diff
 
@@ -120,6 +129,10 @@ def _decode_eager(blob) -> None:
     _eager(loads_trace(blob))
 
 
+def _decode_v2(blob) -> None:
+    _eager(v2_text_loads(blob))
+
+
 def _diff_signature(result) -> tuple:
     return (sorted(result.similar_left), sorted(result.similar_right),
             result.match_pairs, result.counter.compares)
@@ -162,6 +175,91 @@ def v2_text_baseline(trace) -> bytes:
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
+# The library's v2 text decode as it was before it was deleted:
+# ``_event_from_json``, ``entry_from_json``, ``_read_table`` and the v2
+# branch of ``_read_trace``, verbatim, so the baseline does today the
+# work it always timed.
+
+def _event_from_json(data: dict) -> Event:
+    kind = data["k"]
+    if kind == "get":
+        return FieldGet(obj=_rep_from_json(data["o"]), field=data["f"],
+                        value=_rep_from_json(data["v"]))
+    if kind == "set":
+        return FieldSet(obj=_rep_from_json(data["o"]), field=data["f"],
+                        value=_rep_from_json(data["v"]))
+    if kind == "call":
+        return Call(obj=_rep_from_json(data["o"]), method=data["m"],
+                    args=tuple(_rep_from_json(a) for a in data["a"]))
+    if kind == "return":
+        return Return(obj=_rep_from_json(data["o"]), method=data["m"],
+                      value=_rep_from_json(data["v"]))
+    if kind == "init":
+        return Init(class_name=data["c"],
+                    args=tuple(_rep_from_json(a) for a in data["a"]),
+                    obj=_rep_from_json(data["o"]))
+    if kind == "fork":
+        return Fork(child_tid=data["tid"],
+                    ancestry=_ancestry_from_json(data["s"]))
+    if kind == "end":
+        return End(tid=data["tid"], ancestry=_ancestry_from_json(data["s"]))
+    raise ValueError(f"unknown event kind: {kind!r}")
+
+
+def entry_from_json(data: dict) -> TraceEntry:
+    return TraceEntry(eid=data["eid"], tid=data["tid"], method=data["m"],
+                      active=_rep_from_json(data["rho"]),
+                      event=_event_from_json(data["e"]))
+
+
+def _read_table(handle, header: dict) -> KeyTable:
+    """Consume the key-table lines following a v2 header."""
+    table = KeyTable()
+    expected = header.get("keys", 0)
+    for _ in range(expected):
+        line = handle.readline()
+        if not line:
+            raise ValueError("truncated key table in trace file")
+        table.intern(_untuple(json.loads(line)["key"]))
+    if len(table) != expected:
+        # A duplicate key line would silently shift every id after it
+        # (intern dedupes) — reject the file instead of mis-diffing.
+        raise ValueError(f"corrupt key table: {expected} key line(s) but "
+                         f"{len(table)} distinct key(s)")
+    return table
+
+
+def v2_text_loads(blob) -> Trace:
+    """Decode :func:`v2_text_baseline` output as the library's v2
+    reader did (the baseline the v3 decode ratios are measured
+    against)."""
+    handle = io.StringIO(bytes(memoryview(blob)).decode("utf-8"))
+    header = json.loads(handle.readline())
+    table = _read_table(handle, header)
+    entries: list[TraceEntry] = []
+    column = array("I")
+    have_kids = True
+    table_size = len(table)
+    for line in handle:
+        if not line.strip():
+            continue
+        data = json.loads(line)
+        entries.append(entry_from_json(data))
+        kid = data.get("kid")
+        if kid is None:
+            have_kids = False
+        elif not isinstance(kid, int) or not 0 <= kid < table_size:
+            raise ValueError(
+                f"corrupt trace row: kid {kid!r} outside the "
+                f"{table_size}-entry key table")
+        elif have_kids:
+            column.append(kid)
+    return Trace(entries, name=header.get("name", ""),
+                 metadata=header.get("metadata") or {},
+                 key_table=table if have_kids else None,
+                 key_ids=column if have_kids else None)
+
+
 def _measure(trace) -> dict:
     """Dumps/loads timings and wire bytes for one trace, both formats."""
     blobs = {2: v2_text_baseline(trace), 3: dumps_trace_bytes(trace)}
@@ -171,7 +269,7 @@ def _measure(trace) -> dict:
             "dumps_seconds": round(_timed(
                 lambda: v2_text_baseline(trace)), 5),
             "loads_seconds": round(_timed(
-                lambda: _decode_eager(blobs[2])), 5),
+                lambda: _decode_v2(blobs[2])), 5),
         },
         "3": {
             "bytes": len(blobs[3]),
@@ -186,7 +284,7 @@ def _measure(trace) -> dict:
 
     # Bit-identity: the same trace must come back from both formats —
     # equal entries and one content digest, lazy or eager.
-    reference = loads_trace(blobs[2])
+    reference = v2_text_loads(blobs[2])
     lazy = loads_trace(blobs[3])
     assert list(reference.entries) == list(trace.entries)
     assert list(lazy.entries) == list(reference.entries)
@@ -211,7 +309,8 @@ def _measure(trace) -> dict:
 
 def _assert_pair_identity(left, right) -> None:
     """A diff over a v3-shipped pair must equal the v2-shipped diff."""
-    via_v2 = tuple(loads_trace(v2_text_baseline(t)) for t in (left, right))
+    via_v2 = tuple(v2_text_loads(v2_text_baseline(t))
+                   for t in (left, right))
     via_v3 = tuple(loads_trace(dumps_trace_bytes(t)) for t in (left, right))
     reference = view_diff(left, right, counter=OpCounter())
     for pair in (via_v2, via_v3):

@@ -30,7 +30,7 @@ from repro.core import (DiffResult, DifferenceSequence, OpCounter,
                         ValueRep, ViewDiffConfig, ViewType, ViewWeb,
                         analyze_regression, lcs_diff, view_diff)
 
-__version__ = "2.0.0"
+__version__ = "3.0.0"
 
 __all__ = [
     "DiffResult", "DifferenceSequence", "OpCounter", "RegressionReport",

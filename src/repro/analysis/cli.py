@@ -11,10 +11,9 @@ while the program runs, then analysed later.  This CLI covers that side::
     python -m repro.analysis.cli analyze --suspected-old old_bad.jsonl \\
         --suspected-new new_bad.jsonl [--expected-old ... --expected-new ...]
         [--regression-left ... --regression-right ...] [--mode intersect]
-    python -m repro.analysis.cli store add|list|show|tag|rm DIR ...
+    python -m repro.analysis.cli store add|list|show|tag|rm|stats DIR ...
     python -m repro.analysis.cli store diff DIR KEY1 [KEY2] \\
         [--against-baseline TAG] [--engine ...]
-    python -m repro.analysis.cli store migrate DIR
     python -m repro.analysis.cli batch scenarios.json --store DIR
     python -m repro.analysis.cli cache stats|prune|clear DIR ...
     python -m repro.analysis.cli index build|stats|compact DIR
@@ -25,12 +24,12 @@ while the program runs, then analysed later.  This CLI covers that side::
 
 ``index``/``query`` read the store's persistent catalog
 (:mod:`repro.index`, maintained automatically on save/tag/delete;
-``index build`` backfills it for legacy stores), ``serve`` boots the
-long-running JSON-over-HTTP service (:mod:`repro.service`), and
-``store migrate`` rewrites a store's legacy text (v1/v2) trace files
-as binary v3 in place (idempotent).  Every command that opens a store
-converts a flat one (``store.json`` and trace files at the root) to
-the sharded layout first; ``store migrate`` reports what that moved.
+``index build`` backfills it for stores copied without it), and
+``serve`` boots the long-running JSON-over-HTTP service
+(:mod:`repro.service`).  Every command refuses legacy input (text
+trace files, a flat store with ``store.json`` or trace files at its
+root) with one error naming repro 2.0.0's ``store migrate``, the last
+version that converts it.
 
 Stored-trace differencing (``store diff``, ``batch``) memoises results
 in a ``diffcache`` directory beside the store (``--no-cache`` bypasses,
@@ -55,7 +54,7 @@ from pathlib import Path
 
 from repro.api.engines import available_engines, get_engine, is_cacheable
 from repro.api.session import Session
-from repro.api.store import INDEX_NAME, SHARDS_DIR, TraceStore
+from repro.api.store import SHARDS_DIR, TraceStore, refuse_flat_store
 from repro.cache import DiffCache, cached_engine_diff
 from repro.analysis.report import render_diff_report, render_trace_tree
 from repro.analysis.serialize import load_trace
@@ -259,9 +258,8 @@ def _open_store(path: str) -> TraceStore:
     except FileNotFoundError:
         raise SystemExit(f"no trace store at {path}")
     except PermissionError as exc:
-        # Opening converts a flat store in place, which needs writes.
-        raise SystemExit(f"cannot open the trace store at {path}: {exc} "
-                         f"(run `store migrate` on a writable copy)")
+        # Opening creates shards.d/ where it is missing.
+        raise SystemExit(f"cannot open the trace store at {path}: {exc}")
 
 
 def cmd_store_show(args) -> int:
@@ -290,8 +288,8 @@ def cmd_store_tag(args) -> int:
 def cmd_store_diff(args) -> int:
     """Diff two stored traces directly — no re-capture.
 
-    v2 store files carry their interned ``=e`` key tables, so the
-    loaded traces diff without recomputing a single key; the stored
+    Store files carry their interned ``=e`` key tables, so the loaded
+    traces diff without recomputing a single key; the stored
     content digests give a sound identical-content hint up front (the
     cheap shape fingerprint is provenance-only — it collides across
     traces with equal shape but different content, so it is never
@@ -308,7 +306,7 @@ def cmd_store_diff(args) -> int:
         if record is None:
             print(f"no indexed trace carries tag "
                   f"{args.against_baseline!r} in {store.root} "
-                  f"(run `repro index build` on legacy stores)",
+                  f"(run `repro index build`?)",
                   file=sys.stderr)
             return 2
         right = record.key
@@ -346,30 +344,10 @@ def cmd_store_rm(args) -> int:
     return 0
 
 
-def cmd_store_migrate(args) -> int:
-    store = _open_store(args.store)  # opening converts a flat layout
-    if store.migration is None:
-        print(f"{store.root} already sharded")
-    else:
-        print(f"migrated {store.root} to the sharded layout "
-              f"({store.migration['moved']} trace(s) moved, "
-              f"{store.migration['dropped']} stale root cop(ies) "
-              f"dropped)")
-    summary = store.migrate_format()
-    print(f"format v3: {summary['migrated']} rewritten, "
-          f"{summary['skipped']} already current, "
-          f"{summary['failed']} failed")
-    return 0 if summary["failed"] == 0 else 1
-
-
 def cmd_store_stats(args) -> int:
-    stats = _open_store(args.store).format_stats()
-    for version, bucket in stats["formats"].items():
-        label = f"v{version}" if version != "0" else "unstamped"
-        print(f"  {label:10} {bucket['traces']:>6} trace(s)  "
-              f"{bucket['bytes']:>12} byte(s)")
-    print(f"{stats['traces']} trace(s), {stats['bytes']} byte(s) "
-          f"on disk in {args.store}")
+    records = _open_store(args.store).records()
+    size = sum(record.path.stat().st_size for record in records)
+    print(f"{len(records)} trace(s), {size} byte(s) in {args.store}")
     return 0
 
 
@@ -377,12 +355,12 @@ def cmd_store_stats(args) -> int:
 
 
 def _cache_dir(path: str) -> Path:
-    """A cache directory argument: a trace store directory (sharded,
-    or flat and not yet opened) means its ``diffcache`` sidecar,
-    anything else is the cache itself."""
+    """A cache directory argument: a trace store directory means its
+    ``diffcache`` sidecar, anything else is the cache itself (a flat
+    store is refused, not taken for a cache)."""
     directory = Path(path)
-    if (directory / SHARDS_DIR).is_dir() \
-            or (directory / INDEX_NAME).exists():
+    refuse_flat_store(directory)
+    if (directory / SHARDS_DIR).is_dir():
         return directory / "diffcache"
     return directory
 
@@ -683,16 +661,8 @@ def build_parser() -> argparse.ArgumentParser:
     store_diff.add_argument("--limit", type=int, default=10)
     store_diff.set_defaults(func=cmd_store_diff)
 
-    store_migrate = store_cmds.add_parser(
-        "migrate", help="rewrite legacy text trace files as binary v3 "
-                        "in place (keys, tags and digests kept), and "
-                        "report what opening the store moved from a "
-                        "flat layout into shards.d/<hh>/")
-    store_migrate.add_argument("store")
-    store_migrate.set_defaults(func=cmd_store_migrate)
-
     store_stats = store_cmds.add_parser(
-        "stats", help="per-format trace counts and on-disk bytes")
+        "stats", help="trace count and on-disk bytes")
     store_stats.add_argument("store")
     store_stats.set_defaults(func=cmd_store_stats)
 
@@ -730,7 +700,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     index_build = index_cmds.add_parser(
         "build", help="(re)build the catalog from the store's traces "
-                      "(backfill for legacy stores)")
+                      "(backfill for stores copied without it)")
     index_build.add_argument("store")
     index_build.set_defaults(func=cmd_index_build)
 

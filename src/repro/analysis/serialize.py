@@ -1,4 +1,4 @@
-"""Trace serialisation: one binary writer (v3), three readable formats.
+"""Trace serialisation: one binary format (v3), written and read.
 
 RPRISM offloads trace segments to disk while the program runs and
 analyses them offline; this module provides the on-disk and on-wire
@@ -30,18 +30,10 @@ trace's :meth:`~repro.core.traces.Trace.content_digest`, computed at
 encode time, so digest-keyed consumers (diff cache, wire memos,
 dedup) never force materialisation either.
 
-The legacy **text** formats stay readable, so old stores, segment
-files and clients keep working; nothing writes them any more
-(``repro store migrate`` rewrites a store's text files as v3)::
-
-    {"format": 2, "name": ..., "entries": n, "keys": k, "metadata": {...}}
-    {"key": <plain =e key>}          # k lines, id = line order
-    {"eid": ..., ..., "kid": <id>}   # n entry rows
-
-v2 carries the key table between header and rows, so a load attaches
-it without recomputing a single ``entry.key()``; v1 is the same
-without the table (and without ``kid``).  Unknown format versions
-raise a clear ``ValueError`` instead of silently mis-parsing.
+Nothing else is read.  The text formats (v1/v2) and the flat store
+layout that versions up to repro 2.0.0 wrote fail with the one error
+:func:`reject_legacy` raises; 2.0.0's ``repro store migrate`` converts
+them.
 
 JSON has no tuples, so serialisations (which are nested tuples in memory,
 for hashability) are tagged lists on disk and recursively turned back
@@ -50,25 +42,30 @@ into tuples on read — round-tripping preserves ``=e`` keys exactly.
 
 from __future__ import annotations
 
-import io
 import json
 import sys
 from array import array
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, NoReturn
 
 from repro.core.entries import TraceEntry
-from repro.core.events import (Call, End, Event, FieldGet, FieldSet, Fork,
-                               Init, Return, StackFrame)
+from repro.core.events import (Call, End, FieldGet, FieldSet, Fork, Init,
+                               Return, StackFrame)
 from repro.core.keytable import KeyTable
 from repro.core.traces import LazyEntrySequence, Trace
 from repro.core.values import ValueRep
 from repro.core.views import ViewType
 
-#: The format every write emits (binary columnar).
-FORMAT_VERSION = 3
-#: Every format the readers accept: the legacy text v1/v2 and v3.
-SUPPORTED_VERSIONS = (1, 2, 3)
+
+def reject_legacy(what: str) -> NoReturn:
+    """Raise the one error for input this version no longer reads:
+    text traces (formats 1 and 2) and flat store directories.
+    ``what`` says which input it is."""
+    raise ValueError(
+        f"{what}; repro reads only binary v3 traces in sharded stores. "
+        f"Convert legacy text traces (formats 1 and 2) and flat stores "
+        f"with `repro store migrate` from repro 2.0.0, the last version "
+        f"that reads them")
 
 
 def _rep_to_json(rep: ValueRep | None):
@@ -121,38 +118,6 @@ def _ancestry_to_json(ancestry):
 def _ancestry_from_json(data):
     return tuple(tuple(_frame_from_json(f) for f in stack)
                  for stack in data)
-
-
-def _event_from_json(data: dict) -> Event:
-    kind = data["k"]
-    if kind == "get":
-        return FieldGet(obj=_rep_from_json(data["o"]), field=data["f"],
-                        value=_rep_from_json(data["v"]))
-    if kind == "set":
-        return FieldSet(obj=_rep_from_json(data["o"]), field=data["f"],
-                        value=_rep_from_json(data["v"]))
-    if kind == "call":
-        return Call(obj=_rep_from_json(data["o"]), method=data["m"],
-                    args=tuple(_rep_from_json(a) for a in data["a"]))
-    if kind == "return":
-        return Return(obj=_rep_from_json(data["o"]), method=data["m"],
-                      value=_rep_from_json(data["v"]))
-    if kind == "init":
-        return Init(class_name=data["c"],
-                    args=tuple(_rep_from_json(a) for a in data["a"]),
-                    obj=_rep_from_json(data["o"]))
-    if kind == "fork":
-        return Fork(child_tid=data["tid"],
-                    ancestry=_ancestry_from_json(data["s"]))
-    if kind == "end":
-        return End(tid=data["tid"], ancestry=_ancestry_from_json(data["s"]))
-    raise ValueError(f"unknown event kind: {kind!r}")
-
-
-def entry_from_json(data: dict) -> TraceEntry:
-    return TraceEntry(eid=data["eid"], tid=data["tid"], method=data["m"],
-                      active=_rep_from_json(data["rho"]),
-                      event=_event_from_json(data["e"]))
 
 
 def _local_key_column(trace: Trace) -> tuple[list, array]:
@@ -416,8 +381,8 @@ def _v3_key_table(header: dict, blob, path: Path) -> KeyTable:
     for key in raw:
         table.intern(_untuple(key))
     if len(table) != expected:
-        # Same invariant as the v2 reader: duplicate keys would shift
-        # every id after them (intern dedupes).
+        # Duplicate keys would shift every id after them (intern
+        # dedupes).
         raise ValueError(f"corrupt key table: {expected} key(s) but "
                          f"{len(table)} distinct key(s)")
     return table
@@ -630,29 +595,35 @@ def save_trace(trace: Trace, path: str | Path,
     Path(path).write_bytes(dumps_trace_bytes(trace, extra_metadata))
 
 
-def loads_trace(data: "str | bytes | bytearray | memoryview",
+def loads_trace(data: "bytes | bytearray | memoryview",
                 keepalive=None) -> Trace:
-    """Inverse of :func:`dumps_trace_bytes`; legacy v1/v2 text is
-    accepted too, as ``str`` or UTF-8 bytes.
+    """Inverse of :func:`dumps_trace_bytes`.
 
-    Binary v3 payloads decode **lazily and zero-copy**: the returned
-    trace's columns are ``memoryview`` casts over ``data`` itself (no
+    The payload decodes **lazily and zero-copy**: the returned trace's
+    columns are ``memoryview`` casts over ``data`` itself (no
     intermediate copy — a mapped shared-memory segment decodes in
     place) and entries materialise on demand.  ``keepalive`` pins the
     buffer's owner (e.g. the mapped segment) for the trace's lifetime;
     plain ``bytes`` payloads need none (the views hold the object).
+    Text (``str``, or bytes without the v3 magic) is refused with
+    :func:`reject_legacy`'s error.
     """
-    if isinstance(data, str):
-        return _read_trace(io.StringIO(data), Path("<wire>"))
-    view = memoryview(data)
-    if len(view) >= 4 and bytes(view[:4]) == _V3_MAGIC:
-        return _load_v3(view, Path("<wire>"), keepalive)
-    return _read_trace(io.StringIO(bytes(view).decode("utf-8")),
-                       Path("<wire>"))
+    if not isinstance(data, str):
+        view = memoryview(data)
+        if len(view) >= 4 and bytes(view[:4]) == _V3_MAGIC:
+            return _load_v3(view, Path("<wire>"), keepalive)
+    _reject_not_v3("<wire>")
+
+
+def _reject_not_v3(path) -> NoReturn:
+    reject_legacy(f"{path} is not a v3 trace (no {_V3_MAGIC!r} magic)")
 
 
 def _read_v3_header(handle, path: Path) -> dict:
-    """The header of a v3 file whose magic ``handle`` has just read."""
+    """The header of the v3 file open in ``handle``, which is left
+    just past it."""
+    if handle.read(4) != _V3_MAGIC:
+        _reject_not_v3(path)
     raw = handle.read(4)
     if len(raw) < 4:
         raise ValueError(f"truncated v3 trace: {path} "
@@ -667,173 +638,69 @@ def _read_v3_header(handle, path: Path) -> dict:
 
 
 def read_header(path: str | Path) -> dict:
-    """Read just the header of a trace file (cheap listing) — the
-    first line of a text file, the O(1) frame prelude of a v3 file."""
+    """Read just the header of a trace file (cheap listing): the O(1)
+    frame prelude."""
     path = Path(path)
     with path.open("rb") as handle:
-        magic = handle.read(4)
-        if magic == _V3_MAGIC:
-            return _read_v3_header(handle, path)
-        line = magic + handle.readline()
-    try:
-        text = line.decode("utf-8")
-    except UnicodeDecodeError as error:
-        raise ValueError(f"not a trace file: {path} ({error})") from None
-    return _parse_header(text, path)
-
-
-def _parse_header(header_line: str, path: Path) -> dict:
-    if not header_line:
-        raise ValueError(f"empty trace file: {path}")
-    try:
-        header = json.loads(header_line)
-    except json.JSONDecodeError as error:
-        raise ValueError(f"not a trace file: {path} ({error})") from None
-    if not isinstance(header, dict) or "format" not in header:
-        raise ValueError(f"unsupported trace format: {header!r}")
-    version = header["format"]
-    if version not in SUPPORTED_VERSIONS:
-        raise ValueError(
-            f"unsupported trace format version {version!r} in {path} "
-            f"(this reader supports: "
-            f"{', '.join(str(v) for v in SUPPORTED_VERSIONS)})")
-    if version == FORMAT_VERSION:
-        # A JSON line claiming format 3 is not a v3 file — the real
-        # thing starts with the binary magic, not a text header.
-        raise ValueError(
-            f"corrupt trace file: {path} claims format {version} but "
-            f"uses text framing (v3 is binary)")
-    return header
-
-
-def _read_table(handle, header: dict) -> KeyTable:
-    """Consume the key-table lines following a v2 header."""
-    table = KeyTable()
-    expected = header.get("keys", 0)
-    for _ in range(expected):
-        line = handle.readline()
-        if not line:
-            raise ValueError("truncated key table in trace file")
-        table.intern(_untuple(json.loads(line)["key"]))
-    if len(table) != expected:
-        # A duplicate key line would silently shift every id after it
-        # (intern dedupes) — reject the file instead of mis-diffing.
-        raise ValueError(f"corrupt key table: {expected} key line(s) but "
-                         f"{len(table)} distinct key(s)")
-    return table
+        return _read_v3_header(handle, path)
 
 
 def read_key_table(path: str | Path) -> tuple[dict, KeyTable]:
     """Stream (header, key table) without materialising entries.
 
-    v3 files seek straight to the table — it is the first section
-    after the frame prelude, so listing a store never reads entry
-    columns at all.  For v1 files — which carry no table — the table
-    is rebuilt by streaming entries one at a time, still without
-    holding the whole trace in memory.
+    The table is the first section after the frame prelude, so this
+    seeks straight to it and never reads entry columns.
     """
     path = Path(path)
     with path.open("rb") as probe:
-        magic = probe.read(4)
-        if magic == _V3_MAGIC:
-            header = _read_v3_header(probe, path)
-            keys_len = None
-            for name, size in header["sections"]:
-                if name == "keys":
-                    keys_len = size
-                    break
-                probe.seek(size, 1)  # seek past earlier sections
-            if keys_len is None:
-                raise ValueError(f"corrupt v3 section table in {path}: "
-                                 f"missing keys")
-            keys_blob = probe.read(keys_len)
-            if len(keys_blob) < keys_len:
-                raise ValueError(
-                    f"truncated v3 trace: {path} (key table wants "
-                    f"{keys_len} byte(s))")
-            return header, _v3_key_table(header, keys_blob, path)
-    with path.open("r", encoding="utf-8") as handle:
-        header = _parse_header(handle.readline(), path)
-        if header["format"] >= 2:
-            return header, _read_table(handle, header)
-        table = KeyTable()
-        for line in handle:
-            if line.strip():
-                table.intern_entry(entry_from_json(json.loads(line)))
-        return header, table
+        header = _read_v3_header(probe, path)
+        keys_len = None
+        for name, size in header["sections"]:
+            if name == "keys":
+                keys_len = size
+                break
+            probe.seek(size, 1)  # seek past earlier sections
+        if keys_len is None:
+            raise ValueError(f"corrupt v3 section table in {path}: "
+                             f"missing keys")
+        keys_blob = probe.read(keys_len)
+        if len(keys_blob) < keys_len:
+            raise ValueError(
+                f"truncated v3 trace: {path} (key table wants "
+                f"{keys_len} byte(s))")
+        return header, _v3_key_table(header, keys_blob, path)
 
 
 def load_trace(path: str | Path, data: bytes | None = None) -> Trace:
-    """Read a trace file: v3, or legacy v1/v2 text.
+    """Read a trace file.
 
-    v2/v3 traces come back carrying their key table and id column, so
-    a later interned diff never recomputes an ``=e`` key; v3 traces
-    additionally decode lazily (see :func:`loads_trace`).  ``data``
-    is the file's bytes when the caller has already read them (the
-    store reads them from the handle it stat'ed); ``path`` then only
-    names the file in errors.
+    The trace comes back carrying its key table and id column, so a
+    later interned diff never recomputes an ``=e`` key, and decodes
+    lazily (see :func:`loads_trace`).  ``data`` is the file's bytes
+    when the caller has already read them (the store reads them from
+    the handle it stat'ed); ``path`` then only names the file in
+    errors.
     """
     path = Path(path)
     if data is None:
         data = path.read_bytes()
     if data[:4] == _V3_MAGIC:
         return _load_v3(memoryview(data), path)
-    return _read_trace(io.StringIO(data.decode("utf-8")), path)
-
-
-def _read_trace(handle, path: Path) -> Trace:
-    header = _parse_header(handle.readline(), path)
-    if header["format"] >= 2:
-        table = _read_table(handle, header)
-        entries: list[TraceEntry] = []
-        column = array("I")
-        have_kids = True
-        table_size = len(table)
-        for line in handle:
-            if not line.strip():
-                continue
-            data = json.loads(line)
-            entries.append(entry_from_json(data))
-            kid = data.get("kid")
-            if kid is None:
-                have_kids = False
-            elif not isinstance(kid, int) or not 0 <= kid < table_size:
-                raise ValueError(
-                    f"corrupt trace row: kid {kid!r} outside the "
-                    f"{table_size}-entry key table")
-            elif have_kids:
-                column.append(kid)
-        return Trace(entries, name=header.get("name", ""),
-                     metadata=header.get("metadata") or {},
-                     key_table=table if have_kids else None,
-                     key_ids=column if have_kids else None)
-    entries = [entry_from_json(json.loads(line))
-               for line in handle if line.strip()]
-    return Trace(entries, name=header.get("name", ""),
-                 metadata=header.get("metadata") or {})
+    _reject_not_v3(path)
 
 
 def iter_entries(path: str | Path) -> Iterator[TraceEntry]:
     """Stream entries from a trace file without loading it whole.
 
-    v3 files decode lazily anyway, so iteration builds one entry at a
-    time over the mapped columns (the file bytes are held for the
-    duration of the walk, but no entry list ever exists at once).
+    Decoding is lazy anyway, so iteration builds one entry at a time
+    over the mapped columns (the file bytes are held for the duration
+    of the walk, but no entry list ever exists at once).
     """
     path = Path(path)
-    with path.open("rb") as probe:
-        magic = probe.read(4)
-    if magic == _V3_MAGIC:
-        header, sections = _parse_v3_frame(
-            memoryview(path.read_bytes()), path)
-        decoder = _V3Decoder(sections)
-        for position in range(header.get("entries", 0)):
-            yield decoder.entry(position)
-        return
-    with path.open("r", encoding="utf-8") as handle:
-        header = _parse_header(handle.readline(), path)
-        for _ in range(header.get("keys", 0)):
-            handle.readline()  # skip the key table
-        for line in handle:
-            if line.strip():
-                yield entry_from_json(json.loads(line))
+    data = path.read_bytes()
+    if data[:4] != _V3_MAGIC:
+        _reject_not_v3(path)
+    header, sections = _parse_v3_frame(memoryview(data), path)
+    decoder = _V3Decoder(sections)
+    for position in range(header.get("entries", 0)):
+        yield decoder.entry(position)

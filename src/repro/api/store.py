@@ -3,8 +3,8 @@
 RPRISM's workflow is offline — traces are captured (and segmented) to
 disk while the program runs and analysed afterwards.  A
 :class:`TraceStore` is a directory of trace files (binary v3, see
-:mod:`repro.analysis.serialize`; legacy v1/v2 text files still read)
-addressed by key, with a small sidecar index for tags::
+:mod:`repro.analysis.serialize`) addressed by key, with a small
+sidecar index for tags::
 
     store = TraceStore("traces/")
     store.save(trace, key="old/regressing", tags=("myfaces", "bad"))
@@ -30,11 +30,9 @@ half-written trace or index), and index read-modify-writes are
 serialised through an advisory ``flock`` on the shard's lock file where
 the platform provides one.
 
-Stores written by older versions kept ``store.json`` and the trace
-files at the root (the flat layout).  Opening such a directory
-converts it in place (:meth:`TraceStore.migrate_to_sharded`, the only
-code that reads that layout), so a read-only flat store must be
-copied somewhere writable first.
+Opening a directory in the flat layout that versions up to repro 2.0.0
+wrote (``store.json`` and trace files at the root) fails: see
+:func:`refuse_flat_store`.
 
 Every save/tag/delete also maintains the store's persistent catalog
 (:class:`repro.index.TraceIndex` under ``index.d/``), which is what
@@ -66,8 +64,8 @@ try:
 except ImportError:  # pragma: no cover - non-POSIX platforms
     fcntl = None
 
-from repro.analysis.serialize import (FORMAT_VERSION, load_trace,
-                                      read_header, read_key_table,
+from repro.analysis.serialize import (load_trace, read_header,
+                                      read_key_table, reject_legacy,
                                       save_trace)
 from repro.core.keytable import KeyTable
 from repro.core.traces import Trace
@@ -83,11 +81,6 @@ TRACE_INDEX_DIR = "index.d"
 INDEX_VERSION = 1
 _SUFFIX = ".jsonl"
 
-#: What a pre-sharding store kept at its root: the index that
-#: :meth:`TraceStore.migrate_to_sharded` reads, and the lock it holds.
-INDEX_NAME = "store.json"
-LOCK_NAME = "store.lock"
-
 #: Bound on the file bytes of the decoded traces one store handle
 #: keeps warm (least recently loaded evicted first).
 WARM_TRACE_BYTES = 16 << 20
@@ -98,6 +91,15 @@ def shard_of(key: str, width: int = SHARD_WIDTH) -> str:
     resolution needs no index at all, just a hash)."""
     digest = hashlib.blake2b(key.encode("utf-8"), digest_size=8)
     return digest.hexdigest()[:width]
+
+
+def refuse_flat_store(root: Path) -> None:
+    """Refuse a directory in the flat layout (``store.json`` or trace
+    files at its root) with :func:`reject_legacy`'s error.  Reads no
+    file."""
+    if (root / "store.json").exists() or any(root.glob("*" + _SUFFIX)):
+        reject_legacy(f"{root} is a flat trace store (store.json or "
+                      f"trace files at its root)")
 
 #: Per-process uniquifier for temp file names (pid alone is not enough:
 #: one process may write the same target from several threads).
@@ -272,9 +274,6 @@ class TraceRecord:
     entries: int
     tags: tuple[str, ...] = ()
     metadata: dict = field(default_factory=dict)
-    #: Serialisation format version of the file on disk (3 binary, or
-    #: legacy 1/2 text; 0 when the header predates format stamping).
-    format: int = 0
 
     def brief(self) -> str:
         tags = f" [{', '.join(self.tags)}]" if self.tags else ""
@@ -371,25 +370,17 @@ class TraceStore:
                  layout: str = "sharded"):
         if layout != "sharded":
             raise ValueError(f"unknown store layout {layout!r}: every "
-                             f"store is sharded (a flat directory is "
-                             f"converted when opened)")
+                             f"store is sharded")
         self.root = Path(root)
         if create:
             self.root.mkdir(parents=True, exist_ok=True)
         elif not self.root.is_dir():
             raise FileNotFoundError(f"no trace store at {self.root}")
+        refuse_flat_store(self.root)
         self._lock = threading.Lock()
         self._trace_index = None
         self._warm = _WarmTraces()
-        #: What the migration run by this open did
-        #: (``{"moved", "dropped"}``, see :meth:`migrate_to_sharded`),
-        #: or None when there was nothing at the root to convert.
-        self.migration = None
-        if (self.root / INDEX_NAME).exists() or any(
-                self._key_of(path) is not None
-                for path in self.root.glob("*" + _SUFFIX)):
-            self.migration = self.migrate_to_sharded()
-        elif not (self.root / SHARDS_DIR).is_dir():
+        if not (self.root / SHARDS_DIR).is_dir():
             (self.root / SHARDS_DIR).mkdir()
 
     @property
@@ -502,7 +493,7 @@ class TraceStore:
         if entry is not None:
             return shard.directory / entry["file"]
         # Unindexed key (loose files, e.g. a store copied without its
-        # store.json): the stem is only a guess — a colliding key may
+        # shard indexes): the stem is only a guess — a colliding key may
         # own that file name, so trust the header's store_key and fall
         # back to scanning for the file that actually carries the key.
         guess = shard.directory / (_stem_for(key) + _SUFFIX)
@@ -602,9 +593,8 @@ class TraceStore:
 
     def _dedup_hit(self, digest: str) -> str | None:
         """The key of an existing trace with this content digest (and a
-        file still on disk), or None.  Catalog-only: a legacy store
-        needs one ``repro index build`` before dedup can see its
-        pre-existing traces."""
+        file still on disk), or None.  Catalog-only: a trace the
+        catalog does not hold needs one ``repro index build`` first."""
         for record in self.index.by_digest(digest):
             if record.key in self:
                 return record.key
@@ -707,8 +697,7 @@ class TraceStore:
 
     def load_key_table(self, key: str) -> KeyTable:
         """Just the interned ``=e`` key table of a stored trace — no
-        entry materialisation for v2/v3 files (v1 files are
-        streamed)."""
+        entry materialisation."""
         _header, table = read_key_table(self._require(key))
         return table
 
@@ -723,7 +712,6 @@ class TraceStore:
             entries=header.get("entries", -1),
             tags=tuple(entry.get("tags", ())),
             metadata=header.get("metadata") or {},
-            format=header.get("format", 0),
         )
 
     def get(self, key: str) -> TraceRecord:
@@ -776,118 +764,3 @@ class TraceStore:
 
     def __repr__(self) -> str:
         return f"TraceStore({str(self.root)!r}, {len(self)} trace(s))"
-
-    # -- layout migration ----------------------------------------------------
-
-    def migrate_to_sharded(self) -> dict:
-        """Move a flat store's root files into their shards, in place.
-
-        Opening a store calls this whenever the root holds
-        ``store.json`` or readable trace files.  The move runs under
-        the root lock (one migration at a time, across processes), and
-        each shard's index read-modify-write under that shard's lock,
-        so a concurrent ``save`` or ``tag`` is never lost.  A key its
-        shard already holds keeps the shard copy: the root copy is the
-        stale one (a crashed migration, then a newer save) and is
-        deleted.  Unreadable root files stay put.  Returns
-        ``{"moved", "dropped"}``; running it again finds nothing.
-        """
-        moved = dropped = 0
-        with self._lock, locked_file(self.root / LOCK_NAME):
-            flat_index = self.root / INDEX_NAME
-            try:
-                entries = dict(json.loads(
-                    flat_index.read_text(encoding="utf-8"))["traces"])
-            except FileNotFoundError:
-                entries = {}
-            except (ValueError, KeyError, TypeError) as exc:
-                raise ValueError(f"corrupt store index {flat_index}: "
-                                 f"{exc!r}") from None
-            file_to_key = {e["file"]: k for k, e in entries.items()}
-            for path in sorted(self.root.glob("*" + _SUFFIX)):
-                key = file_to_key.get(path.name) or self._key_of(path)
-                if key is not None and key not in entries:
-                    entries[key] = {"file": path.name, "tags": []}
-            by_shard: dict[_Shard, list] = {}
-            for key, entry in sorted(entries.items()):
-                if (self.root / entry["file"]).exists():
-                    by_shard.setdefault(self._shard_for(key), []).append(
-                        (key, entry))
-            for shard, items in by_shard.items():
-                shard.directory.mkdir(parents=True, exist_ok=True)
-                with locked_file(shard.lock_path):
-                    index = self._read_index(shard)
-                    held = {key for key in self._keys(shard, index)
-                            if self._path_for(key, index).exists()}
-                    for key, entry in items:
-                        source = self.root / entry["file"]
-                        if key in held:
-                            source.unlink()
-                            dropped += 1
-                            continue
-                        target = self._entry_for(index, key, shard)
-                        target["tags"] = sorted(
-                            set(target["tags"]) | set(entry["tags"]))
-                        os.replace(source, shard.directory / target["file"])
-                        moved += 1
-                    self._write_index(shard, index)
-            (self.root / SHARDS_DIR).mkdir(exist_ok=True)
-            flat_index.unlink(missing_ok=True)
-        return {"moved": moved, "dropped": dropped}
-
-    # -- format migration ----------------------------------------------------
-
-    def migrate_format(self) -> dict:
-        """Rewrite every legacy text (v1/v2) trace file as binary v3.
-
-        Keys, tags, paths and content digests are all preserved; only
-        the file bytes change.  Files already in v3 are left untouched,
-        so a second run skips them all.  Returns a summary dict:
-        ``{"migrated", "skipped", "failed"}``.
-        """
-        migrated, skipped, failed = 0, 0, 0
-        for record in self.records():
-            if record.format == FORMAT_VERSION:
-                skipped += 1
-                continue
-            shard = self._shard_for(record.key)
-            try:
-                trace = load_trace(record.path)
-                tmp = self._tmp_path(record.path)
-                try:
-                    # Header metadata (store key, digest, provenance)
-                    # rides on trace.metadata, so a bare re-save keeps
-                    # it verbatim.
-                    save_trace(trace, tmp)
-                    with self._locked(shard):
-                        os.replace(tmp, record.path)
-                finally:
-                    if tmp.exists():
-                        tmp.unlink()
-            except (OSError, ValueError, KeyError):
-                failed += 1  # unreadable file: left as-is, reported
-                continue
-            migrated += 1
-        return {"migrated": migrated, "skipped": skipped,
-                "failed": failed}
-
-    def format_stats(self) -> dict:
-        """Per-format census of the store: trace counts and on-disk
-        bytes keyed by serialisation version, plus totals — what
-        ``repro store stats`` prints."""
-        formats: dict[int, dict] = {}
-        total_traces, total_bytes = 0, 0
-        for record in self.records():
-            try:
-                size = record.path.stat().st_size
-            except OSError:
-                continue  # deleted under the listing
-            bucket = formats.setdefault(
-                record.format, {"traces": 0, "bytes": 0})
-            bucket["traces"] += 1
-            bucket["bytes"] += size
-            total_traces += 1
-            total_bytes += size
-        return {"formats": {str(v): formats[v]
-                            for v in sorted(formats)},
-                "traces": total_traces, "bytes": total_bytes}

@@ -25,10 +25,9 @@ with two tiers:
   so a million-entry cache never piles up one directory), the path
   conventionally ``<trace store>/diffcache`` (atomic write-to-temp +
   ``os.replace``; prune/clear serialise through the store layer's
-  :func:`~repro.api.store.locked_file` discipline).  Entries that
-  older caches wrote at the directory root are misses; ``stats``,
-  ``prune`` and ``clear`` still count them, so they age out.  Entries
-  keyed under an older :data:`KEY_FORMAT` are misses too.
+  :func:`~repro.api.store.locked_file` discipline).  Files at the
+  directory root are not entries: nothing reads, counts or removes
+  them.  Entries keyed under an older :data:`KEY_FORMAT` are misses.
   A truncated or hand-edited entry reads as a *miss*, never an error.
 
 Correctness rests on two contracts, both documented at their homes:
@@ -345,14 +344,11 @@ class DiffCache:
             pass
 
     def _disk_entries(self) -> list[Path]:
-        """Every entry file: the ``<hh>/`` shards plus any root
-        entries left by older caches (never read, but counted and
-        removed by maintenance so they age out)."""
+        """Every entry file in the ``<hh>/`` shards."""
         if self.path is None or not self.path.is_dir():
             return []
         return sorted(
-            p for pattern in ("*", "[0-9a-f][0-9a-f]/*")
-            for p in self.path.glob(pattern + ENTRY_SUFFIX)
+            p for p in self.path.glob("[0-9a-f][0-9a-f]/*" + ENTRY_SUFFIX)
             if not p.name.startswith("."))
 
     # -- maintenance ---------------------------------------------------------

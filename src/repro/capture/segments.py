@@ -7,7 +7,7 @@ bounded memory.  ``SegmentedTraceWriter`` reproduces that scheme on top of
 the binary v3 trace format (:mod:`repro.analysis.serialize`): entries
 are flushed to per-segment trace files whenever the in-memory buffer
 reaches the segment size, and :func:`load_segments` reassembles the
-full trace offline (legacy text segments read back too).
+full trace offline.
 """
 
 from __future__ import annotations

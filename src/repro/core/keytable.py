@@ -10,7 +10,7 @@ of walking tuple structure.
 
 Sharing model: one table per diff *pair* is the baseline — both traces
 interned against the same table get directly comparable ids.  Tables may
-also be longer-lived (a capture session interning at ingest, a v2 trace
+also be longer-lived (a capture session interning at ingest, a trace
 file carrying its table).  A capture interns into a dict of its own and
 merges it into the session's table once, when the trace is built
 (:meth:`~repro.core.traces.TraceBuilder.build`, through
@@ -117,8 +117,8 @@ class KeyTable:
     # -- lookup -------------------------------------------------------------
 
     def key_of(self, kid: int):
-        """The key a dense id stands for (v2 serialisation needs this
-        to write key tables without recomputing ``entry.key()``)."""
+        """The key a dense id stands for (serialisation needs this to
+        write key tables without recomputing ``entry.key()``)."""
         return self._keys[kid]
 
     def keys(self) -> list:

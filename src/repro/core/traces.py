@@ -159,7 +159,7 @@ class Trace:
     ``key_table`` / ``key_ids`` carry the interned ``=e`` representation
     when the trace was ingested through a
     :class:`~repro.core.keytable.KeyTable` (capture with a session
-    table, or a format-v2 trace file): ``key_ids[i]`` is the dense id of
+    table, or a loaded trace file): ``key_ids[i]`` is the dense id of
     ``entries[i].key()`` in ``key_table``.  Both are ``None`` for
     uninterned traces — every consumer falls back to key tuples.
     """
@@ -300,7 +300,7 @@ class Trace:
         ``name`` and ``metadata`` (provenance, not content), and is
         independent of whether the trace carries an interned key
         column — the same content always digests the same, so
-        v2-loaded and freshly captured traces meet in one cache entry.
+        loaded and freshly captured traces meet in one cache entry.
         Digest equality therefore implies the traces are
         indistinguishable to every differencing engine, which is what
         lets a cached result rehydrate exactly.

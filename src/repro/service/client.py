@@ -73,27 +73,25 @@ class ServiceClient:
     def stats(self) -> dict:
         return self._request("GET", "/v1/stats")
 
-    def submit_capture(self, *, trace: "Trace | str | None" = None,
+    def submit_capture(self, *, trace: Trace | None = None,
                        workload: str | None = None,
                        args: tuple = (), key: str | None = None,
                        tags: tuple[str, ...] = (), dedup: bool = False,
                        scenario: str | None = None) -> str:
         """Submit a capture job; returns the job id.  ``trace`` uploads
-        a trace (object or already-serialised text), ``workload`` names
-        a server-registered callable.
+        a trace, ``workload`` names a server-registered callable.
 
-        Trace objects ship as ``trace_b64``: binary v3 wire bytes
-        base64-wrapped for the JSON body — roughly half the upload of
-        the legacy v2 text even after the base64 tax.  Pre-serialised
-        legacy text still rides the ``trace`` key.
+        A trace ships as ``trace_b64``: binary v3 wire bytes
+        base64-wrapped for the JSON body.
         """
+        if trace is not None and not isinstance(trace, Trace):
+            raise TypeError(f"submit_capture uploads a Trace, not "
+                            f"{type(trace).__name__}")
         payload: dict = {"key": key, "tags": list(tags),
                          "dedup": dedup, "scenario": scenario}
-        if isinstance(trace, Trace):
+        if trace is not None:
             payload["trace_b64"] = base64.b64encode(
                 dumps_trace_bytes(trace)).decode("ascii")
-        elif trace is not None:
-            payload["trace"] = trace
         if workload is not None:
             payload["workload"] = workload
             payload["args"] = list(args)

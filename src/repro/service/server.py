@@ -209,11 +209,8 @@ class ReproService:
         dedup = bool(params.get("dedup", False))
         scenario = params.get("scenario") or None
         if params.get("trace_b64") is not None:
-            # Binary-wire upload: base64-wrapped dumps_trace_bytes
-            # output (v3; a legacy text payload decodes too).
+            # Binary-wire upload: base64-wrapped dumps_trace_bytes.
             trace = loads_trace(base64.b64decode(params["trace_b64"]))
-        elif params.get("trace") is not None:
-            trace = loads_trace(params["trace"])
         elif params.get("workload"):
             name = params["workload"]
             func = self.workloads.get(name)
@@ -225,8 +222,8 @@ class ReproService:
             trace = self.session.capture(func, *params.get("args", ()),
                                          name=key).trace
         else:
-            raise ValueError("capture jobs need a 'trace'/'trace_b64' "
-                             "payload or a 'workload' name")
+            raise ValueError("capture jobs need a 'trace_b64' payload "
+                             "or a 'workload' name")
         if not (key or trace.name):
             raise ValueError("capture jobs need a store key")
         # Store directly (not via store_as) so dedup's resolution — the

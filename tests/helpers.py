@@ -126,20 +126,11 @@ def forked_trace(name: str = "forked") -> Trace:
     return b.build()
 
 
-#: ``forked_trace(name="legacy")`` as the removed v1 and v2 text
-#: writers wrote it (header metadata ``{"origin": "legacy fixture"}``):
-#: read-only input for the legacy-format tests.
-LEGACY_FIXTURES = {version: Path(__file__).parent / "data" /
-                   f"legacy_v{version}.jsonl" for version in (1, 2)}
-#: ``forked_trace().content_digest()``, pinned when the fixtures were
-#: written.
-LEGACY_DIGEST = "5e1b2d1785c7c7b899106b035a3cbe33"
-
-
 def write_flat_store(root, traces: dict, tags: dict | None = None) -> Path:
-    """A store directory as versions before the sharded layout wrote
-    it: one trace file per key and a ``store.json`` tag index, all at
-    the root.  ``traces`` maps key -> trace, ``tags`` key -> tags."""
+    """A store directory as versions up to 2.0.0 could leave it (the
+    flat layout, which this version refuses): one trace file per key
+    and a ``store.json`` tag index, all at the root.  ``traces`` maps
+    key -> trace, ``tags`` key -> tags."""
     from repro.analysis.serialize import save_trace
     root = Path(root)
     root.mkdir(parents=True, exist_ok=True)

@@ -42,6 +42,17 @@ class TestRoundTrip:
         assert "/" not in record.path.name
         assert store.load("demo/old/regressing").name == "t"
 
+    def test_save_records_fingerprint(self, store):
+        trace = myfaces_trace(name="t")
+        record = store.save(trace, key="t")
+        assert record.metadata["fingerprint"] == trace.fingerprint()
+
+    def test_load_key_table(self, store):
+        trace = myfaces_trace(name="t")
+        store.save(trace, key="t")
+        table = store.load_key_table("t")
+        assert set(table.keys()) == {e.key() for e in trace.entries}
+
     def test_stem_sanitisation(self):
         assert _stem_for("a/b") == "a__b"
         assert _stem_for("weird key!") == "weird-key-"
@@ -75,12 +86,13 @@ class TestListing:
         assert len(store) == 3
 
     def test_loose_files_are_discovered(self, store):
-        # A file dropped at the root moves into its shard when the
-        # store is next opened.
+        # A file dropped into its shard without an index entry is
+        # listed and loads under its stem.
         trace = simple_trace([1, 2], name="loose")
-        save_trace(trace, store.root / "dropped.jsonl")
+        shard = store.root / SHARDS_DIR / shard_of("dropped")
+        shard.mkdir()
+        save_trace(trace, shard / "dropped.jsonl")
         store = TraceStore(store.root)
-        assert not (store.root / "dropped.jsonl").exists()
         assert "dropped" in store.keys()
         assert store.load("dropped").name == "loose"
 
@@ -102,11 +114,11 @@ class TestListing:
 
     def test_junk_files_do_not_break_listing(self, store):
         store.save(simple_trace([1], name="good"))
+        # (Files at the store root make it a flat store, which opening
+        # refuses; tests/test_serialize_v3.py covers that.)
         shard = store.root / SHARDS_DIR / shard_of("good")
-        for directory in (store.root, shard):
-            (directory / "empty.jsonl").write_text("", encoding="utf-8")
-            (directory / "junk.jsonl").write_text("not json\n",
-                                                  encoding="utf-8")
+        (shard / "empty.jsonl").write_text("", encoding="utf-8")
+        (shard / "junk.jsonl").write_text("not json\n", encoding="utf-8")
         store = TraceStore(store.root)
         assert store.keys() == ["good"]
         assert [r.key for r in store.records()] == ["good"]

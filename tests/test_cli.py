@@ -532,13 +532,13 @@ class TestCacheCli:
         assert main(["cache", "stats", str(populated_store)]) == 0
         assert "0 entr(ies)" in capsys.readouterr().out
 
-    def test_cache_clear_on_an_unopened_flat_store(self, tmp_path, capsys):
-        # store.json marks a store, so the command must target its
-        # diffcache and leave the index alone.
+    def test_cache_clear_on_an_unopened_flat_store(self, tmp_path):
+        # store.json marks a (flat) store: the command refuses it and
+        # leaves the index alone, rather than taking it for a cache.
         root = write_flat_store(tmp_path / "flat",
                                 {"a": simple_trace([1], name="a")})
-        assert main(["cache", "clear", str(root)]) == 0
-        assert "cleared 0" in capsys.readouterr().out
+        with pytest.raises(ValueError, match="store migrate"):
+            main(["cache", "clear", str(root)])
         assert (root / "store.json").exists()
 
     def test_cache_prune_needs_a_criterion(self, populated_store):

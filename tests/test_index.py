@@ -1,5 +1,5 @@
 """The persistent trace catalog (:mod:`repro.index`) and the sharded
-store layout it rides on, including the conversion of flat stores.
+store layout it rides on.
 
 The acceptance bar for queries is *index-only reads*: catalog lookups
 on a 1k-trace store must never open a trace file, which the tests
@@ -7,19 +7,17 @@ assert by poisoning every trace-file reader the store layer knows.
 """
 
 import json
-import threading
 import time
 
 import pytest
 
-from repro.analysis.cli import main
 from repro.api.session import Session
 from repro.api.store import SHARDS_DIR, TraceStore, shard_of
 from repro.cache import DiffCache
 from repro.index import (SKETCH_SIZE, TraceIndex, TraceIndexRecord,
                          sketch_overlap, trace_sketch)
 
-from helpers import simple_trace, write_flat_store
+from helpers import simple_trace
 
 
 def _record(key, digest="d0", fingerprint="f0", tags=(), scenario="",
@@ -320,9 +318,9 @@ class TestShardedLayout:
     def test_auto_detection_on_reopen(self, tmp_path):
         # A fresh directory is sharded at once and reopens as it is.
         root = tmp_path / "store"
-        assert TraceStore(root).migration is None
+        TraceStore(root)
         assert [p.name for p in root.iterdir()] == [SHARDS_DIR]
-        assert TraceStore(root).migration is None
+        TraceStore(root)
         assert [p.name for p in root.iterdir()] == [SHARDS_DIR]
 
     def test_sharded_layout_still_accepted(self, tmp_path):
@@ -339,116 +337,6 @@ class TestShardedLayout:
             with pytest.raises(ValueError, match="layout"):
                 TraceStore(tmp_path / "store", layout=layout)
 
-    def test_migration_moves_files_and_keeps_tags(self, tmp_path):
-        traces = {key: simple_trace([n], name=key) for n, key in
-                  enumerate(["ns/key"] + [f"t{n}" for n in range(8)])}
-        tags = {key: (f"tag-{key}",) for key in traces}
-        root = write_flat_store(tmp_path / "store", traces, tags)
-        migrated = TraceStore(root)
-        assert migrated.migration == {"moved": 9, "dropped": 0}
-        assert not (root / "store.json").exists()
-        assert list(root.glob("*.jsonl")) == []  # no flat remnants
-        assert set(migrated.keys()) == set(traces)
-        for key, trace in traces.items():
-            record = migrated.get(key)
-            assert record.tags == tags[key]
-            assert record.path.parent == root / SHARDS_DIR / shard_of(key)
-            assert migrated.load(key).content_digest() == \
-                trace.content_digest()
-
-    def test_migration_is_idempotent(self, tmp_path):
-        root = write_flat_store(tmp_path / "store",
-                                {"a": simple_trace([1], name="a")})
-        store = TraceStore(root)
-        assert store.migrate_to_sharded() == {"moved": 0, "dropped": 0}
-        assert TraceStore(root).migration is None
-        assert store.keys() == ["a"]
-
-    def test_flat_remnants_resolve_and_are_adopted(self, tmp_path):
-        # A crashed migration leaves files at the root beside shards.d;
-        # the next open moves them into their shards.
-        root = write_flat_store(tmp_path / "store",
-                                {"a": simple_trace([1], name="a"),
-                                 "b": simple_trace([2], name="b")},
-                                tags={"a": ("x",)})
-        (root / SHARDS_DIR).mkdir()
-        store = TraceStore(root)
-        assert store.migration == {"moved": 2, "dropped": 0}
-        assert set(store.keys()) == {"a", "b"}
-        assert store.load("a").name == "a"
-        assert store._path_for("a").parent == \
-            root / SHARDS_DIR / shard_of("a")
-        assert store.get("a").tags == ("x",)
-
-    def test_deleted_remnant_key_is_gone_from_every_listing(self,
-                                                            tmp_path):
-        root = write_flat_store(tmp_path / "store",
-                                {"a": simple_trace([1], name="a")})
-        (root / SHARDS_DIR).mkdir()
-        store = TraceStore(root)
-        store.delete("a")
-        assert "a" not in store
-        assert store.keys() == [] and len(store) == 0
-        assert TraceStore(root).keys() == []
-
-    def test_rerun_migration_keeps_the_newer_shard_copy(self, tmp_path,
-                                                        capsys):
-        # shards.d beside flat files is a crashed migration; a save
-        # made since then is newer than the root copy of its key.
-        root = tmp_path / "store"
-        (root / SHARDS_DIR).mkdir(parents=True)
-        new = simple_trace([4, 5], name="new")
-        TraceStore(root).save(new, key="a", tags=("fresh",))
-        write_flat_store(root, {"a": simple_trace([1, 2, 3], name="old")},
-                         tags={"a": ("stale",)})
-        assert main(["store", "migrate", str(root)]) == 0
-        store = TraceStore(root)
-        assert store.load("a").content_digest() == new.content_digest()
-        assert store.get("a").tags == ("fresh",)
-        assert list(root.glob("*.jsonl")) == []
-        assert "1 stale root cop(ies) dropped" in capsys.readouterr().out
-
-    def test_migration_index_write_holds_the_shard_lock(self, tmp_path,
-                                                        monkeypatch):
-        # A tag on another key of the shard being migrated lands
-        # between the migration's index read and its write: it must
-        # wait for the write, not be overwritten by it.
-        root = tmp_path / "store"
-        (root / SHARDS_DIR).mkdir(parents=True)
-        neighbour = next(key for key in (f"b{n}" for n in range(4096))
-                         if shard_of(key) == shard_of("a"))
-        tagger = TraceStore(root)
-        tagger.save(simple_trace([2], name="b"), key=neighbour)
-        write_flat_store(root, {"a": simple_trace([1], name="a")})
-
-        read_index = TraceStore._read_index
-        tagged = threading.Event()
-        racers = []
-
-        def tag():
-            tagger.tag(neighbour, "kept")
-            tagged.set()
-
-        def racing_read(store, shard):
-            index = read_index(store, shard)
-            if store is not tagger and not racers:
-                racers.append(threading.Thread(target=tag))
-                racers[0].start()
-                # Returns as soon as the tag lands; under the shard
-                # lock it cannot, and this times out instead.
-                tagged.wait(timeout=1.0)
-            return index
-
-        monkeypatch.setattr(TraceStore, "_read_index", racing_read)
-        TraceStore(root).migrate_to_sharded()
-        assert racers, "the migration never read the shard index"
-        racers[0].join(timeout=10)
-        assert not racers[0].is_alive()
-        monkeypatch.undo()
-        store = TraceStore(root)
-        assert store.get(neighbour).tags == ("kept",)
-        assert store.load("a").name == "a"
-
     def test_session_cache_shards_with_the_store(self, tmp_path):
         store = TraceStore(tmp_path / "store")
         session = Session(store=store, cache=True)
@@ -457,7 +345,8 @@ class TestShardedLayout:
 
 
 def write_flat_entry(cache_dir, key, result):
-    """An entry as caches that wrote flat left it: at the root."""
+    """An entry file at the cache root, where caches before the
+    sharded layout wrote them."""
     cache_dir.mkdir(parents=True, exist_ok=True)
     (cache_dir / f"{key}.json").write_text(
         json.dumps({"key": key, "engine": "", "created": 0.0,
@@ -477,20 +366,21 @@ class TestShardedDiffCache:
         write_flat_entry(tmp_path / "cache", "deadbeef", {"x": 2})
         cache = DiffCache(tmp_path / "cache")
         assert cache._disk_read("deadbeef") is None
-        assert cache.stats().disk_entries == 1
-        assert cache.clear() == 1
-        assert not (tmp_path / "cache" / "deadbeef.json").exists()
+        assert cache.stats().disk_entries == 0
+        assert cache.clear() == 0
+        assert (tmp_path / "cache" / "deadbeef.json").exists()
 
-    def test_stats_and_clear_cover_both_layouts(self, tmp_path):
+    def test_stats_prune_clear_count_shard_entries_only(self, tmp_path):
         write_flat_entry(tmp_path / "cache", "11aa", {})
-        write_flat_entry(tmp_path / "cache", "33cc", {})
         cache = DiffCache(tmp_path / "cache")
-        cache.put_wire("22bb", {})
+        for key in ("22bb", "33cc", "44dd"):
+            cache.put_wire(key, {})
         assert cache.stats().disk_entries == 3
         assert cache.prune(max_entries=2) == 1
         assert cache.stats().disk_entries == 2
         assert cache.clear() == 2
         assert cache.stats().disk_entries == 0
+        assert (tmp_path / "cache" / "11aa.json").exists()
 
 
 class TestIndexOnlyQueries:

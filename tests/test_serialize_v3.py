@@ -5,27 +5,32 @@ through the v3 encode/decode pair and asserts the invariants the rest
 of the system leans on: round-trips preserve entries and the content
 digest, re-encoding is byte-stable, lazy decode equals eager decode
 entry-for-entry, and corrupt frames fail loudly.  Byte pins prove the
-encoder's output never drifts, and plain tests cover the store-facing
-surface (mixed-format stores, ``migrate_format``/``format_stats``,
-seeded from the legacy text fixtures).
+encoder's output never drifts.  Legacy input (text traces, flat
+stores) is refused everywhere with one error.
 """
 
 import hashlib
-import shutil
+import json
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.serialize import (dumps_trace_bytes, load_trace,
-                                      loads_trace, read_header,
-                                      read_key_table, save_trace)
-from repro.api.store import TraceStore
+from repro.analysis.cli import main
+from repro.analysis.serialize import (dumps_trace_bytes, iter_entries,
+                                      load_trace, loads_trace,
+                                      read_header, read_key_table,
+                                      save_trace)
+from repro.api import store as store_module
+from repro.api.store import SHARDS_DIR, TraceStore
 from repro.core.entries import entries_equal
+from repro.core.keytable import KeyTable
+from repro.core.traces import TraceBuilder
+from repro.core.values import prim
 from repro.core.view_diff import view_diff
 
-from helpers import (LEGACY_DIGEST, LEGACY_FIXTURES, forked_trace,
-                     myfaces_trace, two_thread_trace)
+from helpers import (forked_trace, myfaces_trace, simple_trace,
+                     two_thread_trace, write_flat_store)
 from test_properties import build_trace, programs
 
 # Programs that always yield at least one real event (the empty trace
@@ -33,6 +38,9 @@ from test_properties import build_trace, programs
 nonempty_programs = st.tuples(
     st.just(("new",)), st.just(("call", 0, 0, 1))).map(list)
 any_programs = st.one_of(programs, nonempty_programs)
+
+#: What the one legacy-input error says, wherever it is raised.
+LEGACY_ERROR = r"`repro store migrate` from repro 2\.0\.0"
 
 
 def entries_match(a, b):
@@ -147,12 +155,34 @@ class TestV3Files:
         with pytest.raises(ValueError):
             loads_trace(bytes(blob))
 
-    def test_wrong_magic_falls_back_to_text_parse_error(self, tmp_path):
+    def test_wrong_magic_raises_the_legacy_error(self, tmp_path):
         trace = build_trace([("new",)], "t")
         blob = bytearray(dumps_trace_bytes(trace))
         blob[:4] = b"XXXX"
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=LEGACY_ERROR):
             loads_trace(bytes(blob))
+
+    def test_shared_ingest_table_round_trips_local_ids(self, tmp_path):
+        """A trace interned into a big shared table is written with a
+        compact file-local table, and loads back consistent."""
+        shared = KeyTable()
+        for filler in range(100):
+            shared.intern(("filler", filler))
+        builder = TraceBuilder(name="t", key_table=shared)
+        tid = builder.main_tid
+        obj = builder.record_init(tid, "A", (), serialization=("A", 1))
+        builder.record_set(tid, obj, "f", prim(1))
+        builder.record_set(tid, obj, "f", prim(1))
+        builder.record_end(tid)
+        trace = builder.build()
+        path = tmp_path / "t.trace"
+        save_trace(trace, path)
+        header = read_header(path)
+        assert header["keys"] == len(set(trace.key_ids))  # compact
+        loaded = load_trace(path)
+        entries_match(trace, loaded)
+        for entry, kid in zip(loaded.entries, loaded.key_ids):
+            assert loaded.key_table.key_of(kid) == entry.key()
 
 
 class TestV3BytePins:
@@ -196,39 +226,79 @@ class TestBytesValues:
         assert loaded.content_digest() == trace.content_digest()
 
 
-class TestStoreFormats:
-    def test_mixed_format_store_diffs(self, tmp_path):
-        store = TraceStore(tmp_path / "store")
-        shutil.copy(LEGACY_FIXTURES[2], store.root / "old.jsonl")
-        store = TraceStore(store.root)
-        new = two_thread_trace([1, 2], [3], name="new")
-        store.save(new)
-        formats = {r.key: r.format for r in store.records()}
-        assert formats == {"old": 2, "new": 3}
-        result = view_diff(store.load("old"), store.load("new"))
-        assert result.num_diffs() == \
-            view_diff(forked_trace(), new).num_diffs()
 
-    def test_migrate_format_and_stats(self, tmp_path):
-        store = TraceStore(tmp_path / "store")
-        for version, path in LEGACY_FIXTURES.items():
-            shutil.copy(path, store.root / f"t{version}.jsonl")
-        store = TraceStore(store.root)
-        store.save(two_thread_trace([1], [2], name="t3"))
-        before = {r.key: store.load(r.key).content_digest()
-                  for r in store.records()}
-        assert before["t1"] == before["t2"] == LEGACY_DIGEST
-        stats = store.format_stats()
-        assert {version: bucket["traces"] for version, bucket
-                in stats["formats"].items()} == {"1": 1, "2": 1, "3": 1}
-        outcome = store.migrate_format()
-        assert outcome == {"migrated": 2, "skipped": 1, "failed": 0}
-        stats = store.format_stats()
-        assert list(stats["formats"]) == ["3"]
-        assert stats["traces"] == 3
-        # Digests (and therefore identity) survive the rewrite.
-        after = {r.key: store.load(r.key).content_digest()
-                 for r in store.records()}
-        assert after == before
-        # A second migration is a no-op.
-        assert store.migrate_format()["skipped"] == 3
+#: A text (format 2) trace as versions up to 2.0.0 wrote it.
+TEXT_TRACE = "\n".join([
+    json.dumps({"format": 2, "name": "t", "entries": 1, "keys": 1,
+                "metadata": {}}),
+    json.dumps({"key": {"t": ["set", "f"]}}),
+    json.dumps({"eid": 0, "tid": 0, "m": "main", "rho": None,
+                "e": {"k": "set", "o": None, "f": "f", "v": None},
+                "kid": 0}),
+]) + "\n"
+
+
+def _text_file(tmp_path):
+    path = tmp_path / "old.jsonl"
+    path.write_text(TEXT_TRACE, encoding="utf-8")
+    return path
+
+
+def _flat_store(tmp_path):
+    return write_flat_store(tmp_path / "flat",
+                            {"a": simple_trace([1], name="a")})
+
+
+def _flat_remnant(tmp_path):
+    # A trace file at the root of an otherwise sharded store.
+    root = tmp_path / "store"
+    TraceStore(root).save(simple_trace([2], name="b"), key="b")
+    save_trace(simple_trace([1], name="a"), root / "a.jsonl")
+    return root
+
+
+class TestLegacyInputRefused:
+    """Text traces and flat stores fail with one error that names the
+    last version able to convert them; opening a store reads no file
+    header to tell."""
+
+    @pytest.mark.parametrize("read", [
+        lambda tmp: load_trace(_text_file(tmp)),
+        lambda tmp: loads_trace(TEXT_TRACE),
+        lambda tmp: loads_trace(TEXT_TRACE.encode("utf-8")),
+        lambda tmp: read_header(_text_file(tmp)),
+        lambda tmp: read_key_table(_text_file(tmp)),
+        lambda tmp: list(iter_entries(_text_file(tmp))),
+        lambda tmp: TraceStore(_flat_store(tmp)),
+        lambda tmp: TraceStore(_flat_remnant(tmp), create=False),
+        lambda tmp: main(["store", "list", str(_flat_store(tmp))]),
+        lambda tmp: main(["store", "add", str(_flat_store(tmp)),
+                          str(_text_file(tmp))]),
+        lambda tmp: main(["store", "add", str(tmp / "new"),
+                          str(_text_file(tmp))]),
+        lambda tmp: main(["cache", "clear", str(_flat_store(tmp))]),
+    ], ids=["load_trace", "loads_trace-str", "loads_trace-bytes",
+            "read_header", "read_key_table", "iter_entries",
+            "store-flat", "store-root-file", "cli-store-list",
+            "cli-store-add-flat", "cli-store-add-text",
+            "cli-cache-clear"])
+    def test_one_error(self, read, tmp_path):
+        with pytest.raises(ValueError, match=LEGACY_ERROR):
+            read(tmp_path)
+
+    @pytest.mark.parametrize("layout", [_flat_store, _flat_remnant],
+                             ids=["flat", "root-file"])
+    def test_store_open_reads_no_file_and_changes_nothing(
+            self, layout, tmp_path, monkeypatch):
+        root = layout(tmp_path)
+        before = sorted(p.relative_to(root) for p in root.rglob("*"))
+
+        def no_file_reads(*_args, **_kwargs):
+            raise AssertionError("opening a store read a trace file")
+
+        for name in ("read_header", "load_trace"):
+            monkeypatch.setattr(store_module, name, no_file_reads)
+        with pytest.raises(ValueError, match="flat trace store"):
+            TraceStore(root)
+        assert sorted(p.relative_to(root) for p in root.rglob("*")) \
+            == before

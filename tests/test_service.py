@@ -117,6 +117,19 @@ class TestEndpoints:
         with pytest.raises(ServiceError, match="ghost"):
             client.wait(job)
 
+    def test_text_trace_upload_fails_the_job(self, service):
+        _svc, client = service
+        text = json.dumps({"format": 2, "name": "t", "entries": 0,
+                           "keys": 0, "metadata": {}}) + "\n"
+        job = client._request("POST", "/v1/captures",
+                              {"trace": text, "key": "t"})["job"]
+        with pytest.raises(ServiceError, match="trace_b64"):
+            client.wait(job)
+        assert client.job(job)["state"] == "error"
+        with pytest.raises(TypeError, match="Trace"):
+            client.submit_capture(trace=text, key="t")
+        assert client.query() == []  # nothing was stored
+
     def test_diff_and_cached_rerun(self, service):
         _svc, client = service
         client.wait(client.submit_capture(
